@@ -3,18 +3,16 @@ Podles sphere with its Fredholm module, the coefficient homotopy behind the
 index computation, and the exact fusion/K-theory data of free orthogonal
 quantum groups."""
 
-from .qarith import HalfInt, Precision, QParam, guarded_sqrt, m_scalar, qnumber
+from .qarith import HalfInt, QParam, guarded_sqrt, m_scalar, qnumber
 from .peterweyl import (BandedOperator, BasisIndex, StateVector, TruncatedSpace,
                         bundle_space, coeff_reg, full_space, generator_op,
-                        haar_state, involution, operator_norm, quantum_dimension,
+                        haar_state, involution, operator_norm, relation_residuals,
                         spectral_project)
-from .podles import (FredholmModule, PodlesOperator, check_podles_relations,
-                     commutator_tail, fit_geometric, fredholm_index,
-                     index_pair_operator, podles_op)
-from .homotopy import (OmegaOperatorSet, build_omega, degenerate_module_check,
-                       eval_rescaled, eval_t_coeff, omega_relation_residuals,
-                       rotation_homotopy_check, verify_lemma1, verify_lemma2,
-                       verify_lemma3)
+from .podles import (FredholmModule, check_podles_relations, commutator_tail,
+                     fit_geometric, fredholm_index, index_pair_operator, podles_op)
+from .homotopy import (build_omega, degenerate_module_check, eval_rescaled,
+                       eval_t_coeff, rotation_homotopy_check, verify_lemma1,
+                       verify_lemma2, verify_lemma3)
 from .kring import (FusionElement, KGroups, ZtPoly, dim_classical, dim_quantum,
                     fuse, koszul_verify, ktheory_fo, smith_normal_form)
 from .foq import (EquivalenceInvariant, QMatrix, canonical_su2_qmatrix,

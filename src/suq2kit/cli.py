@@ -12,12 +12,15 @@ usage error.  Half-integers are passed as "20" or "41/2".
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 from .qarith import HalfInt
 from .report import emit_report
 from .suites import SuiteConfig, UsageError, list_suites, run_suite
+
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SuiteConfig)}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -26,17 +29,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     runp = sub.add_parser("run", help="run one verification suite")
     runp.add_argument("--suite", required=True)
-    runp.add_argument("--q", type=float, default=None)
-    runp.add_argument("--lmax", type=str, default="20",
-                      help='spin cutoff, "n" or "n/2"')
-    runp.add_argument("--t-grid", type=int, default=11, dest="t_grid")
-    runp.add_argument("--n", type=int, default=3,
-                      help="fundamental dimension for the integer suites")
-    runp.add_argument("--D", type=int, default=10, dest="d_trunc",
-                      help="truncation degree of the resolution")
-    runp.add_argument("--tol-identity", type=float, default=1e-10)
-    runp.add_argument("--tol-decay", type=float, default=1e-8)
-    runp.add_argument("--seed", type=int, default=0)
+
+    def option(flag, dest, kind, text=None):
+        runp.add_argument(flag, dest=dest, type=kind, default=_DEFAULTS[dest], help=text)
+
+    option("--q", "q", float)
+    option("--lmax", "lmax", HalfInt.parse, 'spin cutoff, "n" or "n/2"')
+    option("--t-grid", "t_grid", int)
+    option("--n", "n", int, "fundamental dimension for the integer suites")
+    option("--D", "d_trunc", int, "truncation degree of the resolution")
+    option("--tol-identity", "tol_identity", float)
+    option("--tol-decay", "tol_decay", float)
+    option("--seed", "seed", int)
     runp.add_argument("--qmatrix", type=str, default=None,
                       help="JSON file with a parameter matrix as rows of "
                            "[re, im] pairs (foq suite)")
@@ -60,12 +64,6 @@ def main(argv=None) -> int:
         print(json.dumps(catalog, indent=2))
         return 0
 
-    try:
-        lmax = HalfInt.parse(args.lmax)
-    except ValueError:
-        print(f"error: cannot parse --lmax {args.lmax!r}", file=sys.stderr)
-        return 2
-
     qmatrix = None
     if args.qmatrix is not None:
         try:
@@ -78,10 +76,9 @@ def main(argv=None) -> int:
 
     try:
         config = SuiteConfig(
-            suite=args.suite, q=args.q, lmax=lmax, tol_identity=args.tol_identity,
+            suite=args.suite, q=args.q, lmax=args.lmax, tol_identity=args.tol_identity,
             tol_decay=args.tol_decay, t_grid=args.t_grid, n=args.n,
-            d_trunc=args.d_trunc, seed=args.seed, qmatrix=qmatrix, out=args.out,
-            csv_dir=args.csv_dir)
+            d_trunc=args.d_trunc, seed=args.seed, qmatrix=qmatrix)
         report = run_suite(config)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

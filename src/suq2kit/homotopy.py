@@ -24,24 +24,17 @@ the explicit rotation homotopy needed when q < 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
-from .qarith import HalfInt, QParam
-from .peterweyl import (BandedOperator, TruncatedSpace, bundle_space,
-                        operator_norm, _idx_arrays, _src_ok, _masked_sqrt_ratio,
-                        reg_a_plus, reg_a_minus, reg_c_plus, reg_c_minus)
-from .podles import fit_geometric
+from .qarith import HalfInt, QParam, guarded_sqrt_array, m_array
+from .peterweyl import (BandedOperator, bundle_space, operator_norm, _idx_arrays,
+                        _iratio, _src_ok, _masked_sqrt_ratio)
 
 __all__ = [
-    "OmegaOperatorSet",
     "eval_t_coeff",
     "eval_rescaled",
-    "t_coeff_composite",
     "build_omega",
-    "omega_relation_residuals",
     "verify_lemma1",
     "verify_lemma2",
     "verify_lemma3",
@@ -57,14 +50,6 @@ __all__ = [
 # s stands for |q|^t.  Masks encode the boundary convention (coefficient 0
 # whenever source or target vector is absent); the k = 0 families are
 # evaluated in grouped form so the removable 0/0 at spin zero never occurs.
-
-def _jratio(q, num_exp, l2):
-    """(1 - q^num)/(1 - q^(2*l2)) with the removable limit 1/2 at l2 = 0."""
-    l2 = np.asarray(l2)
-    safe = np.where(l2 > 0, 1.0 - q ** (2 * l2), 1.0)
-    return np.where(l2 > 0, (1.0 - q ** np.asarray(num_exp)) / safe,
-                    1.0 / (1.0 + q ** l2))
-
 
 def _omq(q, e):
     return 1.0 - q ** np.asarray(e)
@@ -98,7 +83,7 @@ def t_a0(q, s, l2, i2, j2):
             * _omq(q, l2 + i2 + 2) / (_omq(q, 2 * l2 + 2) * _omq(q, 2 * l2 + 4)))
     grp2 = ((s * q ** ((2 * l2 + i2 + j2) // 2) * _omq(q, l2 - j2)
              + q ** ((2 * l2 + i2 - j2) // 2 + 2) / s * _omq(q, l2 + j2))
-            * _jratio(q, l2 - i2, l2) / _omq(q, 2 * l2 + 2))
+            * _iratio(q, l2 - i2, l2) / _omq(q, 2 * l2 + 2))
     return np.where(mask, grp1 + grp2, 0.0)
 
 
@@ -130,7 +115,7 @@ def t_b0(q, s, l2, i2, j2):
             * _omq(q, l2 - i2 + 2) / (_omq(q, 2 * l2 + 2) * _omq(q, 2 * l2 + 4)))
     grp2 = ((q ** ((2 * l2 - i2 - j2) // 2 + 2) / s * _omq(q, l2 + j2)
              + s * q ** ((2 * l2 - i2 + j2) // 2) * _omq(q, l2 - j2))
-            * _jratio(q, l2 + i2, l2) / _omq(q, 2 * l2 + 2))
+            * _iratio(q, l2 + i2, l2) / _omq(q, 2 * l2 + 2))
     return np.where(mask, grp1 + grp2, 0.0)
 
 
@@ -161,8 +146,8 @@ def t_c0(q, s, l2, i2, j2):
     grp1 = ((s * q ** ((3 * l2 - j2) // 2 + 1) * _omq(q, l2 + j2 + 2)
              + q ** ((3 * l2 + j2) // 2 + 3) / s * _omq(q, l2 - j2 + 2))
             / (_omq(q, 2 * l2 + 2) * _omq(q, 2 * l2 + 4)))
-    grp2 = ((s * q ** ((l2 + j2) // 2 - 1) * _jratio(q, l2 - j2, l2)
-             + q ** ((l2 - j2) // 2 + 1) / s * _jratio(q, l2 + j2, l2))
+    grp2 = ((s * q ** ((l2 + j2) // 2 - 1) * _iratio(q, l2 - j2, l2)
+             + q ** ((l2 - j2) // 2 + 1) / s * _iratio(q, l2 + j2, l2))
             / _omq(q, 2 * l2 + 2))
     return np.where(mask, rad * (grp1 - grp2), 0.0)
 
@@ -191,8 +176,8 @@ def t_d0(q, s, l2, i2, j2):
     l2, i2, j2 = _idx_arrays(l2, i2, j2)
     mask = _src_ok(l2, i2, j2) & (i2 >= -l2 + 2)
     rad = _masked_sqrt_ratio(q, (l2 + i2, l2 - i2 + 2), (), mask)
-    grp1 = ((q ** ((3 * l2 - j2) // 2 + 1) / s * _jratio(q, l2 + j2, l2)
-             + s * q ** ((3 * l2 + j2) // 2 - 1) * _jratio(q, l2 - j2, l2))
+    grp1 = ((q ** ((3 * l2 - j2) // 2 + 1) / s * _iratio(q, l2 + j2, l2)
+             + s * q ** ((3 * l2 + j2) // 2 - 1) * _iratio(q, l2 - j2, l2))
             / _omq(q, 2 * l2 + 2))
     grp2 = ((q ** ((l2 + j2) // 2 + 1) / s * _omq(q, l2 - j2 + 2)
              + s * q ** ((l2 - j2) // 2 - 1) * _omq(q, l2 + j2 + 2))
@@ -227,75 +212,6 @@ def eval_t_coeff(family: str, k: int, q, t: float, l, i, j) -> float:
     return float(_T_CORES[(family, k)](qp.q, s, l.twice, i.twice, j.twice))
 
 
-# independent route: the same entries as sums of products of the regular
-# representation tables, used as an oracle in the tests
-def t_coeff_composite(family: str, k: int, q, t: float, l, i, j) -> float:
-    qp = QParam.of(q).require_strict()
-    qq = qp.q
-    s = qp.abs_q ** t
-    l2 = HalfInt.of(l).twice
-    i2 = HalfInt.of(i).twice
-    j2 = HalfInt.of(j).twice
-
-    def ap(a, b, c):
-        return float(reg_a_plus(qq, a, b, c))
-
-    def am(a, b, c):
-        return float(reg_a_minus(qq, a, b, c))
-
-    def cp(a, b, c):
-        return float(reg_c_plus(qq, a, b, c))
-
-    def cm(a, b, c):
-        return float(reg_c_minus(qq, a, b, c))
-
-    if family == "a":
-        if k == 1:
-            return (s / qq * ap(l2, -i2, -j2) * ap(l2 + 1, i2 + 1, j2 + 1)
-                    - qq**2 / s * cm(l2 + 1, -i2 - 1, -j2 + 1) * cm(l2 + 2, i2, j2))
-        if k == 0:
-            return (s / qq * (ap(l2, -i2, -j2) * am(l2 + 1, i2 + 1, j2 + 1)
-                              + am(l2, -i2, -j2) * ap(l2 - 1, i2 + 1, j2 + 1))
-                    - qq**2 / s * (cp(l2 - 1, -i2 - 1, -j2 + 1) * cm(l2, i2, j2)
-                                   + cm(l2 + 1, -i2 - 1, -j2 + 1) * cp(l2, i2, j2)))
-        return (s / qq * am(l2, -i2, -j2) * am(l2 - 1, i2 + 1, j2 + 1)
-                - qq**2 / s * cp(l2 - 1, -i2 - 1, -j2 + 1) * cp(l2 - 2, i2, j2))
-    if family == "b":
-        if k == 1:
-            return (qq / s * am(l2 + 1, -i2 + 1, -j2 + 1) * am(l2 + 2, i2, j2)
-                    - s * cp(l2, -i2, -j2) * cp(l2 + 1, i2 - 1, j2 + 1))
-        if k == 0:
-            return (qq / s * (ap(l2 - 1, -i2 + 1, -j2 + 1) * am(l2, i2, j2)
-                              + am(l2 + 1, -i2 + 1, -j2 + 1) * ap(l2, i2, j2))
-                    - s * (cp(l2, -i2, -j2) * cm(l2 + 1, i2 - 1, j2 + 1)
-                           + cm(l2, -i2, -j2) * cp(l2 - 1, i2 - 1, j2 + 1)))
-        return (qq / s * ap(l2 - 1, -i2 + 1, -j2 + 1) * ap(l2 - 2, i2, j2)
-                - s * cm(l2, -i2, -j2) * cm(l2 - 1, i2 - 1, j2 + 1))
-    if family == "c":
-        if k == 1:
-            return (s / qq * ap(l2, -i2, -j2) * cp(l2 + 1, i2 + 1, j2 + 1)
-                    + qq / s * cm(l2 + 1, -i2 - 1, -j2 + 1) * am(l2 + 2, i2 + 2, j2))
-        if k == 0:
-            return (s / qq * (ap(l2, -i2, -j2) * cm(l2 + 1, i2 + 1, j2 + 1)
-                              + am(l2, -i2, -j2) * cp(l2 - 1, i2 + 1, j2 + 1))
-                    + qq / s * (cp(l2 - 1, -i2 - 1, -j2 + 1) * am(l2, i2 + 2, j2)
-                                + cm(l2 + 1, -i2 - 1, -j2 + 1) * ap(l2, i2 + 2, j2)))
-        return (s / qq * am(l2, -i2, -j2) * cm(l2 - 1, i2 + 1, j2 + 1)
-                + qq / s * cp(l2 - 1, -i2 - 1, -j2 + 1) * ap(l2 - 2, i2 + 2, j2))
-    if family == "d":
-        if k == 1:
-            return (qq / s * am(l2 + 1, -i2 + 1, -j2 + 1) * cm(l2 + 2, i2 - 2, j2)
-                    + s / qq * cp(l2, -i2, -j2) * ap(l2 + 1, i2 - 1, j2 + 1))
-        if k == 0:
-            return (qq / s * (ap(l2 - 1, -i2 + 1, -j2 + 1) * cm(l2, i2 - 2, j2)
-                              + am(l2 + 1, -i2 + 1, -j2 + 1) * cp(l2, i2 - 2, j2))
-                    + s / qq * (cp(l2, -i2, -j2) * am(l2 + 1, i2 - 1, j2 + 1)
-                                + cm(l2, -i2, -j2) * ap(l2 - 1, i2 - 1, j2 + 1)))
-        return (qq / s * ap(l2 - 1, -i2 + 1, -j2 + 1) * cp(l2 - 2, i2 - 2, j2)
-                + s / qq * cm(l2, -i2, -j2) * am(l2 - 1, i2 - 1, j2 + 1))
-    raise ValueError(f"unknown family {family!r}")
-
-
 # ---------------------------------------------------------------------------
 # rescaled families
 # ---------------------------------------------------------------------------
@@ -307,53 +223,26 @@ def t_coeff_composite(family: str, k: int, q, t: float, l, i, j) -> float:
 
 def _m_half(q, s, l2, mask):
     """sqrt(m(t, l)) on the mask (which enforces spin >= 1)."""
-    val = np.where(mask, (q**2 - s**2 * q ** np.asarray(l2)), 0.0)
-    den = np.where(mask, s**2 - q ** (np.asarray(l2) + 2), 1.0)
-    return np.sqrt(np.maximum(val / den, 0.0))
+    return guarded_sqrt_array(m_array(q, s, l2, mask))
 
 
 def _plus_scale(q, s, l2):
     """sqrt(1 - s^2 q^(2l)) * sqrt(s^2 - q^(2l+4)) / (s |q|)."""
     l2 = np.asarray(l2)
-    a = np.maximum(1.0 - s**2 * q ** l2, 0.0)
-    b = s**2 - q ** (l2 + 4)
-    return np.sqrt(a * b) / (s * abs(q))
+    return guarded_sqrt_array((1.0 - s**2 * q ** l2) * (s**2 - q ** (l2 + 4))) / (s * abs(q))
 
 
-def resc_A1(q, s, l2, i2):
-    l2, i2, _ = _idx_arrays(l2, i2, 0)
-    mask = (l2 >= 0) & (np.abs(i2) <= l2)
-    rad = _masked_sqrt_ratio(q, (l2 + i2 + 2, l2 - i2 + 2), (2 * l2 + 2, 2 * l2 + 6), mask)
-    den = np.where(mask, _omq(q, 2 * l2 + 4), 1.0)
-    r = _omq(q, l2 + 2) * rad / den
-    return np.where(mask, -q ** (l2 + 3) * _plus_scale(q, s, l2) * r, 0.0)
-
-
-def resc_B1(q, s, l2, i2):
-    l2, i2, _ = _idx_arrays(l2, i2, 0)
-    mask = (l2 >= 0) & (np.abs(i2) <= l2)
-    rad = _masked_sqrt_ratio(q, (l2 + i2 + 2, l2 - i2 + 2), (2 * l2 + 2, 2 * l2 + 6), mask)
-    den = np.where(mask, _omq(q, 2 * l2 + 4), 1.0)
-    r = _omq(q, l2 + 2) * rad / den
-    return np.where(mask, q * _plus_scale(q, s, l2) * r, 0.0)
-
-
-def resc_C1(q, s, l2, i2):
-    l2, i2, _ = _idx_arrays(l2, i2, 0)
-    mask = (l2 >= 0) & (np.abs(i2) <= l2)
-    rad = _masked_sqrt_ratio(q, (l2 + i2 + 2, l2 + i2 + 4), (2 * l2 + 2, 2 * l2 + 6), mask)
-    den = np.where(mask, _omq(q, 2 * l2 + 4), 1.0)
-    r = _omq(q, l2 + 2) * rad / den
-    return np.where(mask, q ** ((l2 - i2) // 2 + 1) * _plus_scale(q, s, l2) * r, 0.0)
-
-
-def resc_D1(q, s, l2, i2):
-    l2, i2, _ = _idx_arrays(l2, i2, 0)
-    mask = (l2 >= 0) & (np.abs(i2) <= l2)
-    rad = _masked_sqrt_ratio(q, (l2 - i2 + 2, l2 - i2 + 4), (2 * l2 + 2, 2 * l2 + 6), mask)
-    den = np.where(mask, _omq(q, 2 * l2 + 4), 1.0)
-    r = _omq(q, l2 + 2) * rad / den
-    return np.where(mask, q ** ((l2 + i2) // 2 + 1) * _plus_scale(q, s, l2) * r, 0.0)
+def _resc_plus(num_exps, pref):
+    """X_1 from the two numerator exponents of its radical and its prefactor,
+    both functions of the twice arrays; the four families differ only there."""
+    def fn(q, s, l2, i2):
+        l2, i2, _ = _idx_arrays(l2, i2, 0)
+        mask = (l2 >= 0) & (np.abs(i2) <= l2)
+        rad = _masked_sqrt_ratio(q, num_exps(l2, i2), (2 * l2 + 2, 2 * l2 + 6), mask)
+        den = np.where(mask, _omq(q, 2 * l2 + 4), 1.0)
+        r = _omq(q, l2 + 2) * rad / den
+        return np.where(mask, pref(q, l2, i2) * _plus_scale(q, s, l2) * r, 0.0)
+    return fn
 
 
 def _resc_minus(core):
@@ -366,16 +255,20 @@ def _resc_minus(core):
 
 
 _RESC_CORES = {
-    ("A", 1): resc_A1,
+    ("A", 1): _resc_plus(lambda l2, i2: (l2 + i2 + 2, l2 - i2 + 2),
+                         lambda q, l2, i2: -q ** (l2 + 3)),
     ("A", 0): lambda q, s, l2, i2: t_a0(q, s, l2, i2, np.zeros_like(np.asarray(l2))),
     ("A", -1): _resc_minus(t_am1),
-    ("B", 1): resc_B1,
+    ("B", 1): _resc_plus(lambda l2, i2: (l2 + i2 + 2, l2 - i2 + 2),
+                         lambda q, l2, i2: q),
     ("B", 0): lambda q, s, l2, i2: t_b0(q, s, l2, i2, np.zeros_like(np.asarray(l2))),
     ("B", -1): _resc_minus(t_bm1),
-    ("C", 1): resc_C1,
+    ("C", 1): _resc_plus(lambda l2, i2: (l2 + i2 + 2, l2 + i2 + 4),
+                         lambda q, l2, i2: q ** ((l2 - i2) // 2 + 1)),
     ("C", 0): lambda q, s, l2, i2: t_c0(q, s, l2, i2, np.zeros_like(np.asarray(l2))),
     ("C", -1): _resc_minus(t_cm1),
-    ("D", 1): resc_D1,
+    ("D", 1): _resc_plus(lambda l2, i2: (l2 - i2 + 2, l2 - i2 + 4),
+                         lambda q, l2, i2: q ** ((l2 + i2) // 2 + 1)),
     ("D", 0): lambda q, s, l2, i2: t_d0(q, s, l2, i2, np.zeros_like(np.asarray(l2))),
     ("D", -1): _resc_minus(t_dm1),
 }
@@ -405,23 +298,6 @@ def eval_rescaled(family: str, k: int, q, t: float, l, i) -> float:
 # omega_t operators
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OmegaOperatorSet:
-    """Images of the four generators under omega_t on the winding-zero bundle."""
-
-    q: float
-    t: float
-    space: TruncatedSpace
-    alpha: BandedOperator
-    alpha_star: BandedOperator
-    gamma: BandedOperator
-    gamma_star: BandedOperator
-
-    def generators(self):
-        return {"alpha": self.alpha, "alpha*": self.alpha_star,
-                "gamma": self.gamma, "gamma*": self.gamma_star}
-
-
 def _omega_rules(family: str, di2: int, s: float):
     cores = {k: _RESC_CORES[(family, k)] for k in (1, 0, -1)}
     return tuple(
@@ -429,8 +305,8 @@ def _omega_rules(family: str, di2: int, s: float):
         for k in (1, 0, -1))
 
 
-def build_omega(q, t: float, lmax) -> OmegaOperatorSet:
-    """Materialize omega_t as four banded operators on the winding-zero bundle."""
+def build_omega(q, t: float, lmax) -> dict:
+    """omega_t as {generator name: banded image} on the winding-zero bundle."""
     qp = QParam.of(q).require_strict()
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t!r}")
@@ -441,24 +317,7 @@ def build_omega(q, t: float, lmax) -> OmegaOperatorSet:
                               ("gamma", "C", 2), ("gamma*", "D", -2)):
         ops[name] = BandedOperator.from_shift_rules(
             space, space, _omega_rules(family, di2, s), HalfInt(2), q=qp.q)
-    return OmegaOperatorSet(qp.q, t, space, ops["alpha"], ops["alpha*"],
-                            ops["gamma"], ops["gamma*"])
-
-
-def omega_relation_residuals(om: OmegaOperatorSet) -> dict:
-    """Interior residuals of the five defining relations for omega_t."""
-    al, als = om.alpha, om.alpha_star
-    ga, gas = om.gamma, om.gamma_star
-    one = BandedOperator.identity(om.space)
-    q = om.q
-    return {
-        "alpha gamma = q gamma alpha": (al @ ga - q * (ga @ al)).interior_residual_norm(),
-        "alpha gamma* = q gamma* alpha": (al @ gas - q * (gas @ al)).interior_residual_norm(),
-        "gamma gamma* = gamma* gamma": (ga @ gas - gas @ ga).interior_residual_norm(),
-        "alpha* alpha + gamma* gamma = 1": (als @ al + gas @ ga - one).interior_residual_norm(),
-        "alpha alpha* + q^2 gamma gamma* = 1": (al @ als + q * q * (ga @ gas) - one)
-        .interior_residual_norm(),
-    }
+    return ops
 
 
 # ---------------------------------------------------------------------------
@@ -486,17 +345,18 @@ def _level_arrays(lmax2, lmin2=0):
 # (l, i) including the spin-zero boundary where both sides vanish.
 _LEMMA1_IDENTITIES = (
     ("A_1(l, i) = B_-1(l+1, i)",
-     lambda q, s, l2, i2: resc_A1(q, s, l2, i2),
+     lambda q, s, l2, i2: _RESC_CORES[("A", 1)](q, s, l2, i2),
      lambda q, s, l2, i2: _RESC_CORES[("B", -1)](q, s, l2 + 2, i2)),
     ("A_0(l, i) = B_0(l, i)",
      lambda q, s, l2, i2: _RESC_CORES[("A", 0)](q, s, l2, i2),
      lambda q, s, l2, i2: _RESC_CORES[("B", 0)](q, s, l2, i2)),
     ("A_-1(l, i) = B_1(l-1, i)",
      lambda q, s, l2, i2: _RESC_CORES[("A", -1)](q, s, l2, i2),
-     lambda q, s, l2, i2: np.where(l2 >= 2, resc_B1(q, s, np.maximum(l2 - 2, 0), i2), 0.0)
+     lambda q, s, l2, i2: np.where(l2 >= 2,
+                                   _RESC_CORES[("B", 1)](q, s, np.maximum(l2 - 2, 0), i2), 0.0)
      * (np.abs(i2) <= np.maximum(l2 - 2, 0))),
     ("C_1(l, i) = D_-1(l+1, i+1)",
-     lambda q, s, l2, i2: resc_C1(q, s, l2, i2),
+     lambda q, s, l2, i2: _RESC_CORES[("C", 1)](q, s, l2, i2),
      lambda q, s, l2, i2: _RESC_CORES[("D", -1)](q, s, l2 + 2, i2 + 2)),
     ("C_0(l, i) = D_0(l, i+1)",
      lambda q, s, l2, i2: _RESC_CORES[("C", 0)](q, s, l2, i2),
@@ -505,9 +365,10 @@ _LEMMA1_IDENTITIES = (
     ("C_-1(l, i) = D_1(l-1, i+1)",
      lambda q, s, l2, i2: _RESC_CORES[("C", -1)](q, s, l2, i2),
      lambda q, s, l2, i2: np.where((l2 >= 2) & (np.abs(i2 + 2) <= l2 - 2),
-                                   resc_D1(q, s, np.maximum(l2 - 2, 0),
-                                           np.clip(i2 + 2, -np.maximum(l2 - 2, 0),
-                                                   np.maximum(l2 - 2, 0))), 0.0)),
+                                   _RESC_CORES[("D", 1)](q, s, np.maximum(l2 - 2, 0),
+                                                         np.clip(i2 + 2, -np.maximum(l2 - 2, 0),
+                                                                 np.maximum(l2 - 2, 0))),
+                                   0.0)),
 )
 
 

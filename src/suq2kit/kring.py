@@ -110,7 +110,11 @@ def fuse(k: int, m: int) -> FusionElement:
 
 
 def fusion_closed_form(k: int, m: int) -> FusionElement:
-    """sum of H_j for j = |k-m|, |k-m|+2, ..., k+m (test oracle only)."""
+    """sum of H_j for j = |k-m|, |k-m|+2, ..., k+m.
+
+    The Clebsch-Gordan form of the product; the fusion suite gates the
+    iterated rank-one rule in :func:`fuse` against it.
+    """
     return FusionElement.from_dict({j: 1 for j in range(abs(k - m), k + m + 1, 2)})
 
 
@@ -333,16 +337,6 @@ def smith_normal_form(matrix):
             for c in range(rows):
                 u[m][c] = -u[m][c]
     return u, a, v
-
-
-def snf_invariants(matrix):
-    """Diagonal invariant factors of the Smith form, positive, in order."""
-    _, d, _ = smith_normal_form(matrix)
-    out = []
-    for m in range(min(len(d), len(d[0]) if d else 0)):
-        if d[m][m] != 0:
-            out.append(abs(d[m][m]))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .qarith import HalfInt, QParam, qnumber
+from .qarith import HalfInt, QParam, guarded_sqrt_array
 
 __all__ = [
     "BasisIndex",
@@ -34,7 +34,7 @@ __all__ = [
     "involution",
     "haar_state",
     "spectral_project",
-    "quantum_dimension",
+    "relation_residuals",
     "operator_norm",
     "GENERATORS",
 ]
@@ -241,7 +241,20 @@ def _masked_sqrt_ratio(q, num_exps, den_exps, mask):
     for e in den_exps:
         den = den * (1.0 - q ** np.asarray(e))
     inner = np.where(mask, num / np.where(mask, den, 1.0), 0.0)
-    return np.sqrt(np.maximum(inner, 0.0))
+    return guarded_sqrt_array(inner)
+
+
+def _iratio(q, num_exp, l2):
+    """(1 - q^num) / (1 - q^(2*l2)) with its removable limit 1/2 at l2 = 0.
+
+    The l2 = 0 branch is only ever multiplied by factors that vanish there,
+    so any finite completion gives the same product; 1/(1 + q^l2) is the
+    continuous one.
+    """
+    l2 = np.asarray(l2)
+    safe = np.where(l2 > 0, 1.0 - q ** (2 * l2), 1.0)
+    return np.where(l2 > 0, (1.0 - q ** np.asarray(num_exp)) / safe,
+                    1.0 / (1.0 + q ** l2))
 
 
 def reg_a_plus(q, l2, i2, j2):
@@ -333,18 +346,17 @@ class BandedOperator:
             raise ValueError("matrix shape does not match the spaces")
 
     @classmethod
-    def from_shift_rules(cls, domain, codomain, rules, margin, q=None):
+    def from_shift_rules(cls, domain, codomain, rules, margin, q):
         """Assemble from (shift, coefficient) rules.
 
-        Each rule is ((dl2, di2, dj2), fn) with fn vectorized over the twice
-        arrays of the domain; entries whose target leaves the codomain are
-        dropped (that is the truncation).
+        Each rule is ((dl2, di2, dj2), fn) with fn(q, l2, i2, j2) vectorized
+        over the twice arrays of the domain; entries whose target leaves the
+        codomain are dropped (that is the truncation).
         """
         rows, cols, vals = [], [], []
         l2, i2, j2 = domain.l2, domain.i2, domain.j2
         for (dl2, di2, dj2), fn in rules:
-            coeff = np.asarray(fn(q, l2, i2, j2) if q is not None else fn(l2, i2, j2),
-                               dtype=float)
+            coeff = np.asarray(fn(q, l2, i2, j2), dtype=float)
             tgt = codomain.locate(l2 + dl2, i2 + di2, j2 + dj2)
             keep = (tgt >= 0) & (coeff != 0.0)
             rows.append(tgt[keep])
@@ -529,9 +541,19 @@ def spectral_project(vec: StateVector, l) -> StateVector:
     return StateVector(vec.space, amps)
 
 
-def quantum_dimension(q, l) -> float:
-    """q-deformed dimension [2l+1] of the spin-l irreducible."""
-    l = HalfInt.of(l)
-    if l.twice < 0:
-        raise ValueError("spin must be nonnegative")
-    return qnumber(q, l.twice + 1)
+def relation_residuals(gens: dict, q: float) -> dict:
+    """Interior residuals of the five defining relations of SU_q(2).
+
+    ``gens`` maps each name in GENERATORS to its banded image on one space.
+    """
+    al, als = gens["alpha"], gens["alpha*"]
+    ga, gas = gens["gamma"], gens["gamma*"]
+    one = BandedOperator.identity(al.domain)
+    return {
+        "alpha gamma = q gamma alpha": (al @ ga - q * (ga @ al)).interior_residual_norm(),
+        "alpha gamma* = q gamma* alpha": (al @ gas - q * (gas @ al)).interior_residual_norm(),
+        "gamma gamma* = gamma* gamma": (ga @ gas - gas @ ga).interior_residual_norm(),
+        "alpha* alpha + gamma* gamma = 1": (als @ al + gas @ ga - one).interior_residual_norm(),
+        "alpha alpha* + q^2 gamma gamma* = 1": (al @ als + q * q * (ga @ gas) - one)
+        .interior_residual_norm(),
+    }

@@ -21,11 +21,10 @@ import scipy.sparse as sp
 
 from .qarith import HalfInt, QParam
 from .peterweyl import (BandedOperator, TruncatedSpace, bundle_space,
-                        generator_op, operator_norm, _idx_arrays, _src_ok,
+                        operator_norm, _idx_arrays, _iratio, _src_ok,
                         _masked_sqrt_ratio)
 
 __all__ = [
-    "PodlesOperator",
     "FredholmModule",
     "podles_op",
     "check_podles_relations",
@@ -40,19 +39,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # coefficient tables (twice units; masks encode the boundary convention)
 # ---------------------------------------------------------------------------
-
-def _iratio(q, num_exp, l2):
-    """(1 - q^num) / (1 - q^(2*l2)) with its removable limit 1/2 at l2 = 0.
-
-    The l2 = 0 branch is only ever multiplied by factors that vanish there,
-    so any finite completion gives the same product; 1/(1 + q^l2) is the
-    continuous one.
-    """
-    l2 = np.asarray(l2)
-    safe = np.where(l2 > 0, 1.0 - q ** (2 * l2), 1.0)
-    return np.where(l2 > 0, (1.0 - q ** np.asarray(num_exp)) / safe,
-                    1.0 / (1.0 + q ** l2))
-
 
 def sphere_a_minus(q, l2, i2, j2):
     l2, i2, j2 = _idx_arrays(l2, i2, j2)
@@ -118,20 +104,7 @@ _SPHERE_RULES = {
 }
 
 
-@dataclass(frozen=True)
-class PodlesOperator:
-    """One of the sphere generators A, B, B* as a banded operator."""
-
-    which: str
-    q: float
-    op: BandedOperator
-
-    @property
-    def matrix(self):
-        return self.op.matrix
-
-
-def podles_op(which: str, q, space: TruncatedSpace) -> PodlesOperator:
+def podles_op(which: str, q, space: TruncatedSpace) -> BandedOperator:
     """Materialize the printed three-term table of A or B on a space.
 
     B* is not keyed in separately: adjointness is its definition, so it is
@@ -139,13 +112,11 @@ def podles_op(which: str, q, space: TruncatedSpace) -> PodlesOperator:
     """
     qp = QParam.of(q).require_strict()
     if which == "B*":
-        b = podles_op("B", qp, space)
-        return PodlesOperator("B*", qp.q, b.op.adjoint())
+        return podles_op("B", qp, space).adjoint()
     if which not in _SPHERE_RULES:
         raise ValueError(f"unknown sphere generator {which!r}")
-    op = BandedOperator.from_shift_rules(space, space, _SPHERE_RULES[which],
-                                         HalfInt(2), q=qp.q)
-    return PodlesOperator(which, qp.q, op)
+    return BandedOperator.from_shift_rules(space, space, _SPHERE_RULES[which],
+                                           HalfInt(2), q=qp.q)
 
 
 def check_podles_relations(q, lmax, tol_identity: float = 1e-10):
@@ -161,9 +132,9 @@ def check_podles_relations(q, lmax, tol_identity: float = 1e-10):
     if lmax < HalfInt.of(3):
         raise ValueError("need lmax >= 3 for a meaningful interior")
     space = full_space(lmax.twice)
-    A = podles_op("A", qp, space).op
-    B = podles_op("B", qp, space).op
-    Bs = podles_op("B*", qp, space).op
+    A = podles_op("A", qp, space)
+    B = podles_op("B", qp, space)
+    Bs = podles_op("B*", qp, space)
     one = BandedOperator.identity(space)
     qq = qp.q
     residuals = {

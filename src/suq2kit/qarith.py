@@ -11,15 +11,18 @@ appear in every coefficient formula live here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 
 __all__ = [
     "HalfInt",
     "QParam",
-    "Precision",
     "qnumber",
+    "m_array",
     "m_scalar",
+    "guarded_sqrt_array",
     "guarded_sqrt",
 ]
 
@@ -161,26 +164,6 @@ class QParam:
         return self
 
 
-@dataclass(frozen=True)
-class Precision:
-    """Residual thresholds shared by the verification suites.
-
-    tol_identity gates algebraic identities, tol_decay gates tail and decay
-    checks.  Defaults leave at least four orders of magnitude of headroom
-    over double-precision residuals at the spin cutoffs used here.
-    """
-
-    mode: str = "double"
-    tol_identity: float = 1e-10
-    tol_decay: float = 1e-8
-
-    def __post_init__(self):
-        if self.mode not in ("double", "extended"):
-            raise ValueError(f"unknown precision mode {self.mode!r}")
-        if not (self.tol_identity > 0.0 and self.tol_decay > 0.0):
-            raise ValueError("tolerances must be positive")
-
-
 def qnumber(q, a: int) -> float:
     """The q-integer (q^a - q^-a)/(q - q^-1).
 
@@ -190,6 +173,18 @@ def qnumber(q, a: int) -> float:
     qp = QParam.of(q).require_strict()
     x = qp.q
     return (x**a - x**(-a)) / (x - 1.0 / x)
+
+
+def m_array(q: float, s, l2, mask=True):
+    """Interpolation scalar m(t, l) on arrays, with s = |q|^t and l2 = 2l.
+
+    (q^2 - s^2 q^(2l)) / (s^2 - q^(2l+2)); entries outside ``mask`` are 0 and
+    never divide.  This is the arithmetic the coefficient tables run.
+    """
+    l2 = np.asarray(l2)
+    num = np.where(mask, q**2 - s**2 * q ** l2, 0.0)
+    den = np.where(mask, s**2 - q ** (l2 + 2), 1.0)
+    return num / den
 
 
 def m_scalar(q, t: float, l: int) -> float:
@@ -208,17 +203,22 @@ def m_scalar(q, t: float, l: int) -> float:
         if l == 0 and t == 1.0:
             return 1.0
         raise ValueError(f"spin label must be >= 1, got {l}")
-    x = qp.q
-    s2 = qp.abs_q ** (2.0 * t)
-    return (x**2 - s2 * x ** (2 * l)) / (s2 - x ** (2 * l + 2))
+    return float(m_array(qp.q, qp.abs_q ** t, 2 * l))
 
 
-def guarded_sqrt(x: float, tol: float = 1e-12) -> float:
-    """Square root that clamps tiny negative rounding residue to zero.
+def guarded_sqrt_array(x, tol: float = 1e-12):
+    """Elementwise square root that clamps tiny negative rounding residue to zero.
 
     A radicand below -tol is a genuinely negative value, i.e. a formula bug
     upstream, and raises instead of being silently clamped.
     """
-    if x < -tol:
-        raise ValueError(f"negative radicand {x!r} exceeds tolerance {tol!r}")
-    return math.sqrt(x) if x > 0.0 else 0.0
+    x = np.asarray(x, dtype=float)
+    low = float(x.min(initial=0.0))
+    if low < -tol:
+        raise ValueError(f"negative radicand {low!r} exceeds tolerance {tol!r}")
+    return np.sqrt(np.maximum(x, 0.0))
+
+
+def guarded_sqrt(x: float, tol: float = 1e-12) -> float:
+    """Scalar form of :func:`guarded_sqrt_array`."""
+    return float(guarded_sqrt_array(float(x), tol))

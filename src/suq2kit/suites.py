@@ -10,12 +10,13 @@ controls must *exceed* 1000 * tol_identity to count as the predicted failure.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qarith import HalfInt, Precision, QParam
+from .qarith import HalfInt, QParam
 from . import peterweyl as pw
 from . import podles as po
 from . import homotopy as ho
@@ -46,12 +47,11 @@ class SuiteConfig:
     d_trunc: int = 10
     seed: int = 0
     qmatrix: list | None = None          # rows of [re, im] pairs, foq suite
-    out: str | None = None
-    csv_dir: str | None = None
 
     def __post_init__(self):
-        self.lmax = HalfInt.of(self.lmax) if not isinstance(self.lmax, HalfInt) else self.lmax
-        Precision(tol_identity=self.tol_identity, tol_decay=self.tol_decay)
+        self.lmax = HalfInt.of(self.lmax)
+        if not (self.tol_identity > 0.0 and self.tol_decay > 0.0):
+            raise UsageError("tolerances must be positive")
         if self.t_grid < 2:
             raise UsageError("the t grid must include both endpoints (>= 2 points)")
         if self.n < 2:
@@ -85,19 +85,8 @@ def _suite_relations(cfg: SuiteConfig, rep: VerificationReport):
     qp = cfg.require_q()
     space = pw.full_space(cfg.lmax.twice)
     gens = {g: pw.generator_op(g, qp, space) for g in pw.GENERATORS}
-    one = pw.BandedOperator.identity(space)
-    q = qp.q
-    al, als, ga, gas = gens["alpha"], gens["alpha*"], gens["gamma"], gens["gamma*"]
-    residuals = {
-        "alpha gamma = q gamma alpha": al @ ga - q * (ga @ al),
-        "alpha gamma* = q gamma* alpha": al @ gas - q * (gas @ al),
-        "gamma gamma* = gamma* gamma": ga @ gas - gas @ ga,
-        "alpha* alpha + gamma* gamma = 1": als @ al + gas @ ga - one,
-        "alpha alpha* + q^2 gamma gamma* = 1": al @ als + q * q * (ga @ gas) - one,
-    }
-    for name, op in residuals.items():
-        rep.add(Check(name, "quantum SU(2) defining relations",
-                      op.interior_residual_norm(), cfg.tol_identity))
+    for name, value in pw.relation_residuals(gens, qp.q).items():
+        rep.add(Check(name, "quantum SU(2) defining relations", value, cfg.tol_identity))
     for x, xs in (("alpha", "alpha*"), ("gamma", "gamma*")):
         rep.add(Check(f"{xs} table is the transpose of the {x} table",
                       "adjoint pairing of the generator tables",
@@ -113,8 +102,8 @@ def _suite_podles(cfg: SuiteConfig, rep: VerificationReport):
             continue
         rep.add(Check(name, "standard Podles sphere relations", value, cfg.tol_identity))
     space = pw.full_space(cfg.lmax.twice)
-    a_op = po.podles_op("A", qp, space).op
-    b_op = po.podles_op("B", qp, space).op
+    a_op = po.podles_op("A", qp, space)
+    b_op = po.podles_op("B", qp, space)
     comp_a = pw.generator_op("gamma*", qp, space) @ pw.generator_op("gamma", qp, space)
     comp_b = pw.generator_op("alpha*", qp, space) @ pw.generator_op("gamma", qp, space)
     rep.add(Check("A table matches the gamma* gamma composite",
@@ -141,7 +130,7 @@ def _suite_lemma1(cfg: SuiteConfig, rep: VerificationReport):
     worst = {}
     for t in np.linspace(0.0, 1.0, cfg.t_grid):
         om = ho.build_omega(qp, float(t), lmax_int)
-        for name, value in ho.omega_relation_residuals(om).items():
+        for name, value in pw.relation_residuals(om, qp.q).items():
             worst[name] = max(worst.get(name, 0.0), value)
     for name, value in worst.items():
         rep.add(Check(f"omega_t image: {name}",
@@ -330,7 +319,7 @@ def _suite_fusion(cfg: SuiteConfig, rep: VerificationReport):
                 dim_bad += 1
     rep.add(Check(f"classical dimension is a ring homomorphism (n = {cfg.n})",
                   "dimension homomorphism", float(dim_bad), 0.0))
-    qp = QParam(cfg.q if cfg.q is not None else -0.5).require_strict()
+    qp = cfg.require_q() if cfg.q is not None else QParam(-0.5)
     worst = 0.0
     for k in range(11):
         for m in range(11):
@@ -407,10 +396,7 @@ def _suite_all(cfg: SuiteConfig, rep: VerificationReport):
         if part == "rotation" and qp.q > 0:
             rep.parameters["rotation_skipped"] = "needs q < 0"
             continue
-        sub = run_suite(SuiteConfig(
-            suite=part, q=cfg.q, lmax=cfg.lmax, tol_identity=cfg.tol_identity,
-            tol_decay=cfg.tol_decay, t_grid=cfg.t_grid, n=cfg.n,
-            d_trunc=cfg.d_trunc, seed=cfg.seed))
+        sub = run_suite(dataclasses.replace(cfg, suite=part))
         for c in sub.checks:
             rep.add(Check(f"{part}: {c.name}", c.anchor, c.value, c.threshold, c.mode))
         for a in sub.assumptions:
@@ -419,48 +405,56 @@ def _suite_all(cfg: SuiteConfig, rep: VerificationReport):
         rep.decay.extend((lab, f"{part}: {fam}", v) for lab, fam, v in sub.decay)
 
 
-# registry: runner, whether q is required, claim labels certified
+# registry: runner, whether q is required, minimum lmax, claim labels
+# certified.  Below its minimum lmax a suite cannot build its spaces or has a
+# check with nothing to certify: the relation residuals need a nonempty
+# interior (relations 1, lemma1 2, podles 3), the commutator tails a nonempty
+# cutoff list (fredholm 8), the endpoint identities lmax >= 2 (lemma3,
+# degenerate) and the rotation homotopy the winding -2 bundle (rotation 1).
 SUITES = {
-    "relations": (_suite_relations, True,
+    "relations": (_suite_relations, True, 1,
                   ("quantum SU(2) defining relations",
                    "adjoint pairing of the generator tables")),
-    "podles": (_suite_podles, True,
+    "podles": (_suite_podles, True, 3,
                ("standard Podles sphere relations",
                 "sphere generators vs quadratic words",
                 "Haar state via the GNS orbit")),
-    "lemma1": (_suite_lemma1, True,
+    "lemma1": (_suite_lemma1, True, 2,
                ("adjoint pairing of the rescaled coefficient families",
                 "the interpolated action is a *-homomorphism")),
-    "lemma2": (_suite_lemma2, True,
+    "lemma2": (_suite_lemma2, True, 0,
                ("uniform coefficient decay in the spin label",)),
-    "lemma3": (_suite_lemma3, True,
+    "lemma3": (_suite_lemma3, True, 2,
                ("endpoint matching of the coefficient homotopy",
                 "sign factor on the diagonal families")),
-    "fredholm": (_suite_fredholm, True,
+    "fredholm": (_suite_fredholm, True, 8,
                  ("truncation-stable index of the bundle swap",
                   "commutator tail compactness proxy")),
-    "rotation": (_suite_rotation, True,
+    "rotation": (_suite_rotation, True, 1,
                  ("rotation homotopy tail bound",
                   "rotation endpoint block structure")),
-    "degenerate": (_suite_degenerate, True,
+    "degenerate": (_suite_degenerate, True, 2,
                    ("column symmetry degeneracy",
                     "endpoint intertwiner degeneracy")),
-    "koszul": (_suite_koszul, False,
+    "koszul": (_suite_koszul, False, 0,
                ("length-one resolution of the trivial module",
                 "K-groups of the free orthogonal dual")),
-    "fusion": (_suite_fusion, False,
+    "fusion": (_suite_fusion, False, 0,
                ("rank-one fusion rule", "dimension homomorphism")),
-    "foq": (_suite_foq, False,
+    "foq": (_suite_foq, False, 0,
             ("monoidal equivalence invariant", "canonical 2x2 parameter matrix")),
-    "all": (_suite_all, True, ()),
 }
+SUITES["all"] = (_suite_all, True, max(SUITES[p][2] for p in _ALL_PARTS), ())
 
 
 def run_suite(config: SuiteConfig) -> VerificationReport:
     """Dispatch a named suite; deterministic for a fixed config."""
     if config.suite not in SUITES:
         raise UsageError(f"unknown suite {config.suite!r}; see the catalog")
-    runner, needs_q, _ = SUITES[config.suite]
+    runner, _, min_lmax, _ = SUITES[config.suite]
+    if config.lmax < min_lmax:
+        raise UsageError(f"suite {config.suite!r} needs lmax >= {min_lmax}, "
+                         f"got {config.lmax}")
     report = VerificationReport(suite=config.suite, parameters=config.echo(),
                                 seed=config.seed)
     start = time.perf_counter()
@@ -472,11 +466,12 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
 
 
 def list_suites() -> list:
-    """Catalog of suites: name, whether q is required, claim labels."""
+    """Catalog of suites: name, whether q is required, minimum lmax, claim labels."""
     out = []
-    for name, (_, needs_q, anchors) in SUITES.items():
+    for name, (_, needs_q, min_lmax, anchors) in SUITES.items():
         if name == "all":
-            anchors = tuple(sorted({a for nm, (_, _, an) in SUITES.items()
+            anchors = tuple(sorted({a for nm, (*_, an) in SUITES.items()
                                     if nm != "all" for a in an}))
-        out.append({"suite": name, "needs_q": needs_q, "anchors": list(anchors)})
+        out.append({"suite": name, "needs_q": needs_q, "min_lmax": min_lmax,
+                    "anchors": list(anchors)})
     return out

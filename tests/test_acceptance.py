@@ -61,8 +61,8 @@ def test_c02_sphere_relations_and_composites():
         out = po.check_podles_relations(q, H(40))
         worst_rel = max(worst_rel, max(v for k, v in out.items() if k != "pass"))
         space = pw.full_space(40)
-        a_op = po.podles_op("A", q, space).op
-        b_op = po.podles_op("B", q, space).op
+        a_op = po.podles_op("A", q, space)
+        b_op = po.podles_op("B", q, space)
         comp_a = pw.generator_op("gamma*", q, space) @ pw.generator_op("gamma", q, space)
         comp_b = pw.generator_op("alpha*", q, space) @ pw.generator_op("gamma", q, space)
         worst_comp = max(worst_comp,
@@ -80,7 +80,7 @@ def test_c03_adjoint_identities_and_homomorphism():
         worst_id = max(worst_id, max(ho.verify_lemma1(q, 30, 11).values()))
         for t in np.linspace(0.0, 1.0, 11):
             om = ho.build_omega(q, float(t), 30)
-            worst_rel = max(worst_rel, max(ho.omega_relation_residuals(om).values()))
+            worst_rel = max(worst_rel, max(pw.relation_residuals(om, q).values()))
     assert worst_id < 1e-11
     assert worst_rel < 1e-10
     _announce(3, f"six identity families {worst_id:.2e}, algebra relations "

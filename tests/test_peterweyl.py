@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from suq2kit.kring import dim_quantum
 from suq2kit.qarith import HalfInt
 from suq2kit.peterweyl import (BandedOperator, BasisIndex, StateVector,
                                TruncatedSpace, bundle_space, coeff_reg,
                                full_space, generator_op, haar_state, involution,
-                               operator_norm, quantum_dimension, spectral_project)
+                               operator_norm, spectral_project, _masked_sqrt_ratio)
 
 Q_GRID = (0.3, -0.3, 0.5, -0.5, 0.9, -0.9)
 H = HalfInt
@@ -75,6 +76,15 @@ def test_coeff_reg_parity_error():
         coeff_reg("a+", 0.5, H(2), H(1), H(0))
     with pytest.raises(ValueError):
         coeff_reg("x+", 0.5, 0, 0, 0)
+
+
+def test_table_radicands_are_guarded():
+    # 1 - 0.5^-2 = -3 is a genuinely negative radicand: a formula bug
+    with pytest.raises(ValueError):
+        _masked_sqrt_ratio(0.5, (-2,), (), True)
+    assert _masked_sqrt_ratio(0.5, (-2,), (), False) == 0.0
+    # 1 - q^-1 rounds to -2^-52 just below q = 1: rounding residue, clamped
+    assert _masked_sqrt_ratio(1.0 - 2.0**-53, (-1,), (), True) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +235,9 @@ def test_spectral_project_partition():
 
 
 def test_quantum_dimension_values():
-    assert quantum_dimension(0.5, 0) == 1.0
-    assert quantum_dimension(0.5, H(1)) == pytest.approx(2.5, abs=1e-14)
-    assert quantum_dimension(0.5, 1) == pytest.approx(5.25, abs=1e-14)
+    # [2l+1] of the spin-l irreducible is dim_quantum at label 2l
+    assert dim_quantum(0.5, 0) == 1.0
+    assert dim_quantum(0.5, 1) == pytest.approx(2.5, abs=1e-14)
+    assert dim_quantum(0.5, 2) == pytest.approx(5.25, abs=1e-14)
     with pytest.raises(ValueError):
-        quantum_dimension(0.5, H(-1))
+        dim_quantum(0.5, -1)

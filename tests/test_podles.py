@@ -35,8 +35,8 @@ def test_a_lowering_vanishes_at_bottom_of_bundle():
 @pytest.mark.parametrize("q", (0.5, -0.7))
 def test_tables_match_quadratic_words(q):
     space = full_space(30)  # lmax 15
-    a_op = podles_op("A", q, space).op
-    b_op = podles_op("B", q, space).op
+    a_op = podles_op("A", q, space)
+    b_op = podles_op("B", q, space)
     comp_a = generator_op("gamma*", q, space) @ generator_op("gamma", q, space)
     comp_b = generator_op("alpha*", q, space) @ generator_op("gamma", q, space)
     assert (a_op - comp_a).interior_residual_norm(2) < 1e-11
@@ -51,7 +51,7 @@ def test_relation_checker(q):
 
 
 def test_a_table_symmetry_is_exact():
-    a = podles_op("A", -0.6, full_space(16)).op
+    a = podles_op("A", -0.6, full_space(16))
     from suq2kit.peterweyl import operator_norm
     assert operator_norm(a.matrix - a.matrix.T) < 1e-14
 

@@ -6,7 +6,9 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
-from suq2kit.qarith import HalfInt, Precision, QParam, guarded_sqrt, m_scalar, qnumber
+from suq2kit.qarith import (HalfInt, QParam, guarded_sqrt, guarded_sqrt_array, m_scalar,
+                            qnumber)
+from suq2kit.suites import SuiteConfig, UsageError
 
 Q_GRID = (0.3, -0.3, 0.5, -0.5, 0.9, -0.9)
 
@@ -114,11 +116,14 @@ def test_guarded_sqrt_basic():
     assert guarded_sqrt(0.0) == 0.0
     assert guarded_sqrt(0.25) == 0.5
     assert guarded_sqrt(-1e-16, tol=1e-12) == 0.0
+    assert list(guarded_sqrt_array([-1e-16, 0.0, 0.25])) == [0.0, 0.0, 0.5]
 
 
 def test_guarded_sqrt_flags_genuinely_negative():
     with pytest.raises(ValueError):
         guarded_sqrt(-1e-6, tol=1e-12)
+    with pytest.raises(ValueError):
+        guarded_sqrt_array([0.25, -1e-6], tol=1e-12)
 
 
 @given(st.floats(min_value=0.0, max_value=1e6, allow_nan=False))
@@ -167,7 +172,7 @@ def test_halfint_of_rejects_non_half_integers():
 
 
 # ---------------------------------------------------------------------------
-# QParam / Precision
+# QParam / tolerances
 # ---------------------------------------------------------------------------
 
 def test_qparam_validation():
@@ -184,8 +189,8 @@ def test_qparam_validation():
 
 
 def test_precision_validation():
-    Precision()
-    with pytest.raises(ValueError):
-        Precision(tol_identity=0.0)
-    with pytest.raises(ValueError):
-        Precision(mode="quad")
+    SuiteConfig(suite="relations")
+    with pytest.raises(UsageError):
+        SuiteConfig(suite="relations", tol_identity=0.0)
+    with pytest.raises(UsageError):
+        SuiteConfig(suite="relations", tol_decay=-1e-8)

@@ -46,6 +46,8 @@ def test_suite_catalog():
     by_name = {e["suite"]: e for e in catalog}
     assert "endpoint matching of the coefficient homotopy" in by_name["lemma3"]["anchors"]
     assert "length-one resolution of the trivial module" in by_name["koszul"]["anchors"]
+    assert by_name["fredholm"]["min_lmax"] == 8
+    assert by_name["all"]["min_lmax"] == max(e["min_lmax"] for e in catalog)
 
 
 def test_every_check_anchor_is_catalogued():
@@ -57,6 +59,13 @@ def test_every_check_anchor_is_catalogued():
         rep = run_suite(SuiteConfig(suite=suite, q=q, lmax=HalfInt(24), t_grid=3))
         for check in rep.checks:
             assert check.anchor in catalog, (suite, check.name, check.anchor)
+
+
+def test_suite_all_passes_the_supplied_matrix_to_foq():
+    antidiagonal = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+    rep = run_suite(SuiteConfig(suite="all", q=-0.5, lmax=HalfInt(20), qmatrix=antidiagonal))
+    names = [c.name for c in rep.checks]
+    assert "foq: supplied matrix is equivalent to its solved canonical parameter" in names
 
 
 def test_run_suite_usage_errors():
@@ -116,6 +125,28 @@ def test_cli_exit_codes(tmp_path):
     assert main(["run", "--suite", "relations", "--lmax", "x/3", "--q", "0.5"]) == 2
     assert main(["bogus"]) == 2
     assert main(["suites"]) == 0
+
+
+@pytest.mark.parametrize("args, message", [
+    pytest.param(["--suite", "relations", "--q", "0.5", "--tol-identity", "0"],
+                 "tolerances must be positive", id="zero-tolerance"),
+    pytest.param(["--suite", "relations", "--q", "0.5", "--lmax", "-3"],
+                 "needs lmax >= 1", id="relations-lmax"),
+    pytest.param(["--suite", "podles", "--q", "0.5", "--lmax", "2"],
+                 "needs lmax >= 3", id="podles-lmax"),
+    pytest.param(["--suite", "lemma3", "--q", "0.5", "--lmax", "1"],
+                 "needs lmax >= 2", id="lemma3-lmax"),
+    pytest.param(["--suite", "fredholm", "--q", "0.5", "--lmax", "7"],
+                 "needs lmax >= 8", id="fredholm-lmax"),
+    pytest.param(["--suite", "fredholm", "--q", "0.5", "--lmax", "15/2"],
+                 "needs lmax >= 8", id="fredholm-halfint-lmax"),
+    pytest.param(["--suite", "degenerate", "--q", "0.5", "--lmax", "0"],
+                 "needs lmax >= 2", id="degenerate-lmax"),
+    pytest.param(["--suite", "fusion", "--q", "1.0"], "|q| < 1", id="fusion-q"),
+])
+def test_cli_bad_parameters_are_usage_errors(args, message, capsys):
+    assert main(["run"] + args) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_cli_halfint_lmax(tmp_path):
