@@ -4,10 +4,9 @@ index computation, and the exact fusion/K-theory data of free orthogonal
 quantum groups."""
 
 from .qarith import HalfInt, QParam, guarded_sqrt, m_scalar, qnumber
-from .peterweyl import (BandedOperator, BasisIndex, StateVector, TruncatedSpace,
-                        bundle_space, coeff_reg, full_space, generator_op,
-                        haar_state, involution, operator_norm, relation_residuals,
-                        spectral_project)
+from .peterweyl import (BandedOperator, TruncatedSpace, bundle_space, coeff_reg,
+                        full_space, generator_op, haar_state, involution,
+                        operator_norm, relation_residuals)
 from .podles import (FredholmModule, check_podles_relations, commutator_tail,
                      fit_geometric, fredholm_index, index_pair_operator, podles_op)
 from .homotopy import (build_omega, degenerate_module_check, eval_rescaled,

@@ -13,7 +13,6 @@ exponent appearing in a coefficient formula is an exact integer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -23,9 +22,7 @@ import scipy.sparse.linalg as spla
 from .qarith import HalfInt, QParam, guarded_sqrt_array
 
 __all__ = [
-    "BasisIndex",
     "TruncatedSpace",
-    "StateVector",
     "BandedOperator",
     "full_space",
     "bundle_space",
@@ -33,7 +30,6 @@ __all__ = [
     "generator_op",
     "involution",
     "haar_state",
-    "spectral_project",
     "relation_residuals",
     "operator_norm",
     "GENERATORS",
@@ -45,32 +41,6 @@ GENERATORS = ("alpha", "alpha*", "gamma", "gamma*")
 # ---------------------------------------------------------------------------
 # indices and spaces
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BasisIndex:
-    """A single Peter-Weyl basis vector e^(l)_{i,j}."""
-
-    l: HalfInt
-    i: HalfInt
-    j: HalfInt
-
-    def __post_init__(self):
-        l, i, j = HalfInt.of(self.l), HalfInt.of(self.i), HalfInt.of(self.j)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "j", j)
-        if abs(i) > l or abs(j) > l:
-            raise ValueError(f"weights out of range: l={l}, i={i}, j={j}")
-        if not (l.integer_distance(i) and l.integer_distance(j)):
-            raise ValueError(f"parity violation: l={l}, i={i}, j={j}")
-
-    @property
-    def key(self):
-        return (self.l.twice, self.i.twice, self.j.twice)
-
-    def __str__(self):
-        return f"e^({self.l})_({self.i},{self.j})"
-
 
 class TruncatedSpace:
     """Finite slice of the Peter-Weyl basis.
@@ -148,19 +118,6 @@ class TruncatedSpace:
         pos = self.level_base[level_idx] + within
         return np.where(ok, pos, -1)
 
-    def position(self, idx: BasisIndex) -> int:
-        pos = int(self.locate(*[np.array([v]) for v in idx.key])[0])
-        if pos < 0:
-            raise KeyError(f"{idx} not in this space")
-        return pos
-
-    def basis_index(self, pos: int) -> BasisIndex:
-        return BasisIndex(HalfInt(int(self.l2[pos])), HalfInt(int(self.i2[pos])),
-                          HalfInt(int(self.j2[pos])))
-
-    def indices(self):
-        return [self.basis_index(p) for p in range(self.dim)]
-
     def interior_mask(self, margin) -> np.ndarray:
         """Vectors far enough below lmax that a margin-banded operator is
         truncation exact on them."""
@@ -190,28 +147,6 @@ def full_space(lmax2: int) -> TruncatedSpace:
 @lru_cache(maxsize=None)
 def bundle_space(k: int, lmax2: int) -> TruncatedSpace:
     return TruncatedSpace(HalfInt(lmax2), k=k)
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Finitely supported vector in a truncated space."""
-
-    space: TruncatedSpace
-    amplitudes: dict
-
-    def __post_init__(self):
-        for idx in self.amplitudes:
-            if not bool(self.space.contains(*[np.array([v]) for v in idx.key])[0]):
-                raise ValueError(f"{idx} not supported by {self.space}")
-
-    def to_array(self) -> np.ndarray:
-        out = np.zeros(self.space.dim, dtype=complex)
-        for idx, amp in self.amplitudes.items():
-            out[self.space.position(idx)] = amp
-        return out
-
-    def norm(self) -> float:
-        return float(np.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values())))
 
 
 # ---------------------------------------------------------------------------
@@ -257,31 +192,42 @@ def _iratio(q, num_exp, l2):
                     1.0 / (1.0 + q ** l2))
 
 
+def _band(q, mask, num_exps, den_exps, pref=1.0, den_exp=None):
+    """One off-diagonal table entry: pref * sqrt(prod(1-q^n) / prod(1-q^d)),
+    divided by 1 - q^den_exp when given, and zero where mask is false.
+
+    Each table passes its printed exponents and prefactor; the product is
+    formed before the division so every table keeps its printed arithmetic.
+    """
+    val = pref * _masked_sqrt_ratio(q, num_exps, den_exps, mask)
+    if den_exp is not None:
+        val = val / np.where(mask, 1.0 - q ** den_exp, 1.0)
+    return np.where(mask, val, 0.0)
+
+
 def reg_a_plus(q, l2, i2, j2):
     l2, i2, j2 = _idx_arrays(l2, i2, j2)
-    mask = _src_ok(l2, i2, j2)
-    rad = _masked_sqrt_ratio(q, (l2 - j2 + 2, l2 - i2 + 2), (2 * l2 + 2, 2 * l2 + 4), mask)
-    return np.where(mask, q ** ((2 * l2 + i2 + j2) // 2 + 1) * rad, 0.0)
+    return _band(q, _src_ok(l2, i2, j2), (l2 - j2 + 2, l2 - i2 + 2),
+                 (2 * l2 + 2, 2 * l2 + 4), pref=q ** ((2 * l2 + i2 + j2) // 2 + 1))
 
 
 def reg_a_minus(q, l2, i2, j2):
     l2, i2, j2 = _idx_arrays(l2, i2, j2)
     mask = _src_ok(l2, i2, j2) & (i2 != -l2) & (j2 != -l2)
-    return _masked_sqrt_ratio(q, (l2 + j2, l2 + i2), (2 * l2, 2 * l2 + 2), mask)
+    return _band(q, mask, (l2 + j2, l2 + i2), (2 * l2, 2 * l2 + 2))
 
 
 def reg_c_plus(q, l2, i2, j2):
     l2, i2, j2 = _idx_arrays(l2, i2, j2)
-    mask = _src_ok(l2, i2, j2)
-    rad = _masked_sqrt_ratio(q, (l2 - j2 + 2, l2 + i2 + 2), (2 * l2 + 2, 2 * l2 + 4), mask)
-    return np.where(mask, -q ** ((l2 + j2) // 2) * rad, 0.0)
+    return _band(q, _src_ok(l2, i2, j2), (l2 - j2 + 2, l2 + i2 + 2),
+                 (2 * l2 + 2, 2 * l2 + 4), pref=-q ** ((l2 + j2) // 2))
 
 
 def reg_c_minus(q, l2, i2, j2):
     l2, i2, j2 = _idx_arrays(l2, i2, j2)
     mask = _src_ok(l2, i2, j2) & (i2 != l2) & (j2 != -l2)
-    rad = _masked_sqrt_ratio(q, (l2 + j2, l2 - i2), (2 * l2, 2 * l2 + 2), mask)
-    return np.where(mask, q ** ((l2 + i2) // 2) * rad, 0.0)
+    return _band(q, mask, (l2 + j2, l2 - i2), (2 * l2, 2 * l2 + 2),
+                 pref=q ** ((l2 + i2) // 2))
 
 
 _REG_CORES = {"a+": reg_a_plus, "a-": reg_a_minus, "c+": reg_c_plus, "c-": reg_c_minus}
@@ -381,15 +327,6 @@ class BandedOperator:
             out.add((int(d.l2[r] - c.l2[s]), int(d.i2[r] - c.i2[s]), int(d.j2[r] - c.j2[s])))
         return out
 
-    def apply(self, vec: StateVector) -> StateVector:
-        if vec.space is not self.domain and vec.space != self.domain:
-            raise ValueError("vector lives in a different space")
-        out = self.matrix @ vec.to_array()
-        amps = {}
-        for pos in np.nonzero(out)[0]:
-            amps[self.codomain.basis_index(int(pos))] = complex(out[pos])
-        return StateVector(self.codomain, amps)
-
     # sparse algebra; margins add under composition
     def __matmul__(self, other):
         if isinstance(other, BandedOperator):
@@ -479,66 +416,41 @@ def generator_op(gen: str, q, space: TruncatedSpace, codomain: TruncatedSpace = 
                                            HalfInt(1), q=qp.q)
 
 
-def involution(vec: StateVector, q) -> StateVector:
-    """The *-involution on basis expansions.
+def involution(vec, space: TruncatedSpace, q):
+    """The *-involution on a coefficient array over ``space``.
 
-    e^(l)_{i,j} is sent to (-1)^(2l+i+j) q^(i+j) e^(l)_{-i,-j}; amplitudes are
-    conjugated.  Bundle-supported vectors land in the opposite bundle.
+    e^(l)_{i,j} is sent to (-1)^(2l+i+j) q^(i+j) e^(l)_{-i,-j}; coefficients
+    are conjugated.  Bundle vectors land in the opposite bundle.  Returns the
+    image array and the space it lives on.
     """
     qp = QParam.of(q)
-    if vec.space.full:
-        target = vec.space
-    else:
-        target = bundle_space(-vec.space.k, vec.space.lmax.twice)
-    amps = {}
-    for idx, amp in vec.amplitudes.items():
-        l2, i2, j2 = idx.key
-        phase = (-1.0) ** ((2 * l2 + i2 + j2) // 2) * qp.q ** ((i2 + j2) // 2)
-        tgt = BasisIndex(HalfInt(l2), HalfInt(-i2), HalfInt(-j2))
-        amps[tgt] = amps.get(tgt, 0.0) + phase * np.conj(amp)
-    return StateVector(target, amps)
+    target = space if space.full else bundle_space(-space.k, space.lmax.twice)
+    l2, i2, j2 = space.l2, space.i2, space.j2
+    phase = (-1.0) ** ((2 * l2 + i2 + j2) // 2) * qp.q ** ((i2 + j2) // 2)
+    out = np.zeros(target.dim, dtype=complex)
+    out[target.locate(l2, -i2, -j2)] = phase * np.conj(vec)
+    return out, target
 
 
-def _apply_gen_dict(gen: str, q: float, amps: dict) -> dict:
-    """Apply one generator to a raw {key: amplitude} dict, untruncated."""
-    out = {}
-    for (l2, i2, j2), amp in amps.items():
-        for (dl2, di2, dj2), fn in _GEN_RULES[gen]:
-            c = float(fn(q, l2, i2, j2))
-            if c != 0.0:
-                key = (l2 + dl2, i2 + di2, j2 + dj2)
-                out[key] = out.get(key, 0.0) + c * amp
-    return {k: v for k, v in out.items() if v != 0.0}
-
-
-def haar_state(word, q, lmax) -> complex:
+def haar_state(word, q) -> complex:
     """Haar state of a product of generators, via the GNS cyclic vector.
 
     ``word`` is a sequence over {"alpha", "alpha*", "gamma", "gamma*"}; the
     product is applied right to left to e^(0)_{0,0} and paired with it again.
-    The orbit of a length-n word stays below spin n/2, so the computation is
-    truncation exact; lmax only expresses the caller's truncation budget and
-    must satisfy 2*lmax >= len(word).
+    The orbit of a length-n word never leaves spin n/2, so the generator
+    operators on the cutoff n/2 compute it exactly.
     """
     word = tuple(word)
     for g in word:
         if g not in GENERATORS:
             raise ValueError(f"unknown generator {g!r} in word")
-    lmax = HalfInt.of(lmax)
-    if lmax.twice < len(word):
-        raise ValueError(f"word of length {len(word)} needs lmax >= {len(word)}/2")
     qp = QParam.of(q).require_strict()
-    amps = {(0, 0, 0): 1.0}
+    space = full_space(len(word))
+    vec = np.zeros(space.dim)
+    vec[0] = 1.0
     for g in reversed(word):
-        amps = _apply_gen_dict(g, qp.q, amps)
-    return complex(amps.get((0, 0, 0), 0.0))
-
-
-def spectral_project(vec: StateVector, l) -> StateVector:
-    """Restrict a vector to its spin-l component."""
-    l2 = HalfInt.of(l).twice
-    amps = {idx: amp for idx, amp in vec.amplitudes.items() if idx.l.twice == l2}
-    return StateVector(vec.space, amps)
+        vec = generator_op(g, qp, space).matrix @ vec
+    return complex(vec[0])
 
 
 def relation_residuals(gens: dict, q: float) -> dict:

@@ -21,7 +21,7 @@ import scipy.sparse as sp
 
 from .qarith import HalfInt, QParam
 from .peterweyl import (BandedOperator, TruncatedSpace, bundle_space,
-                        operator_norm, _idx_arrays, _iratio, _src_ok,
+                        operator_norm, _band, _idx_arrays, _iratio, _src_ok,
                         _masked_sqrt_ratio)
 
 __all__ = [
@@ -43,10 +43,8 @@ __all__ = [
 def sphere_a_minus(q, l2, i2, j2):
     l2, i2, j2 = _idx_arrays(l2, i2, j2)
     mask = _src_ok(l2, i2, j2) & (np.abs(i2) != l2) & (np.abs(j2) != l2)
-    rad = _masked_sqrt_ratio(q, (l2 - j2, l2 + i2, l2 + j2, l2 - i2),
-                             (2 * l2 - 2, 2 * l2 + 2), mask)
-    den = np.where(mask, 1.0 - q ** (2 * l2), 1.0)
-    return np.where(mask, -q ** ((2 * l2 + i2 + j2) // 2 - 1) * rad / den, 0.0)
+    return _band(q, mask, (l2 - j2, l2 + i2, l2 + j2, l2 - i2), (2 * l2 - 2, 2 * l2 + 2),
+                 pref=-q ** ((2 * l2 + i2 + j2) // 2 - 1), den_exp=2 * l2)
 
 
 def sphere_a_diag(q, l2, i2, j2):
@@ -61,20 +59,16 @@ def sphere_a_diag(q, l2, i2, j2):
 
 def sphere_a_plus(q, l2, i2, j2):
     l2, i2, j2 = _idx_arrays(l2, i2, j2)
-    mask = _src_ok(l2, i2, j2)
-    rad = _masked_sqrt_ratio(q, (l2 + j2 + 2, l2 - i2 + 2, l2 - j2 + 2, l2 + i2 + 2),
-                             (2 * l2 + 2, 2 * l2 + 6), mask)
-    den = np.where(mask, 1.0 - q ** (2 * l2 + 4), 1.0)
-    return np.where(mask, -q ** ((2 * l2 + i2 + j2) // 2 + 1) * rad / den, 0.0)
+    return _band(q, _src_ok(l2, i2, j2),
+                 (l2 + j2 + 2, l2 - i2 + 2, l2 - j2 + 2, l2 + i2 + 2), (2 * l2 + 2, 2 * l2 + 6),
+                 pref=-q ** ((2 * l2 + i2 + j2) // 2 + 1), den_exp=2 * l2 + 4)
 
 
 def sphere_b_minus(q, l2, i2, j2):
     l2, i2, j2 = _idx_arrays(l2, i2, j2)
     mask = _src_ok(l2, i2, j2) & (np.abs(j2) != l2) & (i2 <= l2 - 4)
-    rad = _masked_sqrt_ratio(q, (l2 - j2, l2 - i2 - 2, l2 + j2, l2 - i2),
-                             (2 * l2 - 2, 2 * l2 + 2), mask)
-    den = np.where(mask, 1.0 - q ** (2 * l2), 1.0)
-    return np.where(mask, q ** ((3 * l2 + 2 * i2 + j2) // 2) * rad / den, 0.0)
+    return _band(q, mask, (l2 - j2, l2 - i2 - 2, l2 + j2, l2 - i2), (2 * l2 - 2, 2 * l2 + 2),
+                 pref=q ** ((3 * l2 + 2 * i2 + j2) // 2), den_exp=2 * l2)
 
 
 def sphere_b_diag(q, l2, i2, j2):
@@ -89,11 +83,9 @@ def sphere_b_diag(q, l2, i2, j2):
 
 def sphere_b_plus(q, l2, i2, j2):
     l2, i2, j2 = _idx_arrays(l2, i2, j2)
-    mask = _src_ok(l2, i2, j2)
-    rad = _masked_sqrt_ratio(q, (l2 + j2 + 2, l2 + i2 + 4, l2 - j2 + 2, l2 + i2 + 2),
-                             (2 * l2 + 2, 2 * l2 + 6), mask)
-    den = np.where(mask, 1.0 - q ** (2 * l2 + 4), 1.0)
-    return np.where(mask, -q ** ((l2 + j2) // 2) * rad / den, 0.0)
+    return _band(q, _src_ok(l2, i2, j2),
+                 (l2 + j2 + 2, l2 + i2 + 4, l2 - j2 + 2, l2 + i2 + 2), (2 * l2 + 2, 2 * l2 + 6),
+                 pref=-q ** ((l2 + j2) // 2), den_exp=2 * l2 + 4)
 
 
 _SPHERE_RULES = {
@@ -119,11 +111,11 @@ def podles_op(which: str, q, space: TruncatedSpace) -> BandedOperator:
                                            HalfInt(2), q=qp.q)
 
 
-def check_podles_relations(q, lmax, tol_identity: float = 1e-10):
+def check_podles_relations(q, lmax):
     """Interior residuals of the four sphere relations on the full space.
 
-    Returns a dict name -> residual; every residual below tol_identity means
-    the keyed-in tables close under the sphere algebra.
+    Returns a dict name -> residual; residuals at rounding level mean the
+    keyed-in tables close under the sphere algebra.
     """
     from .peterweyl import full_space
 
@@ -137,14 +129,12 @@ def check_podles_relations(q, lmax, tol_identity: float = 1e-10):
     Bs = podles_op("B*", qp, space)
     one = BandedOperator.identity(space)
     qq = qp.q
-    residuals = {
+    return {
         "A = A*": operator_norm(A.matrix - A.matrix.T),
         "AB = q^2 BA": (A @ B - qq**2 * (B @ A)).interior_residual_norm(),
         "BB* = q^-2 A(1-A)": (B @ Bs - qq**-2 * (A @ (one - A))).interior_residual_norm(),
         "B*B = A(1-q^2 A)": (Bs @ B - A @ (one - qq**2 * A)).interior_residual_norm(),
     }
-    residuals["pass"] = all(v < tol_identity for k, v in residuals.items() if k != "pass")
-    return residuals
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +148,11 @@ def swap_operator(domain: TruncatedSpace, codomain: TruncatedSpace) -> BandedOpe
     pair (k=1, k=-1) this is a bijection, for (k=0, k=-2) the bottom vector
     e^(0)_{0,0} is annihilated.
     """
-    dj2 = codomain.k - domain.k
-    rule = (((0, 0, dj2), lambda _q, l2, i2, j2: np.ones_like(l2, dtype=float)),)
-    return BandedOperator.from_shift_rules(domain, codomain, rule, HalfInt(0), q=0.5)
+    rows = codomain.locate(domain.l2, domain.i2, domain.j2 + codomain.k - domain.k)
+    keep = rows >= 0
+    mat = sp.csr_matrix((np.ones(int(keep.sum())), (rows[keep], np.nonzero(keep)[0])),
+                        shape=(codomain.dim, domain.dim))
+    return BandedOperator(domain, codomain, mat, HalfInt(0))
 
 
 @dataclass(frozen=True)
@@ -189,7 +181,7 @@ class FredholmModule:
         return max(d1, d2)
 
 
-def index_pair_operator(q, lmax, pair=(0, -2)) -> BandedOperator:
+def index_pair_operator(lmax, pair=(0, -2)) -> BandedOperator:
     """The off-diagonal corner of F for a bundle pair (domain k, codomain k')."""
     lmax = HalfInt.of(lmax)
     dom = bundle_space(pair[0], max(lmax.twice, abs(pair[0])))

@@ -96,10 +96,7 @@ def _suite_relations(cfg: SuiteConfig, rep: VerificationReport):
 
 def _suite_podles(cfg: SuiteConfig, rep: VerificationReport):
     qp = cfg.require_q()
-    residuals = po.check_podles_relations(qp, cfg.lmax, cfg.tol_identity)
-    for name, value in residuals.items():
-        if name == "pass":
-            continue
+    for name, value in po.check_podles_relations(qp, cfg.lmax).items():
         rep.add(Check(name, "standard Podles sphere relations", value, cfg.tol_identity))
     space = pw.full_space(cfg.lmax.twice)
     a_op = po.podles_op("A", qp, space)
@@ -112,7 +109,7 @@ def _suite_podles(cfg: SuiteConfig, rep: VerificationReport):
     rep.add(Check("B table matches the alpha* gamma composite",
                   "sphere generators vs quadratic words",
                   (b_op - comp_b).interior_residual_norm(2), cfg.tol_identity))
-    haar = pw.haar_state(("gamma*", "gamma"), qp, HalfInt(2))
+    haar = pw.haar_state(("gamma*", "gamma"), qp)
     diag = float(a_op.matrix[0, 0])
     rep.add(Check("Haar state of gamma* gamma equals the A-table diagonal",
                   "Haar state via the GNS orbit",
@@ -190,7 +187,7 @@ def _suite_fredholm(cfg: SuiteConfig, rep: VerificationReport):
         mod = po.FredholmModule.standard(qp, lmax)
         dev_f = max(dev_f, abs(po.fredholm_index(mod.F)))
         dev_fplus = max(dev_fplus,
-                        abs(po.fredholm_index(po.index_pair_operator(qp, lmax)) - 1))
+                        abs(po.fredholm_index(po.index_pair_operator(lmax)) - 1))
     rep.add(Check(f"index of the bundle swap is 0 for every cutoff <= {top}",
                   "truncation-stable index of the bundle swap", float(dev_f), 0.0))
     rep.add(Check(f"index of the corner on the (0, -2) pair is 1 for every cutoff <= {top}",
@@ -224,8 +221,7 @@ def _suite_rotation(cfg: SuiteConfig, rep: VerificationReport):
         raise UsageError("suite 'rotation' needs q < 0")
     lmax_int = cfg.lmax.twice // 2
     l_from = min(15, lmax_int - 2)
-    out = ho.rotation_homotopy_check(qp, cfg.t_grid, lmax_int, l_from,
-                                     cfg.tol_identity)
+    out = ho.rotation_homotopy_check(qp, cfg.t_grid, lmax_int, l_from)
     rep.add(Check("commutator tail never exceeds the unrotated difference tail",
                   "rotation homotopy tail bound", out["max_tail_excess"],
                   cfg.tol_identity))

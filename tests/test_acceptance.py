@@ -59,7 +59,7 @@ def test_c02_sphere_relations_and_composites():
     worst_rel = worst_comp = 0.0
     for q in Q_GRID:
         out = po.check_podles_relations(q, H(40))
-        worst_rel = max(worst_rel, max(v for k, v in out.items() if k != "pass"))
+        worst_rel = max(worst_rel, max(out.values()))
         space = pw.full_space(40)
         a_op = po.podles_op("A", q, space)
         b_op = po.podles_op("B", q, space)
@@ -124,7 +124,7 @@ def test_c05_endpoint_identities_with_negative_control():
 def test_c06_index_stability_and_tail_monotonicity():
     for lmax in range(1, 31):
         assert po.fredholm_index(po.FredholmModule.standard(0.5, lmax).F) == 0
-        assert po.fredholm_index(po.index_pair_operator(0.5, lmax)) == 1
+        assert po.fredholm_index(po.index_pair_operator(lmax)) == 1
     tails_at_15 = {}
     for q in (0.3, -0.3, 0.5, -0.5):
         mod = po.FredholmModule.standard(q, 25)
@@ -156,7 +156,7 @@ def test_c07_rotation_homotopy():
         assert out["endpoint_t0_deviation"] == 0.0
         assert out["endpoint_t1_deviation"] == 0.0
         assert out["max_tail_excess"] <= 1e-10
-        assert out["pass"]
+        assert out["factorized_vs_assembled"] <= 1e-10
     _announce(7, "rotation endpoints exact and tail bound holds at every grid t "
                  "for q in {-0.3, -0.5, -0.9}")
 
@@ -219,7 +219,7 @@ def test_c10_parameter_matrices():
 def test_c11_haar_cross_validation():
     worst = 0.0
     for q in Q_GRID:
-        via_orbit = complex(pw.haar_state(("gamma*", "gamma"), q, H(2)))
+        via_orbit = complex(pw.haar_state(("gamma*", "gamma"), q))
         via_sphere = float(po.podles_op("A", q, pw.full_space(4)).matrix[0, 0])
         worst = max(worst, abs(via_orbit.real - via_sphere) + abs(via_orbit.imag))
         if q == 0.5:

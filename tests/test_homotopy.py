@@ -324,7 +324,6 @@ def test_degenerate_negative_control():
 
 def test_rotation_homotopy():
     out = rotation_homotopy_check(-0.5, t_grid_size=7, lmax=16, l_from=8)
-    assert out["pass"]
     assert out["endpoint_t0_deviation"] == 0.0
     assert out["endpoint_t1_deviation"] == 0.0
     assert out["max_tail_excess"] < 1e-10

@@ -1,4 +1,5 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses,
+and no named function takes a parameter its body never reads."""
 
 import ast
 from pathlib import Path
@@ -6,8 +7,9 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "suq2kit"
+SOURCES = sorted(SRC.glob("*.py"))
 # the package __init__ imports names only to re-export them
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list:
@@ -31,3 +33,33 @@ def test_no_unused_imports(path):
 def test_scan_flags_unused_names():
     source = "import os\nimport a.b as ab\nfrom .x import c, d\nd(ab)\n"
     assert unused_imports(source) == ["c", "os"]
+
+
+def unused_parameters(source: str) -> list:
+    """"function(parameter)" for each parameter of a named function or method
+    that its body never reads; self and cls are exempt.  Lambdas are skipped,
+    because the shift rules fix their signature."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [f"{node.name}({p})" for p in params
+                  if p not in read and p not in ("self", "cls")]
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text()) == []
+
+
+def test_scan_flags_unused_parameters():
+    source = ("def f(a, b, *args, c=1, **kw):\n    x = b\n    return kw\n"
+              "class K:\n    def m(self, d):\n        d = 2\n"
+              "    @classmethod\n    def n(cls, e):\n        return lambda u: e\n")
+    assert unused_parameters(source) == ["f(a)", "f(c)", "f(args)", "m(d)"]

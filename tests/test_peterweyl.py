@@ -5,10 +5,9 @@ import pytest
 
 from suq2kit.kring import dim_quantum
 from suq2kit.qarith import HalfInt
-from suq2kit.peterweyl import (BandedOperator, BasisIndex, StateVector,
-                               TruncatedSpace, bundle_space, coeff_reg,
-                               full_space, generator_op, haar_state, involution,
-                               operator_norm, spectral_project, _masked_sqrt_ratio)
+from suq2kit.peterweyl import (BandedOperator, bundle_space, coeff_reg, full_space,
+                               generator_op, haar_state, involution, operator_norm,
+                               _masked_sqrt_ratio)
 
 Q_GRID = (0.3, -0.3, 0.5, -0.5, 0.9, -0.9)
 H = HalfInt
@@ -17,14 +16,6 @@ H = HalfInt
 # ---------------------------------------------------------------------------
 # spaces and indices
 # ---------------------------------------------------------------------------
-
-def test_basis_index_validation():
-    BasisIndex(H(1), H(1), H(-1))
-    with pytest.raises(ValueError):
-        BasisIndex(H(1), H(3), H(1))      # weight above spin
-    with pytest.raises(ValueError):
-        BasisIndex(H(2), H(1), H(0))      # parity violation
-
 
 def test_bundle_dimension_counts():
     # winding 0 at integer cutoff L has (L+1)^2 vectors
@@ -38,16 +29,13 @@ def test_bundle_dimension_counts():
 
 def test_space_locate_round_trip():
     for space in (full_space(6), bundle_space(-2, 10), bundle_space(1, 7)):
-        for pos in range(space.dim):
-            idx = space.basis_index(pos)
-            assert space.position(idx) == pos
+        assert (space.locate(space.l2, space.i2, space.j2) == np.arange(space.dim)).all()
 
 
 def test_locate_rejects_foreign_indices():
     space = bundle_space(1, 7)
     assert space.locate(np.array([4]), np.array([0]), np.array([-1]))[0] == -1
-    with pytest.raises(KeyError):
-        space.position(BasisIndex(H(1), H(1), H(-1)))  # wrong bundle
+    assert space.locate([1], [1], [-1])[0] == -1  # wrong bundle
 
 
 # ---------------------------------------------------------------------------
@@ -94,11 +82,12 @@ def test_table_radicands_are_guarded():
 def test_gamma_on_cyclic_vector():
     q = 0.5
     space = full_space(4)
-    vec = StateVector(space, {BasisIndex(H(0), H(0), H(0)): 1.0})
-    out = generator_op("gamma", q, space).apply(vec)
-    assert set(out.amplitudes) == {BasisIndex(H(1), H(1), H(-1))}
-    amp = out.amplitudes[BasisIndex(H(1), H(1), H(-1))]
-    assert amp == pytest.approx(-0.894427190999916, abs=1e-12)
+    vec = np.zeros(space.dim)
+    vec[0] = 1.0
+    out = generator_op("gamma", q, space).matrix @ vec
+    pos = space.locate([1], [1], [-1])[0]
+    assert out[pos] == pytest.approx(-0.894427190999916, abs=1e-12)
+    assert np.count_nonzero(out) == 1
 
 
 @pytest.mark.parametrize("q", Q_GRID)
@@ -157,30 +146,39 @@ def test_involution_is_involutive_and_fixes_unit():
     q = -0.7
     space = full_space(6)
     rng = np.random.default_rng(3)
-    amps = {space.basis_index(p): complex(rng.normal(), rng.normal())
-            for p in rng.choice(space.dim, size=8, replace=False)}
-    vec = StateVector(space, amps)
-    twice = involution(involution(vec, q), q)
-    for idx, amp in amps.items():
-        assert twice.amplitudes[idx] == pytest.approx(amp, abs=1e-14)
+    vec = np.zeros(space.dim, dtype=complex)
+    support = rng.choice(space.dim, size=8, replace=False)
+    vec[support] = rng.normal(size=8) + 1j * rng.normal(size=8)
+    once, target = involution(vec, space, q)
+    twice, back = involution(once, target, q)
+    assert back == space
+    np.testing.assert_allclose(twice, vec, rtol=0, atol=1e-14)
 
-    unit = StateVector(space, {BasisIndex(H(0), H(0), H(0)): 1.0})
-    out = involution(unit, q)
-    assert out.amplitudes == {BasisIndex(H(0), H(0), H(0)): 1.0}
+    unit = np.zeros(space.dim)
+    unit[0] = 1.0
+    out, _ = involution(unit, space, q)
+    assert (out == unit).all()
 
 
 def test_involution_frozen_example():
     # e^(1/2)_{1/2,-1/2} maps to -e^(1/2)_{-1/2,1/2} for any q
     space = full_space(3)
-    vec = StateVector(space, {BasisIndex(H(1), H(1), H(-1)): 1.0})
-    out = involution(vec, 0.5)
-    assert out.amplitudes == {BasisIndex(H(1), H(-1), H(1)): pytest.approx(-1.0)}
+    vec = np.zeros(space.dim)
+    vec[space.locate([1], [1], [-1])[0]] = 1.0
+    out, _ = involution(vec, space, 0.5)
+    pos = space.locate([1], [-1], [1])[0]
+    assert out[pos] == pytest.approx(-1.0)
+    assert np.count_nonzero(out) == 1
 
 
 def test_involution_swaps_bundles():
-    vec = StateVector(bundle_space(2, 8), {BasisIndex(H(2), H(0), H(2)): 2.0})
-    out = involution(vec, 0.5)
-    assert out.space.k == -2
+    space = bundle_space(2, 8)
+    vec = np.zeros(space.dim)
+    vec[space.locate([2], [0], [2])[0]] = 2.0
+    out, target = involution(vec, space, 0.5)
+    assert target.k == -2
+    assert np.count_nonzero(out) == 1
+    assert out[target.locate([2], [0], [-2])[0]] != 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -189,12 +187,12 @@ def test_involution_swaps_bundles():
 
 def test_haar_state_frozen_values():
     q = 0.5
-    assert haar_state((), q, 1) == 1.0
-    assert haar_state(("alpha",), q, 1) == 0.0
-    assert complex(haar_state(("gamma*", "gamma"), q, 1)).real == pytest.approx(0.8, abs=1e-14)
+    assert haar_state((), q) == 1.0
+    assert haar_state(("alpha",), q) == 0.0
+    assert complex(haar_state(("gamma*", "gamma"), q)).real == pytest.approx(0.8, abs=1e-14)
 
 
-def test_haar_state_positivity_on_random_words():
+def _positivity_words():
     rng = np.random.default_rng(11)
     gens = ("alpha", "alpha*", "gamma", "gamma*")
     star = {"alpha": "alpha*", "alpha*": "alpha", "gamma": "gamma*", "gamma*": "gamma"}
@@ -202,37 +200,35 @@ def test_haar_state_positivity_on_random_words():
         for _ in range(25):
             word = tuple(rng.choice(gens) for _ in range(rng.integers(1, 5)))
             adjoint = tuple(star[g] for g in reversed(word))
-            value = complex(haar_state(adjoint + word, q, H(len(word) * 2)))
-            assert value.imag == pytest.approx(0.0, abs=1e-13)
-            assert value.real >= -1e-13
+            yield q, adjoint + word
+
+
+def test_haar_state_positivity_on_random_words():
+    for q, word in _positivity_words():
+        value = complex(haar_state(word, q))
+        assert value.imag == pytest.approx(0.0, abs=1e-13)
+        assert value.real >= -1e-13
+
+
+def test_haar_state_cutoff_is_exact():
+    # a larger cutoff adds nothing: the orbit of a length-n word stays at spin <= n/2
+    for q, word in _positivity_words():
+        space = full_space(len(word) + 2)
+        vec = np.zeros(space.dim)
+        vec[0] = 1.0
+        for g in reversed(word):
+            vec = generator_op(g, q, space).matrix @ vec
+        assert haar_state(word, q) == vec[0]
 
 
 def test_haar_state_guards():
     with pytest.raises(ValueError):
-        haar_state(("alpha",) * 5, 0.5, H(4))  # word longer than 2 lmax
-    with pytest.raises(ValueError):
-        haar_state(("beta",), 0.5, 1)
+        haar_state(("beta",), 0.5)
 
 
 # ---------------------------------------------------------------------------
-# projections and quantum dimension
+# quantum dimension
 # ---------------------------------------------------------------------------
-
-def test_spectral_project_partition():
-    space = full_space(6)
-    rng = np.random.default_rng(5)
-    amps = {space.basis_index(p): float(rng.normal()) for p in range(space.dim)}
-    vec = StateVector(space, amps)
-    parts = [spectral_project(vec, H(l2)) for l2 in range(0, 7)]
-    recombined = {}
-    for part in parts:
-        for idx, a in part.amplitudes.items():
-            recombined[idx] = recombined.get(idx, 0.0) + a
-    assert recombined == amps
-    again = spectral_project(parts[3], H(3))
-    assert again.amplitudes == parts[3].amplitudes
-    assert spectral_project(parts[3], H(0)).amplitudes == {}
-
 
 def test_quantum_dimension_values():
     # [2l+1] of the spin-l irreducible is dim_quantum at label 2l
