@@ -621,11 +621,9 @@ def rotation_homotopy_check(q, t_grid_size: int = 11, lmax=30, l_from=15) -> dic
                                        abs(assembled - np.linalg.norm(s1, 2) * delta_tail))
                 if t == 0.0:
                     dev = (block - sp.block_diag([a, b])).tocsr()
-                    dev.eliminate_zeros()
                     endpoint0 = max(endpoint0, operator_norm(dev))
                 if t == 1.0:
                     dev = (block - sp.block_diag([b, a])).tocsr()
-                    dev.eliminate_zeros()
                     endpoint1 = max(endpoint1, operator_norm(dev))
     return {
         "max_tail": worst_tail,

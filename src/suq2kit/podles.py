@@ -20,13 +20,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from .qarith import HalfInt, QParam
-from .peterweyl import (BandedOperator, TruncatedSpace, bundle_space,
+from .peterweyl import (BandedOperator, TruncatedSpace, block_stack, bundle_space,
                         operator_norm, _band, _idx_arrays, _iratio, _src_ok,
                         _masked_sqrt_ratio)
 
 __all__ = [
     "FredholmModule",
     "podles_op",
+    "sphere_relation_residuals",
     "check_podles_relations",
     "commutator_tail",
     "fredholm_index",
@@ -111,11 +112,26 @@ def podles_op(which: str, q, space: TruncatedSpace) -> BandedOperator:
                                            HalfInt(2), q=qp.q)
 
 
+def sphere_relation_residuals(A: BandedOperator, B: BandedOperator, q: float) -> dict:
+    """Interior residuals of the four sphere relations of the tables A and B.
+
+    Residuals at rounding level mean the keyed-in tables close under the
+    sphere algebra; B* is B's adjoint, as in :func:`podles_op`.
+    """
+    Bs = B.adjoint()
+    one = BandedOperator.identity(A.domain)
+    return {
+        "A = A*": operator_norm(A.matrix - A.matrix.T),
+        "AB = q^2 BA": (A @ B - q**2 * (B @ A)).interior_residual_norm(),
+        "BB* = q^-2 A(1-A)": (B @ Bs - q**-2 * (A @ (one - A))).interior_residual_norm(),
+        "B*B = A(1-q^2 A)": (Bs @ B - A @ (one - q**2 * A)).interior_residual_norm(),
+    }
+
+
 def check_podles_relations(q, lmax):
     """Interior residuals of the four sphere relations on the full space.
 
-    Returns a dict name -> residual; residuals at rounding level mean the
-    keyed-in tables close under the sphere algebra.
+    Returns a dict name -> residual, from :func:`sphere_relation_residuals`.
     """
     from .peterweyl import full_space
 
@@ -124,17 +140,8 @@ def check_podles_relations(q, lmax):
     if lmax < HalfInt.of(3):
         raise ValueError("need lmax >= 3 for a meaningful interior")
     space = full_space(lmax.twice)
-    A = podles_op("A", qp, space)
-    B = podles_op("B", qp, space)
-    Bs = podles_op("B*", qp, space)
-    one = BandedOperator.identity(space)
-    qq = qp.q
-    return {
-        "A = A*": operator_norm(A.matrix - A.matrix.T),
-        "AB = q^2 BA": (A @ B - qq**2 * (B @ A)).interior_residual_norm(),
-        "BB* = q^-2 A(1-A)": (B @ Bs - qq**-2 * (A @ (one - A))).interior_residual_norm(),
-        "B*B = A(1-q^2 A)": (Bs @ B - A @ (one - qq**2 * A)).interior_residual_norm(),
-    }
+    return sphere_relation_residuals(podles_op("A", qp, space), podles_op("B", qp, space),
+                                     qp.q)
 
 
 # ---------------------------------------------------------------------------
@@ -192,22 +199,23 @@ def index_pair_operator(lmax, pair=(0, -2)) -> BandedOperator:
 def fredholm_index(op, sv_threshold: float = 1e-8, guard: float = 10.0) -> int:
     """dim ker - dim coker of a truncated corner, by singular value counting.
 
-    Raises when the rank decision is ill conditioned, i.e. the smallest kept
-    singular value is within ``guard`` times the threshold.
+    The singular values come from the direct-sum blocks of the matrix (see
+    :func:`suq2kit.peterweyl.block_stack`), which together with zeros are
+    those of the whole matrix, so the rank and the guard decide as one SVD
+    of the whole matrix would.  Raises when the rank decision is ill
+    conditioned, i.e. the smallest kept singular value is within ``guard``
+    times the threshold.
     """
     mat = op.matrix if isinstance(op, BandedOperator) else sp.csr_matrix(op)
-    dense = np.asarray(mat.todense(), dtype=float)
-    if min(dense.shape) == 0:
-        rank = 0
-    else:
-        svals = np.linalg.svd(dense, compute_uv=False)
-        kept = svals[svals > sv_threshold]
-        rank = int(kept.size)
-        if rank and kept[-1] < guard * sv_threshold:
-            raise ArithmeticError(
-                f"rank decision ill conditioned: smallest kept singular value "
-                f"{kept[-1]:.3e} within {guard}x of threshold {sv_threshold:.1e}")
-    n_cols, n_rows = dense.shape[1], dense.shape[0]
+    stack, _ = block_stack(mat)
+    svals = np.linalg.svd(stack, compute_uv=False) if stack.size else np.zeros(0)
+    kept = svals[svals > sv_threshold]
+    rank = int(kept.size)
+    if rank and kept.min() < guard * sv_threshold:
+        raise ArithmeticError(
+            f"rank decision ill conditioned: smallest kept singular value "
+            f"{kept.min():.3e} within {guard}x of threshold {sv_threshold:.1e}")
+    n_rows, n_cols = mat.shape
     return (n_cols - rank) - (n_rows - rank)
 
 

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from suq2kit.kring import dim_quantum
 from suq2kit.qarith import HalfInt
-from suq2kit.peterweyl import (BandedOperator, bundle_space, coeff_reg, full_space,
-                               generator_op, haar_state, involution, operator_norm,
+from suq2kit.peterweyl import (BandedOperator, block_stack, bundle_space, coeff_reg,
+                               full_space, generator_op, haar_state, involution, operator_norm,
                                _masked_sqrt_ratio)
 
 Q_GRID = (0.3, -0.3, 0.5, -0.5, 0.9, -0.9)
@@ -136,6 +137,74 @@ def test_banded_margin_and_truncation_exactness():
     assert op.interior_margin == H(1)
     comp = op @ op
     assert comp.interior_margin == H(2)
+
+
+# ---------------------------------------------------------------------------
+# operator norms from direct-sum blocks
+# ---------------------------------------------------------------------------
+
+def _dense_norm(mat):
+    return np.linalg.norm(mat.toarray(), 2)
+
+
+def _random_homogeneous(domain, codomain, di2, dj2, seed):
+    # random coefficients on a fixed weight shift: a direct sum over sectors
+    rng = np.random.default_rng(seed)
+    rules = tuple(((dl2, di2, dj2), lambda q, l2, i2, j2: rng.normal(size=l2.shape))
+                  for dl2 in (-2, 0, 2))
+    return BandedOperator.from_shift_rules(domain, codomain, rules, 1, q=0.5).matrix
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_operator_norm_of_homogeneous_matrices_is_the_dense_norm(seed):
+    square = _random_homogeneous(full_space(12), full_space(12), 2, 0, seed)
+    wide = _random_homogeneous(bundle_space(2, 14), bundle_space(0, 14), -2, -2, seed)
+    for mat in (square, wide, wide.T.tocsr()):
+        assert mat.shape[0] != mat.shape[1] or mat is square
+        assert len(block_stack(mat)[1]) > 1
+        assert operator_norm(mat) == pytest.approx(_dense_norm(mat), rel=1e-14, abs=0)
+
+
+def test_operator_norm_with_empty_rows_and_columns():
+    rng = np.random.default_rng(5)
+    mat = sp.random(40, 30, density=0.05, random_state=rng, format="lil")
+    mat[3, :] = 0.0
+    mat[:, 7] = 0.0
+    mat = mat.tocsr()
+    assert operator_norm(mat) == pytest.approx(_dense_norm(mat), rel=1e-14, abs=0)
+
+
+def test_operator_norm_of_one_dense_component():
+    dense = np.random.default_rng(6).normal(size=(20, 15))
+    mat = sp.csr_matrix(dense)
+    stack, shapes = block_stack(mat)
+    assert stack.shape == (1, 20, 15) and shapes.tolist() == [[20, 15]]
+    assert operator_norm(mat) == pytest.approx(_dense_norm(mat), rel=1e-14, abs=0)
+    # a wide block is stored tall
+    assert block_stack(mat.T)[0].shape == (1, 20, 15)
+
+
+def test_operator_norm_skips_stored_zeros_and_leaves_the_matrix():
+    # the stored zero at (0, 2) would join the two diagonal blocks
+    data = np.array([3.0, 0.0, 1.0, 2.0, -1.0])
+    indices = np.array([0, 2, 1, 2, 1])
+    indptr = np.array([0, 2, 3, 5])
+    mat = sp.csr_matrix((data, indices, indptr), shape=(3, 3))
+    before = (mat.data.copy(), mat.indices.copy(), mat.indptr.copy())
+    assert mat.nnz == 5
+    assert block_stack(mat)[1].tolist() == [[1, 1], [2, 2]]
+    assert operator_norm(mat) == pytest.approx(_dense_norm(mat), rel=1e-14, abs=0)
+    assert mat.nnz == 5
+    for now, then in zip((mat.data, mat.indices, mat.indptr), before):
+        assert (now == then).all()
+
+
+def test_operator_norm_rejects_a_block_above_exact_dim():
+    block = sp.csr_matrix(np.arange(1.0, 10.0).reshape(3, 3))
+    mat = sp.block_diag([block, sp.identity(2)]).tocsr()
+    with pytest.raises(ValueError, match=r"\(3, 3\)"):
+        operator_norm(mat, exact_dim=2)
+    assert operator_norm(mat, exact_dim=3) == pytest.approx(_dense_norm(mat), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

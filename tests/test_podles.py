@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from suq2kit.qarith import HalfInt
-from suq2kit.peterweyl import bundle_space, full_space, generator_op
+from suq2kit.peterweyl import bundle_space, full_space, generator_op, operator_norm
 from suq2kit.podles import (FredholmModule, check_podles_relations,
                             commutator_tail, fit_geometric, fredholm_index,
                             index_pair_operator, podles_op)
@@ -51,7 +51,6 @@ def test_relation_checker(q):
 
 def test_a_table_symmetry_is_exact():
     a = podles_op("A", -0.6, full_space(16))
-    from suq2kit.peterweyl import operator_norm
     assert operator_norm(a.matrix - a.matrix.T) < 1e-14
 
 
@@ -144,3 +143,82 @@ def test_tail_rate_matches_abs_q(q):
 def test_fit_geometric_needs_points():
     with pytest.raises(ValueError):
         fit_geometric([1, 2], [1.0, 0.5])
+
+
+# ---------------------------------------------------------------------------
+# index and norms from direct-sum blocks against one whole-matrix SVD
+# ---------------------------------------------------------------------------
+
+def _whole_matrix_index(mat, sv_threshold=1e-8, guard=10.0):
+    # the reference: one SVD of the whole dense matrix
+    svals = np.linalg.svd(mat.toarray(), compute_uv=False)
+    kept = svals[svals > sv_threshold]
+    if kept.size and kept[-1] < guard * sv_threshold:
+        raise ArithmeticError("ill conditioned")
+    return mat.shape[1] - mat.shape[0], kept.size
+
+
+def _shuffled_block_diagonal(blocks, seed):
+    rng = np.random.default_rng(seed)
+    mat = sp.block_diag(blocks).tocsr()
+    return mat[rng.permutation(mat.shape[0])][:, rng.permutation(mat.shape[1])].tocsr()
+
+
+def test_index_from_blocks_matches_one_whole_svd():
+    rng = np.random.default_rng(8)
+    blocks = [rng.normal(size=shape) for shape in ((3, 3), (4, 2), (1, 5), (2, 2))]
+    blocks.append(np.outer(rng.normal(size=3), rng.normal(size=4)))  # rank 1
+    mat = _shuffled_block_diagonal(blocks, 1)
+    index, rank = _whole_matrix_index(mat)
+    assert rank == 3 + 2 + 1 + 2 + 1
+    assert fredholm_index(mat) == index == 16 - 13
+    assert fredholm_index(sp.csr_matrix((3, 5))) == 2
+
+
+def test_index_guard_fires_on_one_ill_conditioned_block():
+    rng = np.random.default_rng(9)
+    shaky = np.diag([1.0, 5e-8])
+    blocks = [rng.normal(size=(3, 3)), shaky, rng.normal(size=(2, 4))]
+    mat = _shuffled_block_diagonal(blocks, 2)
+    with pytest.raises(ArithmeticError):
+        _whole_matrix_index(mat)
+    with pytest.raises(ArithmeticError):
+        fredholm_index(mat)
+
+
+def test_commutator_tail_past_the_old_dense_limit_is_the_dense_norm(monkeypatch):
+    # at lmax 40 the bundles have dimension 1640, which used to go to ARPACK
+    import suq2kit.podles as po
+
+    seen = []
+
+    def recording_norm(mat, exact_dim=1200):
+        value = operator_norm(mat, exact_dim)
+        seen.append((mat, value))
+        return value
+
+    monkeypatch.setattr(po, "operator_norm", recording_norm)
+    mod = FredholmModule.standard(-0.5, 40)
+    assert mod.plus_space.dim == 1640
+    for x in ("A", "B"):
+        commutator_tail(mod, x, 15)
+    assert len(seen) == 2
+    for mat, value in seen:
+        assert value == pytest.approx(np.linalg.norm(mat.toarray(), 2), rel=1e-14, abs=0)
+
+
+def test_podles_suite_builds_each_table_once(monkeypatch):
+    from suq2kit.peterweyl import BandedOperator
+    from suq2kit.suites import SuiteConfig, run_suite
+
+    calls = []
+    build = BandedOperator.from_shift_rules.__func__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args[2])
+        return build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(BandedOperator, "from_shift_rules", classmethod(counting))
+    run_suite(SuiteConfig(suite="podles", q=-0.5, lmax=H(8)))
+    # A, B, gamma, gamma*, alpha* on the full space, gamma* and gamma in haar_state
+    assert len(calls) == 7
