@@ -8,7 +8,8 @@ from .peterweyl import (BandedOperator, TruncatedSpace, bundle_space, coeff_reg,
                         full_space, generator_op, haar_state, involution,
                         operator_norm, relation_residuals)
 from .podles import (FredholmModule, check_podles_relations, commutator_tail,
-                     fit_geometric, fredholm_index, index_pair_operator, podles_op)
+                     commutator_tails, fit_geometric, fredholm_index,
+                     index_pair_operator, podles_op)
 from .homotopy import (build_omega, degenerate_module_check, eval_rescaled,
                        eval_t_coeff, rotation_homotopy_check, verify_lemma1,
                        verify_lemma2, verify_lemma3)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .qarith import HalfInt, QParam, guarded_sqrt_array, m_array
+from .qarith import HalfInt, QParam, guarded_sqrt_array, m_array, qpow
 from .peterweyl import (BandedOperator, bundle_space, operator_norm, _band, _idx_arrays,
                         _iratio, _src_ok, _masked_sqrt_ratio)
 
@@ -52,14 +52,14 @@ __all__ = [
 # evaluated in grouped form so the removable 0/0 at spin zero never occurs.
 
 def _omq(q, e):
-    return 1.0 - q ** np.asarray(e)
+    return 1.0 - qpow(q, e)
 
 
 def t_a1(q, s, l2, i2, j2):
     l2, i2, j2 = _idx_arrays(l2, i2, j2)
     return _band(q, _src_ok(l2, i2, j2),
                  (l2 + j2 + 2, l2 + i2 + 2, l2 - j2 + 2, l2 - i2 + 2), (2 * l2 + 2, 2 * l2 + 6),
-                 pref=s * q ** (2 * l2 + 3) - q ** (l2 + 3) / s, den_exp=2 * l2 + 4)
+                 pref=s * qpow(q, 2 * l2 + 3) - qpow(q, l2 + 3) / s, den_exp=2 * l2 + 4)
 
 
 def t_am1(q, s, l2, i2, j2):
@@ -67,17 +67,17 @@ def t_am1(q, s, l2, i2, j2):
     mask = _src_ok(l2, i2, j2) & (np.abs(i2) != l2) & (np.abs(j2) != l2)
     return _band(q, mask,
                  (l2 - j2, l2 - i2, l2 + j2, l2 + i2), (2 * l2 - 2, 2 * l2 + 2),
-                 pref=s / q - q ** (l2 + 1) / s, den_exp=2 * l2)
+                 pref=s / q - qpow(q, l2 + 1) / s, den_exp=2 * l2)
 
 
 def t_a0(q, s, l2, i2, j2):
     l2, i2, j2 = _idx_arrays(l2, i2, j2)
     mask = _src_ok(l2, i2, j2)
-    grp1 = ((s * q ** ((2 * l2 - i2 - j2) // 2) * _omq(q, l2 + j2 + 2)
-             + q ** ((2 * l2 - i2 + j2) // 2 + 2) / s * _omq(q, l2 - j2 + 2))
+    grp1 = ((s * qpow(q, (2 * l2 - i2 - j2) // 2) * _omq(q, l2 + j2 + 2)
+             + qpow(q, (2 * l2 - i2 + j2) // 2 + 2) / s * _omq(q, l2 - j2 + 2))
             * _omq(q, l2 + i2 + 2) / (_omq(q, 2 * l2 + 2) * _omq(q, 2 * l2 + 4)))
-    grp2 = ((s * q ** ((2 * l2 + i2 + j2) // 2) * _omq(q, l2 - j2)
-             + q ** ((2 * l2 + i2 - j2) // 2 + 2) / s * _omq(q, l2 + j2))
+    grp2 = ((s * qpow(q, (2 * l2 + i2 + j2) // 2) * _omq(q, l2 - j2)
+             + qpow(q, (2 * l2 + i2 - j2) // 2 + 2) / s * _omq(q, l2 + j2))
             * _iratio(q, l2 - i2, l2) / _omq(q, 2 * l2 + 2))
     return np.where(mask, grp1 + grp2, 0.0)
 
@@ -86,7 +86,7 @@ def t_b1(q, s, l2, i2, j2):
     l2, i2, j2 = _idx_arrays(l2, i2, j2)
     return _band(q, _src_ok(l2, i2, j2),
                  (l2 - j2 + 2, l2 - i2 + 2, l2 + j2 + 2, l2 + i2 + 2), (2 * l2 + 2, 2 * l2 + 6),
-                 pref=q / s - s * q ** (l2 + 1), den_exp=2 * l2 + 4)
+                 pref=q / s - s * qpow(q, l2 + 1), den_exp=2 * l2 + 4)
 
 
 def t_bm1(q, s, l2, i2, j2):
@@ -94,17 +94,17 @@ def t_bm1(q, s, l2, i2, j2):
     mask = _src_ok(l2, i2, j2) & (np.abs(i2) != l2) & (np.abs(j2) != l2)
     return _band(q, mask,
                  (l2 + j2, l2 + i2, l2 - j2, l2 - i2), (2 * l2 - 2, 2 * l2 + 2),
-                 pref=q ** (2 * l2 + 1) / s - s * q ** (l2 - 1), den_exp=2 * l2)
+                 pref=qpow(q, 2 * l2 + 1) / s - s * qpow(q, l2 - 1), den_exp=2 * l2)
 
 
 def t_b0(q, s, l2, i2, j2):
     l2, i2, j2 = _idx_arrays(l2, i2, j2)
     mask = _src_ok(l2, i2, j2)
-    grp1 = ((q ** ((2 * l2 + i2 + j2) // 2 + 2) / s * _omq(q, l2 - j2 + 2)
-             + s * q ** ((2 * l2 + i2 - j2) // 2) * _omq(q, l2 + j2 + 2))
+    grp1 = ((qpow(q, (2 * l2 + i2 + j2) // 2 + 2) / s * _omq(q, l2 - j2 + 2)
+             + s * qpow(q, (2 * l2 + i2 - j2) // 2) * _omq(q, l2 + j2 + 2))
             * _omq(q, l2 - i2 + 2) / (_omq(q, 2 * l2 + 2) * _omq(q, 2 * l2 + 4)))
-    grp2 = ((q ** ((2 * l2 - i2 - j2) // 2 + 2) / s * _omq(q, l2 + j2)
-             + s * q ** ((2 * l2 - i2 + j2) // 2) * _omq(q, l2 - j2))
+    grp2 = ((qpow(q, (2 * l2 - i2 - j2) // 2 + 2) / s * _omq(q, l2 + j2)
+             + s * qpow(q, (2 * l2 - i2 + j2) // 2) * _omq(q, l2 - j2))
             * _iratio(q, l2 + i2, l2) / _omq(q, 2 * l2 + 2))
     return np.where(mask, grp1 + grp2, 0.0)
 
@@ -113,7 +113,7 @@ def t_c1(q, s, l2, i2, j2):
     l2, i2, j2 = _idx_arrays(l2, i2, j2)
     return _band(q, _src_ok(l2, i2, j2),
                  (l2 + j2 + 2, l2 + i2 + 2, l2 - j2 + 2, l2 + i2 + 4), (2 * l2 + 2, 2 * l2 + 6),
-                 pref=q ** ((l2 - i2) // 2 + 1) / s - s * q ** ((3 * l2 - i2) // 2 + 1),
+                 pref=qpow(q, (l2 - i2) // 2 + 1) / s - s * qpow(q, (3 * l2 - i2) // 2 + 1),
                  den_exp=2 * l2 + 4)
 
 
@@ -122,7 +122,7 @@ def t_cm1(q, s, l2, i2, j2):
     mask = _src_ok(l2, i2, j2) & (np.abs(j2) != l2) & (i2 <= l2 - 4)
     return _band(q, mask,
                  (l2 - j2, l2 - i2, l2 + j2, l2 - i2 - 2), (2 * l2 - 2, 2 * l2 + 2),
-                 pref=s * q ** ((l2 + i2) // 2 - 1) - q ** ((3 * l2 + i2) // 2 + 1) / s,
+                 pref=s * qpow(q, (l2 + i2) // 2 - 1) - qpow(q, (3 * l2 + i2) // 2 + 1) / s,
                  den_exp=2 * l2)
 
 
@@ -130,11 +130,11 @@ def t_c0(q, s, l2, i2, j2):
     l2, i2, j2 = _idx_arrays(l2, i2, j2)
     mask = _src_ok(l2, i2, j2) & (i2 <= l2 - 2)
     rad = _masked_sqrt_ratio(q, (l2 + i2 + 2, l2 - i2), (), mask)
-    grp1 = ((s * q ** ((3 * l2 - j2) // 2 + 1) * _omq(q, l2 + j2 + 2)
-             + q ** ((3 * l2 + j2) // 2 + 3) / s * _omq(q, l2 - j2 + 2))
+    grp1 = ((s * qpow(q, (3 * l2 - j2) // 2 + 1) * _omq(q, l2 + j2 + 2)
+             + qpow(q, (3 * l2 + j2) // 2 + 3) / s * _omq(q, l2 - j2 + 2))
             / (_omq(q, 2 * l2 + 2) * _omq(q, 2 * l2 + 4)))
-    grp2 = ((s * q ** ((l2 + j2) // 2 - 1) * _iratio(q, l2 - j2, l2)
-             + q ** ((l2 - j2) // 2 + 1) / s * _iratio(q, l2 + j2, l2))
+    grp2 = ((s * qpow(q, (l2 + j2) // 2 - 1) * _iratio(q, l2 - j2, l2)
+             + qpow(q, (l2 - j2) // 2 + 1) / s * _iratio(q, l2 + j2, l2))
             / _omq(q, 2 * l2 + 2))
     return np.where(mask, rad * (grp1 - grp2), 0.0)
 
@@ -143,7 +143,7 @@ def t_d1(q, s, l2, i2, j2):
     l2, i2, j2 = _idx_arrays(l2, i2, j2)
     return _band(q, _src_ok(l2, i2, j2),
                  (l2 - j2 + 2, l2 - i2 + 2, l2 + j2 + 2, l2 - i2 + 4), (2 * l2 + 2, 2 * l2 + 6),
-                 pref=q ** ((l2 + i2) // 2 + 1) / s - s * q ** ((3 * l2 + i2) // 2 + 1),
+                 pref=qpow(q, (l2 + i2) // 2 + 1) / s - s * qpow(q, (3 * l2 + i2) // 2 + 1),
                  den_exp=2 * l2 + 4)
 
 
@@ -152,7 +152,7 @@ def t_dm1(q, s, l2, i2, j2):
     mask = _src_ok(l2, i2, j2) & (np.abs(j2) != l2) & (i2 >= -l2 + 4)
     return _band(q, mask,
                  (l2 + j2, l2 + i2, l2 - j2, l2 + i2 - 2), (2 * l2 - 2, 2 * l2 + 2),
-                 pref=s * q ** ((l2 - i2) // 2 - 1) - q ** ((3 * l2 - i2) // 2 + 1) / s,
+                 pref=s * qpow(q, (l2 - i2) // 2 - 1) - qpow(q, (3 * l2 - i2) // 2 + 1) / s,
                  den_exp=2 * l2)
 
 
@@ -160,11 +160,11 @@ def t_d0(q, s, l2, i2, j2):
     l2, i2, j2 = _idx_arrays(l2, i2, j2)
     mask = _src_ok(l2, i2, j2) & (i2 >= -l2 + 2)
     rad = _masked_sqrt_ratio(q, (l2 + i2, l2 - i2 + 2), (), mask)
-    grp1 = ((q ** ((3 * l2 - j2) // 2 + 1) / s * _iratio(q, l2 + j2, l2)
-             + s * q ** ((3 * l2 + j2) // 2 - 1) * _iratio(q, l2 - j2, l2))
+    grp1 = ((qpow(q, (3 * l2 - j2) // 2 + 1) / s * _iratio(q, l2 + j2, l2)
+             + s * qpow(q, (3 * l2 + j2) // 2 - 1) * _iratio(q, l2 - j2, l2))
             / _omq(q, 2 * l2 + 2))
-    grp2 = ((q ** ((l2 + j2) // 2 + 1) / s * _omq(q, l2 - j2 + 2)
-             + s * q ** ((l2 - j2) // 2 - 1) * _omq(q, l2 + j2 + 2))
+    grp2 = ((qpow(q, (l2 + j2) // 2 + 1) / s * _omq(q, l2 - j2 + 2)
+             + s * qpow(q, (l2 - j2) // 2 - 1) * _omq(q, l2 + j2 + 2))
             / (_omq(q, 2 * l2 + 2) * _omq(q, 2 * l2 + 4)))
     return np.where(mask, rad * (grp1 - grp2), 0.0)
 
@@ -213,7 +213,8 @@ def _m_half(q, s, l2, mask):
 def _plus_scale(q, s, l2):
     """sqrt(1 - s^2 q^(2l)) * sqrt(s^2 - q^(2l+4)) / (s |q|)."""
     l2 = np.asarray(l2)
-    return guarded_sqrt_array((1.0 - s**2 * q ** l2) * (s**2 - q ** (l2 + 4))) / (s * abs(q))
+    return (guarded_sqrt_array((1.0 - s**2 * qpow(q, l2)) * (s**2 - qpow(q, l2 + 4)))
+            / (s * abs(q)))
 
 
 def _resc_plus(num_exps, pref):
@@ -240,7 +241,7 @@ def _resc_minus(core):
 
 _RESC_CORES = {
     ("A", 1): _resc_plus(lambda l2, i2: (l2 + i2 + 2, l2 - i2 + 2),
-                         lambda q, l2, i2: -q ** (l2 + 3)),
+                         lambda q, l2, i2: -qpow(q, l2 + 3)),
     ("A", 0): lambda q, s, l2, i2: t_a0(q, s, l2, i2, np.zeros_like(np.asarray(l2))),
     ("A", -1): _resc_minus(t_am1),
     ("B", 1): _resc_plus(lambda l2, i2: (l2 + i2 + 2, l2 - i2 + 2),
@@ -248,11 +249,11 @@ _RESC_CORES = {
     ("B", 0): lambda q, s, l2, i2: t_b0(q, s, l2, i2, np.zeros_like(np.asarray(l2))),
     ("B", -1): _resc_minus(t_bm1),
     ("C", 1): _resc_plus(lambda l2, i2: (l2 + i2 + 2, l2 + i2 + 4),
-                         lambda q, l2, i2: q ** ((l2 - i2) // 2 + 1)),
+                         lambda q, l2, i2: qpow(q, (l2 - i2) // 2 + 1)),
     ("C", 0): lambda q, s, l2, i2: t_c0(q, s, l2, i2, np.zeros_like(np.asarray(l2))),
     ("C", -1): _resc_minus(t_cm1),
     ("D", 1): _resc_plus(lambda l2, i2: (l2 - i2 + 2, l2 - i2 + 4),
-                         lambda q, l2, i2: q ** ((l2 + i2) // 2 + 1)),
+                         lambda q, l2, i2: qpow(q, (l2 + i2) // 2 + 1)),
     ("D", 0): lambda q, s, l2, i2: t_d0(q, s, l2, i2, np.zeros_like(np.asarray(l2))),
     ("D", -1): _resc_minus(t_dm1),
 }
@@ -423,10 +424,12 @@ def verify_lemma2(q, l_list, t_grid_size: int = 11, include_extra: bool = False)
         i2 = np.arange(-2 * l, 2 * l + 1, 2)
         for name, fam, k, kind in families:
             worst = 0.0
+            # the t = 1 family at j = +-1/2, the same at every grid point
+            t1 = ([] if kind == "resc" else
+                  [_T_CORES[(fam, k)](qp.q, qp.abs_q, l2, i2, np.full_like(l2, j2))
+                   for j2 in (2, -2)])
             if kind == "t1":
-                for j2 in (2, -2):
-                    vals = _T_CORES[(fam, k)](qp.q, qp.abs_q, l2, i2,
-                                              np.full_like(l2, j2))
+                for vals in t1:
                     worst = max(worst, float(np.max(np.abs(vals))))
             else:
                 resc = fam.upper()
@@ -436,9 +439,7 @@ def verify_lemma2(q, l_list, t_grid_size: int = 11, include_extra: bool = False)
                     if kind == "resc":
                         worst = max(worst, float(np.max(np.abs(rv))))
                     else:
-                        for j2 in (2, -2):
-                            tv = _T_CORES[(fam.lower(), k)](qp.q, qp.abs_q, l2, i2,
-                                                            np.full_like(l2, j2))
+                        for tv in t1:
                             worst = max(worst, float(np.max(np.abs(tv - rv))))
             out[name].append(worst)
     return out

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .qarith import HalfInt, QParam, guarded_sqrt_array
+from .qarith import HalfInt, QParam, guarded_sqrt_array, qpow
 
 __all__ = [
     "TruncatedSpace",
@@ -172,10 +172,10 @@ def _masked_sqrt_ratio(q, num_exps, den_exps, mask):
     """sqrt(prod(1-q^n) / prod(1-q^d)) with zeros where mask is false."""
     num = np.ones(np.broadcast(*[np.asarray(e) for e in num_exps]).shape)
     for e in num_exps:
-        num = num * (1.0 - q ** np.asarray(e))
+        num = num * (1.0 - qpow(q, e))
     den = np.ones_like(num)
     for e in den_exps:
-        den = den * (1.0 - q ** np.asarray(e))
+        den = den * (1.0 - qpow(q, e))
     inner = np.where(mask, num / np.where(mask, den, 1.0), 0.0)
     return guarded_sqrt_array(inner)
 
@@ -188,9 +188,9 @@ def _iratio(q, num_exp, l2):
     continuous one.
     """
     l2 = np.asarray(l2)
-    safe = np.where(l2 > 0, 1.0 - q ** (2 * l2), 1.0)
-    return np.where(l2 > 0, (1.0 - q ** np.asarray(num_exp)) / safe,
-                    1.0 / (1.0 + q ** l2))
+    safe = np.where(l2 > 0, 1.0 - qpow(q, 2 * l2), 1.0)
+    return np.where(l2 > 0, (1.0 - qpow(q, num_exp)) / safe,
+                    1.0 / (1.0 + qpow(q, l2)))
 
 
 def _band(q, mask, num_exps, den_exps, pref=1.0, den_exp=None):
@@ -202,14 +202,14 @@ def _band(q, mask, num_exps, den_exps, pref=1.0, den_exp=None):
     """
     val = pref * _masked_sqrt_ratio(q, num_exps, den_exps, mask)
     if den_exp is not None:
-        val = val / np.where(mask, 1.0 - q ** den_exp, 1.0)
+        val = val / np.where(mask, 1.0 - qpow(q, den_exp), 1.0)
     return np.where(mask, val, 0.0)
 
 
 def reg_a_plus(q, l2, i2, j2):
     l2, i2, j2 = _idx_arrays(l2, i2, j2)
     return _band(q, _src_ok(l2, i2, j2), (l2 - j2 + 2, l2 - i2 + 2),
-                 (2 * l2 + 2, 2 * l2 + 4), pref=q ** ((2 * l2 + i2 + j2) // 2 + 1))
+                 (2 * l2 + 2, 2 * l2 + 4), pref=qpow(q, (2 * l2 + i2 + j2) // 2 + 1))
 
 
 def reg_a_minus(q, l2, i2, j2):
@@ -221,14 +221,14 @@ def reg_a_minus(q, l2, i2, j2):
 def reg_c_plus(q, l2, i2, j2):
     l2, i2, j2 = _idx_arrays(l2, i2, j2)
     return _band(q, _src_ok(l2, i2, j2), (l2 - j2 + 2, l2 + i2 + 2),
-                 (2 * l2 + 2, 2 * l2 + 4), pref=-q ** ((l2 + j2) // 2))
+                 (2 * l2 + 2, 2 * l2 + 4), pref=-qpow(q, (l2 + j2) // 2))
 
 
 def reg_c_minus(q, l2, i2, j2):
     l2, i2, j2 = _idx_arrays(l2, i2, j2)
     mask = _src_ok(l2, i2, j2) & (i2 != l2) & (j2 != -l2)
     return _band(q, mask, (l2 + j2, l2 - i2), (2 * l2, 2 * l2 + 2),
-                 pref=q ** ((l2 + i2) // 2))
+                 pref=qpow(q, (l2 + i2) // 2))
 
 
 _REG_CORES = {"a+": reg_a_plus, "a-": reg_a_minus, "c+": reg_c_plus, "c-": reg_c_minus}
@@ -478,7 +478,7 @@ def involution(vec, space: TruncatedSpace, q):
     qp = QParam.of(q)
     target = space if space.full else bundle_space(-space.k, space.lmax.twice)
     l2, i2, j2 = space.l2, space.i2, space.j2
-    phase = (-1.0) ** ((2 * l2 + i2 + j2) // 2) * qp.q ** ((i2 + j2) // 2)
+    phase = qpow(-1.0, (2 * l2 + i2 + j2) // 2) * qpow(qp.q, (i2 + j2) // 2)
     out = np.zeros(target.dim, dtype=complex)
     out[target.locate(l2, -i2, -j2)] = phase * np.conj(vec)
     return out, target

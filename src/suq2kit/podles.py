@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .qarith import HalfInt, QParam
+from .qarith import HalfInt, QParam, qpow
 from .peterweyl import (BandedOperator, TruncatedSpace, block_stack, bundle_space,
                         operator_norm, _band, _idx_arrays, _iratio, _src_ok,
                         _masked_sqrt_ratio)
@@ -30,6 +30,7 @@ __all__ = [
     "sphere_relation_residuals",
     "check_podles_relations",
     "commutator_tail",
+    "commutator_tails",
     "fredholm_index",
     "swap_operator",
     "index_pair_operator",
@@ -45,16 +46,16 @@ def sphere_a_minus(q, l2, i2, j2):
     l2, i2, j2 = _idx_arrays(l2, i2, j2)
     mask = _src_ok(l2, i2, j2) & (np.abs(i2) != l2) & (np.abs(j2) != l2)
     return _band(q, mask, (l2 - j2, l2 + i2, l2 + j2, l2 - i2), (2 * l2 - 2, 2 * l2 + 2),
-                 pref=-q ** ((2 * l2 + i2 + j2) // 2 - 1), den_exp=2 * l2)
+                 pref=-qpow(q, (2 * l2 + i2 + j2) // 2 - 1), den_exp=2 * l2)
 
 
 def sphere_a_diag(q, l2, i2, j2):
     l2, i2, j2 = _idx_arrays(l2, i2, j2)
     mask = _src_ok(l2, i2, j2)
-    t1 = (q ** (l2 + j2) * (1.0 - q ** (l2 - j2 + 2)) * (1.0 - q ** (l2 + i2 + 2))
-          / ((1.0 - q ** (2 * l2 + 2)) * (1.0 - q ** (2 * l2 + 4))))
-    t2 = (q ** (l2 + i2) * (1.0 - q ** (l2 + j2)) * _iratio(q, l2 - i2, l2)
-          / (1.0 - q ** (2 * l2 + 2)))
+    t1 = (qpow(q, l2 + j2) * (1.0 - qpow(q, l2 - j2 + 2)) * (1.0 - qpow(q, l2 + i2 + 2))
+          / ((1.0 - qpow(q, 2 * l2 + 2)) * (1.0 - qpow(q, 2 * l2 + 4))))
+    t2 = (qpow(q, l2 + i2) * (1.0 - qpow(q, l2 + j2)) * _iratio(q, l2 - i2, l2)
+          / (1.0 - qpow(q, 2 * l2 + 2)))
     return np.where(mask, t1 + t2, 0.0)
 
 
@@ -62,23 +63,23 @@ def sphere_a_plus(q, l2, i2, j2):
     l2, i2, j2 = _idx_arrays(l2, i2, j2)
     return _band(q, _src_ok(l2, i2, j2),
                  (l2 + j2 + 2, l2 - i2 + 2, l2 - j2 + 2, l2 + i2 + 2), (2 * l2 + 2, 2 * l2 + 6),
-                 pref=-q ** ((2 * l2 + i2 + j2) // 2 + 1), den_exp=2 * l2 + 4)
+                 pref=-qpow(q, (2 * l2 + i2 + j2) // 2 + 1), den_exp=2 * l2 + 4)
 
 
 def sphere_b_minus(q, l2, i2, j2):
     l2, i2, j2 = _idx_arrays(l2, i2, j2)
     mask = _src_ok(l2, i2, j2) & (np.abs(j2) != l2) & (i2 <= l2 - 4)
     return _band(q, mask, (l2 - j2, l2 - i2 - 2, l2 + j2, l2 - i2), (2 * l2 - 2, 2 * l2 + 2),
-                 pref=q ** ((3 * l2 + 2 * i2 + j2) // 2), den_exp=2 * l2)
+                 pref=qpow(q, (3 * l2 + 2 * i2 + j2) // 2), den_exp=2 * l2)
 
 
 def sphere_b_diag(q, l2, i2, j2):
     l2, i2, j2 = _idx_arrays(l2, i2, j2)
     mask = _src_ok(l2, i2, j2) & (i2 <= l2 - 2)
     rad = _masked_sqrt_ratio(q, (l2 + i2 + 2, l2 - i2), (), mask)
-    t1 = q ** ((l2 + i2) // 2) * _iratio(q, l2 + j2, l2) / (1.0 - q ** (2 * l2 + 2))
-    t2 = (q ** ((3 * l2 + i2 + 2 * j2) // 2 + 2) * (1.0 - q ** (l2 - j2 + 2))
-          / ((1.0 - q ** (2 * l2 + 2)) * (1.0 - q ** (2 * l2 + 4))))
+    t1 = qpow(q, (l2 + i2) // 2) * _iratio(q, l2 + j2, l2) / (1.0 - qpow(q, 2 * l2 + 2))
+    t2 = (qpow(q, (3 * l2 + i2 + 2 * j2) // 2 + 2) * (1.0 - qpow(q, l2 - j2 + 2))
+          / ((1.0 - qpow(q, 2 * l2 + 2)) * (1.0 - qpow(q, 2 * l2 + 4))))
     return np.where(mask, rad * (t1 - t2), 0.0)
 
 
@@ -86,7 +87,7 @@ def sphere_b_plus(q, l2, i2, j2):
     l2, i2, j2 = _idx_arrays(l2, i2, j2)
     return _band(q, _src_ok(l2, i2, j2),
                  (l2 + j2 + 2, l2 + i2 + 4, l2 - j2 + 2, l2 + i2 + 2), (2 * l2 + 2, 2 * l2 + 6),
-                 pref=-q ** ((l2 + j2) // 2), den_exp=2 * l2 + 4)
+                 pref=-qpow(q, (l2 + j2) // 2), den_exp=2 * l2 + 4)
 
 
 _SPHERE_RULES = {
@@ -243,19 +244,25 @@ def _module_action(module: FredholmModule, x):
     return plus, minus
 
 
-def commutator_tail(module: FredholmModule, x, l_from) -> float:
-    """Operator norm of [F, phi(x)] restricted to spins >= l_from.
+def commutator_tails(module: FredholmModule, x, cutoffs) -> list:
+    """Operator norms of [F, phi(x)] restricted to spins >= each cutoff.
 
     phi acts block diagonally on the two sectors and F identifies their
     bases, so the commutator reduces to the difference of the two sector
     matrices; its tail decaying to zero is the finite-truncation proxy for
-    compactness of the commutator.
+    compactness of the commutator.  The commutator is assembled once and
+    restricted to the columns of each cutoff in turn.
     """
     plus, minus = _module_action(module, x)
     f = module.F.matrix
     diff = f @ plus - minus @ f
-    cols = sp.diags(module.plus_space.tail_mask(l_from).astype(float))
-    return operator_norm(diff @ cols)
+    return [operator_norm(diff @ sp.diags(module.plus_space.tail_mask(c).astype(float)))
+            for c in cutoffs]
+
+
+def commutator_tail(module: FredholmModule, x, l_from) -> float:
+    """Operator norm of [F, phi(x)] restricted to spins >= l_from."""
+    return commutator_tails(module, x, [l_from])[0]
 
 
 def fit_geometric(xs, values):

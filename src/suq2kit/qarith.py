@@ -20,6 +20,7 @@ __all__ = [
     "HalfInt",
     "QParam",
     "qnumber",
+    "qpow",
     "m_array",
     "m_scalar",
     "guarded_sqrt_array",
@@ -175,6 +176,26 @@ def qnumber(q, a: int) -> float:
     return (x**a - x**(-a)) / (x - 1.0 / x)
 
 
+def qpow(q: float, e):
+    """q**e for an integer exponent array, read from a table of q^n.
+
+    The table is numpy's own float64 power of q over the range of ``e``, so
+    every value equals the array power ``q ** e`` bit for bit; a 0-d ``e``
+    gets the array value too, where numpy's scalar power can differ by 1 ULP.
+    The lookup exists because numpy's array power is about ten times slower
+    for a negative base than for a positive one, as it sends each element
+    through libm's pow; the table needs one pow per distinct exponent.
+    """
+    e = np.asarray(e)
+    if e.dtype.kind not in "iu":
+        raise TypeError(f"qpow needs integer exponents, got dtype {e.dtype}")
+    if e.size == 0:
+        return np.power(q, e)
+    # a 0-d exponent, as in the scalar entry points, needs no reductions
+    lo, hi = (int(e.min()), int(e.max())) if e.ndim else (int(e), int(e))
+    return np.power(q, np.arange(lo, hi + 1, dtype=float))[e - lo]
+
+
 def m_array(q: float, s, l2, mask=True):
     """Interpolation scalar m(t, l) on arrays, with s = |q|^t and l2 = 2l.
 
@@ -182,8 +203,8 @@ def m_array(q: float, s, l2, mask=True):
     never divide.  This is the arithmetic the coefficient tables run.
     """
     l2 = np.asarray(l2)
-    num = np.where(mask, q**2 - s**2 * q ** l2, 0.0)
-    den = np.where(mask, s**2 - q ** (l2 + 2), 1.0)
+    num = np.where(mask, q**2 - s**2 * qpow(q, l2), 0.0)
+    den = np.where(mask, s**2 - qpow(q, l2 + 2), 1.0)
     return num / den
 
 

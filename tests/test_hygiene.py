@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and no named function takes a parameter its body never reads."""
+no named function takes a parameter its body never reads, and no power of q
+has an exponent array."""
 
 import ast
 from pathlib import Path
@@ -63,3 +64,34 @@ def test_scan_flags_unused_parameters():
               "class K:\n    def m(self, d):\n        d = 2\n"
               "    @classmethod\n    def n(cls, e):\n        return lambda u: e\n")
     assert unused_parameters(source) == ["f(a)", "f(c)", "f(args)", "m(d)"]
+
+
+def array_powers_of_q(source: str) -> list:
+    """Each ``q ** e`` or ``qp.q ** e`` whose exponent is not a literal.
+
+    Such an exponent is an integer array in the table code, where the array
+    power runs libm's slow negative-base path; ``qarith.qpow`` gives the same
+    values from a lookup table.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)):
+            continue
+        if ast.unparse(node.left) not in ("q", "qp.q"):
+            continue
+        try:
+            ast.literal_eval(node.right)
+        except ValueError:
+            found.append(ast.unparse(node))
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_array_powers_of_q(path):
+    assert array_powers_of_q(path.read_text()) == []
+
+
+def test_scan_flags_array_powers_of_q():
+    source = ("a = q ** l2\nb = -qp.q ** ((i2 + j2) // 2)\nc = q**2 - q**-2 + q ** 0.5\n"
+              "d = s ** l2 + qp.abs_q ** t + x.q ** n\ne = qpow(q, l2)\n")
+    assert array_powers_of_q(source) == ["q ** l2", "qp.q ** ((i2 + j2) // 2)"]

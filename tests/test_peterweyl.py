@@ -8,6 +8,7 @@ from suq2kit.kring import dim_quantum
 from suq2kit.qarith import HalfInt
 from suq2kit.peterweyl import (BandedOperator, block_stack, bundle_space, coeff_reg,
                                full_space, generator_op, haar_state, involution, operator_norm,
+                               reg_a_minus, reg_a_plus, reg_c_minus, reg_c_plus,
                                _masked_sqrt_ratio)
 
 Q_GRID = (0.3, -0.3, 0.5, -0.5, 0.9, -0.9)
@@ -65,6 +66,18 @@ def test_coeff_reg_parity_error():
         coeff_reg("a+", 0.5, H(2), H(1), H(0))
     with pytest.raises(ValueError):
         coeff_reg("x+", 0.5, 0, 0, 0)
+
+
+@pytest.mark.parametrize("q", (0.1, -0.1, 0.3, 0.5, -0.5, 0.9, -0.9, 0.999, -0.999))
+def test_coeff_reg_is_the_table_entry_bitwise(q):
+    # one index at a time or a whole grid at once: the same float64 values
+    space = full_space(8)
+    tables = {"a+": reg_a_plus, "a-": reg_a_minus, "c+": reg_c_plus, "c-": reg_c_minus}
+    for sym, table in tables.items():
+        grid = table(q, space.l2, space.i2, space.j2)
+        scalars = [coeff_reg(sym, q, H(int(l2)), H(int(i2)), H(int(j2)))
+                   for l2, i2, j2 in zip(space.l2, space.i2, space.j2)]
+        assert np.array_equal(np.array(scalars).view(np.int64), grid.view(np.int64)), sym
 
 
 def test_table_radicands_are_guarded():

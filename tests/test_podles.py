@@ -7,8 +7,8 @@ import scipy.sparse as sp
 from suq2kit.qarith import HalfInt
 from suq2kit.peterweyl import bundle_space, full_space, generator_op, operator_norm
 from suq2kit.podles import (FredholmModule, check_podles_relations,
-                            commutator_tail, fit_geometric, fredholm_index,
-                            index_pair_operator, podles_op)
+                            commutator_tail, commutator_tails, fit_geometric,
+                            fredholm_index, index_pair_operator, podles_op)
 
 H = HalfInt
 Q_GRID = (0.3, -0.3, 0.5, -0.5, 0.9, -0.9)
@@ -222,3 +222,49 @@ def test_podles_suite_builds_each_table_once(monkeypatch):
     run_suite(SuiteConfig(suite="podles", q=-0.5, lmax=H(8)))
     # A, B, gamma, gamma*, alpha* on the full space, gamma* and gamma in haar_state
     assert len(calls) == 7
+
+
+def _tail_assembled_per_cutoff(mod, x, l_from):
+    # every cutoff rebuilds the sector matrices and the commutator
+    plus = podles_op(x, mod.q, mod.plus_space).matrix
+    minus = podles_op(x, mod.q, mod.minus_space).matrix
+    f = mod.F.matrix
+    cols = sp.diags(mod.plus_space.tail_mask(l_from).astype(float))
+    return operator_norm((f @ plus - minus @ f) @ cols)
+
+
+def test_commutator_tails_equal_one_tail_at_a_time():
+    mod = FredholmModule.standard(-0.5, 20)
+    cutoffs = [4, 9, 15, 4]
+    for x in ("A", "B"):
+        tails = commutator_tails(mod, x, cutoffs)
+        assert tails == [_tail_assembled_per_cutoff(mod, x, c) for c in cutoffs]
+        assert tails == [commutator_tail(mod, x, c) for c in cutoffs]
+    assert commutator_tails(mod, "A", []) == []
+
+
+def test_fredholm_suite_assembles_each_generator_once(monkeypatch):
+    from suq2kit.peterweyl import BandedOperator
+    from suq2kit.suites import SuiteConfig, run_suite
+
+    calls = []
+    build = BandedOperator.from_shift_rules.__func__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args[2])
+        return build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(BandedOperator, "from_shift_rules", classmethod(counting))
+    rep = run_suite(SuiteConfig(suite="fredholm", q=-0.5, lmax=H(60)))
+    # A and B, each on the winding +1 and -1 bundles; 52 when every one of
+    # the 26 tails assembled its own
+    assert len(calls) == 4
+    monkeypatch.undo()
+
+    mod = FredholmModule.standard(-0.5, 30)
+    assert rep.decay == [(c, f"[F, {x}] tail", _tail_assembled_per_cutoff(mod, x, c))
+                         for x in ("A", "B") for c in range(4, 27, 2)]
+    measured = {c.name: c.value for c in rep.checks}
+    for x in ("A", "B"):
+        assert measured[f"measured: [F, {x}] tail at cutoff 15"] == \
+            _tail_assembled_per_cutoff(mod, x, 15)

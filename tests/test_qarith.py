@@ -3,14 +3,22 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from suq2kit.qarith import (HalfInt, QParam, guarded_sqrt, guarded_sqrt_array, m_scalar,
-                            qnumber)
+from suq2kit.qarith import (HalfInt, QParam, guarded_sqrt, guarded_sqrt_array, m_array,
+                            m_scalar, qnumber, qpow)
 from suq2kit.suites import SuiteConfig, UsageError
 
 Q_GRID = (0.3, -0.3, 0.5, -0.5, 0.9, -0.9)
+# both signs from far inside the unit interval to next to its end
+WIDE_Q_GRID = (0.1, -0.1, 0.5, -0.5, 0.9, -0.9, 0.999, -0.999)
+
+
+def bits(x):
+    """The float64 bit patterns of x, so that == compares bit for bit."""
+    return np.ascontiguousarray(x, dtype=float).view(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -59,8 +67,41 @@ def test_qnumber_rejects_unit_modulus():
 
 
 # ---------------------------------------------------------------------------
+# qpow
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("q", WIDE_Q_GRID)
+def test_qpow_is_the_array_power_bitwise(q):
+    e = np.random.default_rng(7).integers(-60, 250, size=4000)
+    square = e[:3600].reshape(60, 60)
+    for exps in (e, e[::3], e[-40:], square, square.T, np.arange(-5, 6)):
+        out = qpow(q, exps)
+        assert out.shape == exps.shape
+        assert np.array_equal(bits(out), bits(q ** exps))
+
+
+def test_qpow_of_no_exponents_is_empty():
+    out = qpow(-0.5, np.zeros((0, 3), dtype=np.int64))
+    assert out.shape == (0, 3) and out.dtype == np.float64
+
+
+def test_qpow_rejects_float_exponents():
+    with pytest.raises(TypeError):
+        qpow(0.5, np.array([1.0, 2.0]))
+
+
+# ---------------------------------------------------------------------------
 # m_scalar
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("q", WIDE_Q_GRID + (0.3,))
+def test_m_scalar_is_the_array_entry_bitwise(q):
+    spins = np.arange(1, 61)
+    for t in [k / 10 for k in range(11)]:
+        table = m_array(q, abs(q) ** t, 2 * spins)
+        scalars = [m_scalar(q, t, int(l)) for l in spins]
+        assert np.array_equal(bits(scalars), bits(table))
+
 
 def test_m_scalar_is_one_at_t_one():
     for q in Q_GRID:
