@@ -418,30 +418,36 @@ def verify_lemma2(q, l_list, t_grid_size: int = 11, include_extra: bool = False)
     if min(l_list) < 1:
         raise ValueError("decay families are indexed by spins >= 1")
     families = _LEMMA2_FAMILIES + (_LEMMA2_EXTRA if include_extra else ())
-    out = {name: [] for name, *_ in families}
-    for l in l_list:
-        l2 = np.full(2 * l + 1, 2 * l)
-        i2 = np.arange(-2 * l, 2 * l + 1, 2)
-        for name, fam, k, kind in families:
-            worst = 0.0
-            # the t = 1 family at j = +-1/2, the same at every grid point
-            t1 = ([] if kind == "resc" else
-                  [_T_CORES[(fam, k)](qp.q, qp.abs_q, l2, i2, np.full_like(l2, j2))
-                   for j2 in (2, -2)])
-            if kind == "t1":
-                for vals in t1:
-                    worst = max(worst, float(np.max(np.abs(vals))))
-            else:
-                resc = fam.upper()
-                for t in grid:
-                    s = qp.abs_q ** t
-                    rv = _RESC_CORES[(resc, k)](qp.q, s, l2, i2)
-                    if kind == "resc":
-                        worst = max(worst, float(np.max(np.abs(rv))))
-                    else:
-                        for tv in t1:
-                            worst = max(worst, float(np.max(np.abs(tv - rv))))
-            out[name].append(worst)
+    # every spin of l_list in one array; each spin's 2l+1 weights are a segment
+    sizes = [2 * l + 1 for l in l_list]
+    l2 = np.repeat([2 * l for l in l_list], sizes)
+    i2 = np.concatenate([np.arange(-2 * l, 2 * l + 1, 2) for l in l_list])
+    starts = np.cumsum([0] + sizes[:-1])
+
+    def sup(vals):
+        return np.maximum.reduceat(np.abs(vals), starts)
+
+    out = {}
+    for name, fam, k, kind in families:
+        worst = np.zeros(len(l_list))
+        # the t = 1 family at j = +-1/2, the same at every grid point
+        t1 = ([] if kind == "resc" else
+              [_T_CORES[(fam, k)](qp.q, qp.abs_q, l2, i2, np.full_like(l2, j2))
+               for j2 in (2, -2)])
+        if kind == "t1":
+            for vals in t1:
+                worst = np.maximum(worst, sup(vals))
+        else:
+            resc = fam.upper()
+            for t in grid:
+                s = qp.abs_q ** t
+                rv = _RESC_CORES[(resc, k)](qp.q, s, l2, i2)
+                if kind == "resc":
+                    worst = np.maximum(worst, sup(rv))
+                else:
+                    for tv in t1:
+                        worst = np.maximum(worst, sup(tv - rv))
+        out[name] = worst.tolist()
     return out
 
 

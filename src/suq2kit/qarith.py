@@ -191,8 +191,7 @@ def qpow(q: float, e):
         raise TypeError(f"qpow needs integer exponents, got dtype {e.dtype}")
     if e.size == 0:
         return np.power(q, e)
-    # a 0-d exponent, as in the scalar entry points, needs no reductions
-    lo, hi = (int(e.min()), int(e.max())) if e.ndim else (int(e), int(e))
+    lo, hi = int(e.min()), int(e.max())
     return np.power(q, np.arange(lo, hi + 1, dtype=float))[e - lo]
 
 

@@ -201,10 +201,11 @@ def _suite_fredholm(cfg: SuiteConfig, rep: VerificationReport):
     lmax_int = cfg.lmax.twice // 2
     cutoffs = list(range(4, lmax_int - 3, 2))
     for x in ("A", "B"):
-        # the last entry is the tail reported at cutoff 15, or the last tail
-        # when the truncation is too short for it
-        *tails, at15 = po.commutator_tails(
-            module, x, cutoffs + [15 if lmax_int > 16 else cutoffs[-1]])
+        # the tail reported at cutoff 15 is the last tail when the truncation
+        # is too short for it
+        extra = [15] if lmax_int > 16 else []
+        tails = po.commutator_tails(module, x, cutoffs + extra)
+        at15 = tails.pop() if extra else tails[-1]
         for c, t in zip(cutoffs, tails):
             rep.decay.append((c, f"[F, {x}] tail", t))
         uptick = max((tails[m + 1] - tails[m] for m in range(len(tails) - 1)), default=0.0)

@@ -272,6 +272,14 @@ def test_lemma2_extra_families_measured():
     assert len(table) == 16
 
 
+@pytest.mark.parametrize("q", (0.5, -0.9))
+def test_lemma2_spins_together_equal_spins_alone(q):
+    l_list = [1, 4, 9]
+    table = verify_lemma2(q, l_list, 3, include_extra=True)
+    alone = [verify_lemma2(q, [l], 3, include_extra=True) for l in l_list]
+    assert table == {name: [a[name][0] for a in alone] for name in table}
+
+
 def test_lemma2_input_validation():
     with pytest.raises(ValueError):
         verify_lemma2(0.5, [10, 10], 3)

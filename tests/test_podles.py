@@ -268,3 +268,27 @@ def test_fredholm_suite_assembles_each_generator_once(monkeypatch):
     for x in ("A", "B"):
         assert measured[f"measured: [F, {x}] tail at cutoff 15"] == \
             _tail_assembled_per_cutoff(mod, x, 15)
+
+
+def test_fredholm_suite_asks_each_tail_once(monkeypatch):
+    import suq2kit.podles as po
+    from suq2kit.suites import SuiteConfig, run_suite
+
+    asked = []
+    tails = po.commutator_tails
+
+    def recording(module, x, cutoffs):
+        asked.append(list(cutoffs))
+        return tails(module, x, cutoffs)
+
+    monkeypatch.setattr(po, "commutator_tails", recording)
+    # lmax 12 has no cutoff 15 and reports its last tail there; lmax 20 adds 15
+    for lmax2, wanted in ((24, [4, 6, 8]), (40, [4, 6, 8, 10, 12, 14, 16, 15])):
+        asked.clear()
+        rep = run_suite(SuiteConfig(suite="fredholm", q=-0.5, lmax=H(lmax2)))
+        assert asked == [wanted, wanted]
+        measured = {c.name: c.value for c in rep.checks}
+        if lmax2 == 24:
+            for x in ("A", "B"):
+                last = [t for c, name, t in rep.decay if name == f"[F, {x}] tail"][-1]
+                assert measured[f"measured: [F, {x}] tail at cutoff 15"] == last
