@@ -16,6 +16,7 @@ fundamental matrix).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 
 from .qarith import QParam, qnumber
 
@@ -203,8 +204,18 @@ class ZtPoly:
 # ---------------------------------------------------------------------------
 
 def _matmul(a, b):
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
-            for i in range(len(a))]
+    # row i of the product is the sum of a[i][k] * (row k of b) over the
+    # nonzero a[i][k]; the certificate's U and A are mostly zeros
+    cols = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [0] * cols
+        for x, brow in zip(row, b):
+            if x:
+                for j, y in enumerate(brow):
+                    acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 def _identity(n):
@@ -212,11 +223,20 @@ def _identity(n):
 
 
 def int_det(matrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant.
+
+    A triangular matrix (upper or lower, found by an O(n^2) scan) gives the
+    product of its diagonal.  Any other goes through fraction-free (Bareiss)
+    elimination; a row whose entry in the pivot column is 0 only rescales its
+    nonzero entries, since Bareiss division is exact.
+    """
     a = [list(map(int, row)) for row in matrix]
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("determinant needs a square matrix")
+    if (all(not any(a[i][:i]) for i in range(n))
+            or all(not any(a[i][i + 1:]) for i in range(n))):
+        return prod(a[i][i] for i in range(n))
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -228,11 +248,14 @@ def int_det(matrix) -> int:
                     break
             else:
                 return 0
+        pivot_row, pivot = a[k], a[k][k]
         for i in range(k + 1, n):
+            row, f = a[i], a[i][k]
             for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1] if n else 1
+                if f or row[j]:
+                    row[j] = (row[j] * pivot - f * pivot_row[j]) // prev
+        prev = pivot
+    return sign * a[-1][-1]
 
 
 def smith_normal_form(matrix):
@@ -293,7 +316,6 @@ def smith_normal_form(matrix):
             if pos is None:
                 return k
             while True:
-                pos = pivot_position(k)
                 swap_rows(k, pos[0])
                 swap_cols(k, pos[1])
                 clean = True
@@ -311,6 +333,7 @@ def smith_normal_form(matrix):
                         clean = False
                 if clean:
                     break
+                pos = pivot_position(k)
             k += 1
         return k
 
@@ -365,7 +388,11 @@ def koszul_verify(n: int, d_trunc: int) -> dict:
 
     Checks: multiplication by (n - t) is injective (kernel rank 0), its
     cokernel is a free abelian group of rank one (all invariant factors 1),
-    the augmentation t -> n annihilates the image and is onto.
+    the augmentation t -> n annihilates the image and is onto.  The Smith
+    form certificate is recomputed in full: U A V = D is multiplied out in
+    exact integers, and |det U| = |det V| = 1 are both computed exactly (V
+    is triangular, so :func:`int_det` takes its diagonal product; U goes
+    through Bareiss), neither taken as known by construction.
     """
     n, d_trunc = int(n), int(d_trunc)
     if n < 2 or d_trunc < 1:

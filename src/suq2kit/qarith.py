@@ -202,7 +202,9 @@ def m_array(q: float, s, l2, mask=True):
     never divide.  This is the arithmetic the coefficient tables run.
     """
     l2 = np.asarray(l2)
-    num = np.where(mask, q**2 - s**2 * qpow(q, l2), 0.0)
+    # q^2 factored out, so that where s^2 q^(2l-2) = 1 the zero is exact and
+    # not the difference of a scalar and an array power of q
+    num = np.where(mask, q**2 * (1.0 - s**2 * qpow(q, l2 - 2)), 0.0)
     den = np.where(mask, s**2 - qpow(q, l2 + 2), 1.0)
     return num / den
 

@@ -253,6 +253,15 @@ def test_lemma1_identities(q):
     assert max(out.values()) < 1e-11
 
 
+@pytest.mark.parametrize("q", (0.05, 0.1, 0.2))
+def test_lemma1_identities_at_small_q(q):
+    # m(0, 1) is exactly 0; as the scalar q**2 minus the array power q^2 it
+    # was a 1.7e-18 residue at q = 0.1, which the square roots blew up to 1.3e-8
+    out = verify_lemma1(q, 20)
+    assert max(out.values()) < 1e-11
+    assert m_scalar(q, 0.0, 1) == 0.0
+
+
 def test_lemma1_needs_both_endpoints():
     with pytest.raises(ValueError):
         verify_lemma1(0.5, 10, 1)

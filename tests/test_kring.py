@@ -157,6 +157,205 @@ def test_int_det_known_values():
     assert int_det([[1, 2], [2, 4]]) == 0
 
 
+# oracles: the dense triple sum and Bareiss elimination without shortcuts
+
+def _naive_matmul(a, b):
+    cols = len(b[0]) if b else 0
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols)]
+            for i in range(len(a))]
+
+
+def _bareiss_det(matrix):
+    a = [list(row) for row in matrix]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for r in range(k + 1, n):
+                if a[r][k] != 0:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
+def _sparse_matrix(rng, rows, cols, density=0.4):
+    return [[rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def test_matmul_equals_the_triple_sum():
+    rng = random.Random(11)
+    for _ in range(300):
+        r, k, c = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 7)
+        a = _sparse_matrix(rng, r, k, rng.choice((0.0, 0.2, 0.6, 1.0)))
+        b = _sparse_matrix(rng, k, c, rng.choice((0.0, 0.2, 0.6, 1.0)))
+        if rng.random() < 0.3:
+            a[rng.randrange(r)] = [0] * k              # a zero row
+            for row in b:                               # a zero column
+                row[rng.randrange(c)] = 0
+        assert _matmul(a, b) == _naive_matmul(a, b)
+    # empty inner dimension: there is no row of b to give a width
+    assert _matmul([[], []], []) == _naive_matmul([[], []], []) == [[], []]
+    assert _matmul([], [[1, 2]]) == []
+    big = [[2 ** 200, 0], [0, -(3 ** 150)]]
+    assert _matmul(big, big) == _naive_matmul(big, big)
+
+
+def _triangular(rng, n, lower, singular=False):
+    m = [[rng.randint(-9, 9) if (j <= i if lower else j >= i) else 0 for j in range(n)]
+         for i in range(n)]
+    for i in range(n):
+        m[i][i] = rng.choice((-3, -2, -1, 1, 2, 3))
+    if singular:
+        i = rng.randrange(n)
+        m[i][i] = 0
+    return m
+
+
+def test_int_det_equals_plain_bareiss():
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        cases = [_sparse_matrix(rng, n, n, rng.choice((0.2, 0.5, 1.0))),
+                 _triangular(rng, n, lower=False), _triangular(rng, n, lower=True),
+                 _triangular(rng, n, lower=False, singular=True),
+                 _triangular(rng, n, lower=True, singular=True)]
+        perm = list(range(n))
+        rng.shuffle(perm)
+        cases += [[t[p] for p in perm] for t in cases[1:3]]   # row-permuted triangular
+        singular = _sparse_matrix(rng, n, n, 0.6)
+        if n > 1:
+            singular[-1] = [2 * x - y for x, y in zip(singular[0], singular[1])]
+            cases.append(singular)
+        for m in cases:
+            assert int_det(m) == _bareiss_det(m), m
+    assert int_det([]) == _bareiss_det([]) == 1
+    with pytest.raises(ValueError):
+        int_det([[1, 2]])
+
+
+@pytest.mark.parametrize("n", (3, 20))
+def test_koszul_transforms_at_d120_have_unit_determinant(n):
+    mat = koszul_matrix(n, 120)
+    u, d, v = smith_normal_form(mat)
+    assert _matmul(_matmul(u, mat), v) == _naive_matmul(_naive_matmul(u, mat), v) == d
+    # V is upper triangular (the diagonal product), U is not (Bareiss)
+    assert all(not any(v[i][:i]) for i in range(len(v)))
+    assert any(u[i][j] for i in range(len(u)) for j in range(i))
+    assert any(u[i][j] for i in range(len(u)) for j in range(i + 1, len(u)))
+    for t in (u, v):
+        assert int_det(t) == _bareiss_det(t)
+        assert abs(int_det(t)) == 1
+
+
+def _parent_smith_normal_form(matrix):
+    # the pivot loop as it was before each position scanned for its pivot
+    # once; it asked pivot_position twice and dropped the first answer
+    a = [list(map(int, row)) for row in matrix]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def swap_rows(i, j):
+        if i != j:
+            a[i], a[j] = a[j], a[i]
+            u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        if i != j:
+            for r in range(rows):
+                a[r][i], a[r][j] = a[r][j], a[r][i]
+            for r in range(cols):
+                v[r][i], v[r][j] = v[r][j], v[r][i]
+
+    def add_row(src, dst, mult):
+        for c in range(cols):
+            a[dst][c] += mult * a[src][c]
+        for c in range(rows):
+            u[dst][c] += mult * u[src][c]
+
+    def add_col(src, dst, mult):
+        for r in range(rows):
+            a[r][dst] += mult * a[r][src]
+        for r in range(cols):
+            v[r][dst] += mult * v[r][src]
+
+    def pivot_position(k):
+        best = None
+        for i in range(k, rows):
+            for j in range(k, cols):
+                if a[i][j] != 0 and (best is None
+                                     or abs(a[i][j]) < abs(a[best[0]][best[1]])):
+                    best = (i, j)
+        return best
+
+    def diagonalize(k0):
+        k = k0
+        while k < min(rows, cols):
+            pos = pivot_position(k)
+            if pos is None:
+                return k
+            while True:
+                pos = pivot_position(k)
+                swap_rows(k, pos[0])
+                swap_cols(k, pos[1])
+                clean = True
+                for i in range(k + 1, rows):
+                    qd = a[i][k] // a[k][k]
+                    if qd:
+                        add_row(k, i, -qd)
+                    if a[i][k] != 0:
+                        clean = False
+                for j in range(k + 1, cols):
+                    qd = a[k][j] // a[k][k]
+                    if qd:
+                        add_col(k, j, -qd)
+                    if a[k][j] != 0:
+                        clean = False
+                if clean:
+                    break
+            k += 1
+        return k
+
+    rank = diagonalize(0)
+    while True:
+        bad = None
+        for m in range(rank - 1):
+            if a[m + 1][m + 1] != 0 and a[m + 1][m + 1] % a[m][m] != 0:
+                bad = m
+                break
+        if bad is None:
+            break
+        add_col(bad + 1, bad, 1)
+        diagonalize(bad)
+    for m in range(rank):
+        if a[m][m] < 0:
+            for c in range(cols):
+                a[m][c] = -a[m][c]
+            for c in range(rows):
+                u[m][c] = -u[m][c]
+    return u, a, v
+
+
+def test_smith_normal_form_equals_the_parent_pivot_loop():
+    for n in (2, 3, 8, 20):
+        for d in (1, 5, 25, 40):
+            mat = koszul_matrix(n, d)
+            assert smith_normal_form(mat) == _parent_smith_normal_form(mat)
+    rng = random.Random(13)
+    for _ in range(100):
+        a = _sparse_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), 0.6)
+        assert smith_normal_form(a) == _parent_smith_normal_form(a)
+
+
 # ---------------------------------------------------------------------------
 # the resolution and K-groups
 # ---------------------------------------------------------------------------
@@ -200,3 +399,44 @@ def test_ktheory_groups_and_generators():
 def test_induced_endomorphism_vanishes_for_every_n():
     for n in range(2, 12):
         assert ZtPoly.of((n, -1))(n) == 0
+
+
+# ---------------------------------------------------------------------------
+# work per suite job
+# ---------------------------------------------------------------------------
+
+def _count_calls(monkeypatch, module, names):
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return calls
+
+
+def test_koszul_suite_computes_one_certificate(monkeypatch):
+    import suq2kit.kring as kr
+    from suq2kit.suites import SuiteConfig, run_suite
+
+    calls = _count_calls(monkeypatch, kr,
+                         ("koszul_verify", "smith_normal_form", "int_det", "_matmul"))
+    rep = run_suite(SuiteConfig(suite="koszul", n=3, d_trunc=25))
+    assert rep.overall
+    # twice each when the suite certified once itself and once in ktheory_fo
+    assert calls == {"koszul_verify": 1, "smith_normal_form": 1, "int_det": 2, "_matmul": 2}
+
+
+def test_fusion_suite_fuses_each_pair_once(monkeypatch):
+    import suq2kit.kring as kr
+    from suq2kit.suites import SuiteConfig, run_suite
+
+    calls = _count_calls(monkeypatch, kr, ("fuse",))
+    rep = run_suite(SuiteConfig(suite="fusion"))
+    assert rep.overall
+    # 229 distinct pairs, asked for 6303 times by the four checks
+    assert calls == {"fuse": 229}

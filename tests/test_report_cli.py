@@ -2,6 +2,8 @@
 
 import copy
 import json
+import shlex
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -183,3 +185,36 @@ def test_cli_verification_failure_exit_code(tmp_path, monkeypatch):
     code = main(["run", "--suite", "lemma3", "--q", "-0.5",
                  "--out", str(tmp_path / "rep.json")])
     assert code == 1
+
+
+def _readme_run_lines():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].strip() for line in block.splitlines()]
+    return [line for line in lines if line.startswith("suq2kit run ")]
+
+
+def _readme_cases():
+    cases = []
+    for line in _readme_run_lines():
+        args = shlex.split(line)
+        marks = ()
+        if "--suite lemma2 --q 0.9 --lmax 30" in line:
+            # the final-entry sups decay like 0.9^l and reach tol_decay only
+            # past spin 200, so this documented call fails its gates
+            marks = pytest.mark.xfail(strict=True, reason="lemma2 at q = 0.9 needs "
+                                      "spins beyond lmax 30 to reach tol_decay")
+        cases.append(pytest.param(line, marks=marks, id=args[args.index("--suite") + 1]))
+    return cases
+
+
+def test_readme_lists_run_commands():
+    assert len(_readme_run_lines()) >= 5
+
+
+@pytest.mark.parametrize("line", _readme_cases())
+def test_readme_command_line_exits_zero(line, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "qmat.json").write_text(
+        json.dumps([[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]))
+    assert main(shlex.split(line)[1:]) == 0
