@@ -25,11 +25,10 @@ the explicit rotation homotopy needed when q < 0.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .qarith import HalfInt, QParam, guarded_sqrt_array, m_array, qpow
-from .peterweyl import (BandedOperator, bundle_space, operator_norm, _band, _idx_arrays,
-                        _iratio, _src_ok, _masked_sqrt_ratio)
+from .peterweyl import (BandedOperator, block_matrix, bundle_space, operator_norm, _band,
+                        _idx_arrays, _iratio, _src_ok, _masked_sqrt_ratio)
 
 __all__ = [
     "eval_t_coeff",
@@ -583,7 +582,7 @@ def rotation_homotopy_check(q, t_grid_size: int = 11, lmax=30, l_from=15) -> dic
     qp.require_strict()
     grid = _t_grid(t_grid_size)
     minus2, om0, om1 = _omega_matrices_on_minus2(qp, lmax, 0.0)
-    cols = sp.diags(minus2.tail_mask(HalfInt.of(l_from)).astype(float))
+    cols = minus2.tail_mask(HalfInt.of(l_from))
 
     # the two off corners of the graded commutator are Kronecker products
     # S(t) (x) Delta of a 2x2 rotation factor with Delta = omega_0 - omega,
@@ -600,10 +599,9 @@ def rotation_homotopy_check(q, t_grid_size: int = 11, lmax=30, l_from=15) -> dic
     assembly_gap = 0.0
     t_mid = float(grid[len(grid) // 2])
     for x in ("alpha", "gamma"):
-        a = om0[x].matrix          # omega_0 seen on the winding -2 basis
-        b = om1[x].matrix          # the t = 1 action there
-        delta_tail_mat = ((a - b) @ cols).tocsr()
-        delta_tail = operator_norm(delta_tail_mat)
+        a = om0[x]          # omega_0 seen on the winding -2 basis
+        b = om1[x]          # the t = 1 action there
+        delta_tail = operator_norm((a - b).restrict_cols(cols))
         for t in grid:
             if t == 0.0:
                 c, s = 1.0, 0.0
@@ -616,21 +614,20 @@ def rotation_homotopy_check(q, t_grid_size: int = 11, lmax=30, l_from=15) -> dic
             worst_tail = max(worst_tail, tail)
             worst_gap = max(worst_gap, tail - delta_tail)
             if t in (0.0, 1.0, t_mid):
-                block = sp.bmat([[c * c * a + s * s * b, c * s * (b - a)],
-                                 [c * s * (b - a), s * s * a + c * c * b]]).tocsr()
+                # the even part [[p, r], [r, u]] written block by block
+                p, u, r = c * c * a + s * s * b, s * s * a + c * c * b, c * s * (b - a)
                 if t == t_mid:
-                    swap = sp.bmat([[None, sp.identity(minus2.dim)],
-                                    [sp.identity(minus2.dim), None]]).tocsr()
-                    odd = sp.block_diag([b, b]).tocsr()
-                    cols2 = sp.block_diag([cols, cols]).tocsr()
-                    assembled = operator_norm((swap @ block - odd @ swap) @ cols2)
+                    # swap . even - diag(b, b) . swap, restricted to the tail columns
+                    commutator = [[r, u - b], [p - b, r]]
+                    assembled = operator_norm(block_matrix(
+                        [[y.restrict_cols(cols) for y in row] for row in commutator]))
                     assembly_gap = max(assembly_gap,
                                        abs(assembled - np.linalg.norm(s1, 2) * delta_tail))
                 if t == 0.0:
-                    dev = (block - sp.block_diag([a, b])).tocsr()
+                    dev = block_matrix([[(p - a).matrix, r.matrix], [r.matrix, (u - b).matrix]])
                     endpoint0 = max(endpoint0, operator_norm(dev))
                 if t == 1.0:
-                    dev = (block - sp.block_diag([b, a])).tocsr()
+                    dev = block_matrix([[(p - b).matrix, r.matrix], [r.matrix, (u - a).matrix]])
                     endpoint1 = max(endpoint1, operator_norm(dev))
     return {
         "max_tail": worst_tail,

@@ -76,9 +76,6 @@ class FusionElement:
     def scale(self, n: int) -> "FusionElement":
         return FusionElement.from_dict({k: n * v for k, v in self.coefficients})
 
-    def is_actual_representation(self) -> bool:
-        return all(v > 0 for _, v in self.coefficients)
-
 
 def _fuse_with_generator(x: FusionElement) -> FusionElement:
     """Multiply by H_1 using the rank-one rule; H_{-1} is zero."""

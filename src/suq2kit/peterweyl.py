@@ -3,9 +3,13 @@
 The Hilbert space carries the orthonormal basis e^(l)_{i,j} indexed by a spin
 l and two weights i, j, all half-integers with l - i and l - j integral.  The
 generators alpha and gamma of the quantum group act by tridiagonal tables in
-the spin label; this module stores those tables as sparse banded operators on
-finite truncations l <= lmax and provides the Haar state through the cyclic
-vector e^(0)_{0,0}.
+the spin label; this module stores those tables as banded operators on finite
+truncations l <= lmax and provides the Haar state through the cyclic vector
+e^(0)_{0,0}.
+
+:class:`BandedOperator` is the package's one operator type, and its sparse
+storage is this module's choice; ``.matrix`` stays readable for applying an
+operator to a vector and for handing it to :func:`operator_norm`.
 
 Index bookkeeping is done in "twice" units (integers 2l, 2i, 2j) so every
 exponent appearing in a coefficient formula is an exact integer.
@@ -32,6 +36,7 @@ __all__ = [
     "haar_state",
     "relation_residuals",
     "operator_norm",
+    "block_matrix",
     "block_stack",
     "GENERATORS",
 ]
@@ -316,17 +321,22 @@ class BandedOperator:
         return cls(domain, codomain, mat.tocsr(), margin)
 
     @classmethod
-    def identity(cls, space):
-        return cls(space, space, sp.identity(space.dim, format="csr"), HalfInt(0))
+    def identification(cls, domain, codomain):
+        """Spin-preserving 0/1 map e^(l)_{i, j} -> e^(l)_{i, j + (k' - k)/2}.
 
-    def shift_set(self):
-        """Set of (dl2, di2, dj2) shifts present in the stored entries."""
-        coo = self.matrix.tocoo()
-        out = set()
-        d, c = self.codomain, self.domain
-        for r, s in zip(coo.row, coo.col):
-            out.add((int(d.l2[r] - c.l2[s]), int(d.i2[r] - c.i2[s]), int(d.j2[r] - c.j2[s])))
-        return out
+        Entries exist wherever both spaces carry the basis vector: the
+        identity of a space, the bijection between the bundles k = 1 and
+        k' = -1, and for (k, k') = (0, -2) the map annihilating e^(0)_{0,0}.
+        """
+        rows = codomain.locate(domain.l2, domain.i2, domain.j2 + codomain.k - domain.k)
+        keep = rows >= 0
+        mat = sp.csr_matrix((np.ones(int(keep.sum())), (rows[keep], np.nonzero(keep)[0])),
+                            shape=(codomain.dim, domain.dim))
+        return cls(domain, codomain, mat, HalfInt(0))
+
+    @classmethod
+    def identity(cls, space):
+        return cls.identification(space, space)
 
     # sparse algebra; margins add under composition
     def __matmul__(self, other):
@@ -346,7 +356,11 @@ class BandedOperator:
         return NotImplemented
 
     def __sub__(self, other):
-        return self + (-1.0) * other
+        if isinstance(other, BandedOperator):
+            return BandedOperator(self.domain, self.codomain,
+                                  self.matrix - other.matrix,
+                                  max(self.interior_margin, other.interior_margin))
+        return NotImplemented
 
     def __rmul__(self, scalar):
         return BandedOperator(self.domain, self.codomain, scalar * self.matrix,
@@ -365,6 +379,13 @@ class BandedOperator:
         """Operator norm restricted to interior columns."""
         m = self.interior_margin if margin is None else HalfInt.of(margin)
         return operator_norm(self.restrict_cols(self.domain.interior_mask(m)))
+
+
+def block_matrix(blocks):
+    """One sparse matrix from a grid of the matrices of operators (as from
+    ``.matrix`` or :meth:`BandedOperator.restrict_cols`), for the norm of a
+    block operator on a direct sum of spaces."""
+    return sp.bmat(blocks, format="csr")
 
 
 def block_stack(mat):

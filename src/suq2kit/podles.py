@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .qarith import HalfInt, QParam, qpow
 from .peterweyl import (BandedOperator, TruncatedSpace, block_stack, bundle_space,
@@ -32,7 +31,6 @@ __all__ = [
     "commutator_tail",
     "commutator_tails",
     "fredholm_index",
-    "swap_operator",
     "index_pair_operator",
     "fit_geometric",
 ]
@@ -122,7 +120,7 @@ def sphere_relation_residuals(A: BandedOperator, B: BandedOperator, q: float) ->
     Bs = B.adjoint()
     one = BandedOperator.identity(A.domain)
     return {
-        "A = A*": operator_norm(A.matrix - A.matrix.T),
+        "A = A*": operator_norm((A - A.adjoint()).matrix),
         "AB = q^2 BA": (A @ B - q**2 * (B @ A)).interior_residual_norm(),
         "BB* = q^-2 A(1-A)": (B @ Bs - q**-2 * (A @ (one - A))).interior_residual_norm(),
         "B*B = A(1-q^2 A)": (Bs @ B - A @ (one - q**2 * A)).interior_residual_norm(),
@@ -149,20 +147,6 @@ def check_podles_relations(q, lmax):
 # Fredholm module and index data
 # ---------------------------------------------------------------------------
 
-def swap_operator(domain: TruncatedSpace, codomain: TruncatedSpace) -> BandedOperator:
-    """Spin-preserving map e^(l)_{i, k/2} -> e^(l)_{i, k'/2} between bundles.
-
-    Entries exist wherever both spaces carry the spin level; for the module
-    pair (k=1, k=-1) this is a bijection, for (k=0, k=-2) the bottom vector
-    e^(0)_{0,0} is annihilated.
-    """
-    rows = codomain.locate(domain.l2, domain.i2, domain.j2 + codomain.k - domain.k)
-    keep = rows >= 0
-    mat = sp.csr_matrix((np.ones(int(keep.sum())), (rows[keep], np.nonzero(keep)[0])),
-                        shape=(codomain.dim, domain.dim))
-    return BandedOperator(domain, codomain, mat, HalfInt(0))
-
-
 @dataclass(frozen=True)
 class FredholmModule:
     """Graded module on the winding +1 / -1 bundle pair with the swap F."""
@@ -179,13 +163,13 @@ class FredholmModule:
         lmax = HalfInt.of(lmax)
         plus = bundle_space(1, lmax.twice)
         minus = bundle_space(-1, lmax.twice)
-        return cls(qp.q, lmax, plus, minus, swap_operator(plus, minus))
+        return cls(qp.q, lmax, plus, minus, BandedOperator.identification(plus, minus))
 
     def unitary_defect(self) -> float:
         """max(|F*F - 1|, |FF* - 1|) on the truncation; F is a unitary."""
-        ft = self.F.matrix
-        d1 = operator_norm(ft.T @ ft - sp.identity(self.plus_space.dim))
-        d2 = operator_norm(ft @ ft.T - sp.identity(self.minus_space.dim))
+        F, Fs = self.F, self.F.adjoint()
+        d1 = operator_norm((Fs @ F - BandedOperator.identity(self.plus_space)).matrix)
+        d2 = operator_norm((F @ Fs - BandedOperator.identity(self.minus_space)).matrix)
         return max(d1, d2)
 
 
@@ -194,7 +178,7 @@ def index_pair_operator(lmax, pair=(0, -2)) -> BandedOperator:
     lmax = HalfInt.of(lmax)
     dom = bundle_space(pair[0], max(lmax.twice, abs(pair[0])))
     cod = bundle_space(pair[1], max(lmax.twice, abs(pair[1])))
-    return swap_operator(dom, cod)
+    return BandedOperator.identification(dom, cod)
 
 
 def fredholm_index(op, sv_threshold: float = 1e-8, guard: float = 10.0) -> int:
@@ -207,7 +191,7 @@ def fredholm_index(op, sv_threshold: float = 1e-8, guard: float = 10.0) -> int:
     conditioned, i.e. the smallest kept singular value is within ``guard``
     times the threshold.
     """
-    mat = op.matrix if isinstance(op, BandedOperator) else sp.csr_matrix(op)
+    mat = op.matrix if isinstance(op, BandedOperator) else op
     stack, _ = block_stack(mat)
     svals = np.linalg.svd(stack, compute_uv=False) if stack.size else np.zeros(0)
     kept = svals[svals > sv_threshold]
@@ -225,22 +209,22 @@ def fredholm_index(op, sv_threshold: float = 1e-8, guard: float = 10.0) -> int:
 # ---------------------------------------------------------------------------
 
 def _module_action(module: FredholmModule, x):
-    """Matrices of x on the two bundle sectors, rows/cols aligned by the swap.
+    """Operators of x on the two bundle sectors, rows/cols aligned by the swap.
 
     x is a sphere generator name, "1", or a word (sequence of names) whose
     product acts by left multiplication on both sectors.
     """
     if isinstance(x, str):
         x = (x,)
-    plus = sp.identity(module.plus_space.dim, format="csr")
-    minus = sp.identity(module.minus_space.dim, format="csr")
+    plus = BandedOperator.identity(module.plus_space)
+    minus = BandedOperator.identity(module.minus_space)
     for letter in x:
         if letter == "1":
             continue
         if letter not in ("A", "B", "B*"):
             raise TypeError("word letters must be 'A', 'B', 'B*' or '1'")
-        plus = podles_op(letter, module.q, module.plus_space).matrix @ plus
-        minus = podles_op(letter, module.q, module.minus_space).matrix @ minus
+        plus = podles_op(letter, module.q, module.plus_space) @ plus
+        minus = podles_op(letter, module.q, module.minus_space) @ minus
     return plus, minus
 
 
@@ -254,10 +238,8 @@ def commutator_tails(module: FredholmModule, x, cutoffs) -> list:
     restricted to the columns of each cutoff in turn.
     """
     plus, minus = _module_action(module, x)
-    f = module.F.matrix
-    diff = f @ plus - minus @ f
-    return [operator_norm(diff @ sp.diags(module.plus_space.tail_mask(c).astype(float)))
-            for c in cutoffs]
+    diff = module.F @ plus - minus @ module.F
+    return [operator_norm(diff.restrict_cols(module.plus_space.tail_mask(c))) for c in cutoffs]
 
 
 def commutator_tail(module: FredholmModule, x, l_from) -> float:

@@ -62,10 +62,6 @@ class HalfInt:
             return cls(int(text[:-2]))
         return cls(2 * int(text))
 
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
     def integer_distance(self, other) -> bool:
         """True iff self - other is an integer (same parity of ``twice``)."""
         other = HalfInt.of(other)

@@ -58,6 +58,8 @@ class SuiteConfig:
             raise UsageError("the fundamental dimension n must be >= 2")
         if self.d_trunc < 1:
             raise UsageError("the truncation degree D must be >= 1")
+        if self.seed < 0:
+            raise UsageError("the seed must be >= 0")
 
     def require_q(self) -> QParam:
         if self.q is None:
@@ -90,7 +92,7 @@ def _suite_relations(cfg: SuiteConfig, rep: VerificationReport):
     for x, xs in (("alpha", "alpha*"), ("gamma", "gamma*")):
         rep.add(Check(f"{xs} table is the transpose of the {x} table",
                       "adjoint pairing of the generator tables",
-                      pw.operator_norm(gens[xs].matrix - gens[x].matrix.T),
+                      pw.operator_norm((gens[xs] - gens[x].adjoint()).matrix),
                       cfg.tol_identity / 100))
 
 
@@ -379,7 +381,11 @@ def _suite_foq(cfg: SuiteConfig, rep: VerificationReport):
     rep.add(Check("equivalence predicate is an equivalence relation (random sample)",
                   "monoidal equivalence invariant", float(viol), 0.0))
     if cfg.qmatrix is not None:
-        entries = np.array([[complex(re, im) for re, im in row] for row in cfg.qmatrix])
+        try:
+            entries = np.array([[complex(re, im) for re, im in row] for row in cfg.qmatrix])
+        except (TypeError, ValueError) as exc:
+            raise UsageError("the parameter matrix must be a list of rows of [re, im] "
+                             f"pairs of numbers: {exc}") from exc
         try:
             qm = fo.validate_q(entries)
         except ValueError as exc:

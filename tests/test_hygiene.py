@@ -1,6 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-no named function takes a parameter its body never reads, and no power of q
-has an exponent array."""
+no named function takes a parameter its body never reads, no power of q
+has an exponent array, and only peterweyl imports scipy."""
 
 import ast
 from pathlib import Path
@@ -95,3 +95,33 @@ def test_scan_flags_array_powers_of_q():
     source = ("a = q ** l2\nb = -qp.q ** ((i2 + j2) // 2)\nc = q**2 - q**-2 + q ** 0.5\n"
               "d = s ** l2 + qp.abs_q ** t + x.q ** n\ne = qpow(q, l2)\n")
     assert array_powers_of_q(source) == ["q ** l2", "qp.q ** ((i2 + j2) // 2)"]
+
+
+def scipy_imports(source: str) -> list:
+    """Each module name from scipy that an import statement reads, in any
+    ``import scipy...`` or ``from scipy... import`` form."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "scipy"]
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and node.module.split(".")[0] == "scipy"):
+            found.append(node.module)
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_peterweyl_imports_scipy(path):
+    # the sparse storage of an operator is peterweyl's choice; every other
+    # module goes through BandedOperator
+    if path.name != "peterweyl.py":
+        assert scipy_imports(path.read_text()) == []
+
+
+def test_scan_flags_scipy_imports():
+    source = ("import scipy\nimport scipy.sparse as sp, numpy\nfrom scipy import linalg\n"
+              "from scipy.sparse.csgraph import connected_components\n"
+              "def f():\n    import scipy.sparse.linalg\n"
+              "import scipyx\nfrom .scipy import x\nfrom numpy import scipy\n")
+    assert scipy_imports(source) == ["scipy", "scipy.sparse", "scipy", "scipy.sparse.csgraph",
+                                     "scipy.sparse.linalg"]

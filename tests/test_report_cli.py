@@ -145,10 +145,24 @@ def test_cli_exit_codes(tmp_path):
     pytest.param(["--suite", "degenerate", "--q", "0.5", "--lmax", "0"],
                  "needs lmax >= 2", id="degenerate-lmax"),
     pytest.param(["--suite", "fusion", "--q", "1.0"], "|q| < 1", id="fusion-q"),
+    pytest.param(["--suite", "foq", "--seed", "-1"], "seed must be >= 0", id="negative-seed"),
 ])
 def test_cli_bad_parameters_are_usage_errors(args, message, capsys):
     assert main(["run"] + args) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param([1, 2], id="flat-list"),
+    pytest.param({"a": 1}, id="object"),
+    pytest.param([[[1, 0, 3], [0, 0]], [[0, 0], [1, 0]]], id="triple-entry"),
+])
+def test_cli_malformed_qmatrix_is_a_usage_error(content, tmp_path, capsys):
+    # valid JSON, but not rows of [re, im] pairs
+    path = tmp_path / "qmat.json"
+    path.write_text(json.dumps(content))
+    assert main(["run", "--suite", "foq", "--qmatrix", str(path)]) == 2
+    assert "rows of [re, im] pairs" in capsys.readouterr().err
 
 
 def test_cli_halfint_lmax(tmp_path):
