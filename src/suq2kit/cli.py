@@ -43,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
     option("--seed", "seed", int)
     runp.add_argument("--qmatrix", type=str, default=None,
                       help="JSON file with a parameter matrix as rows of "
-                           "[re, im] pairs (foq suite)")
+                           "[re, im] pairs (foq and all suites)")
     runp.add_argument("--out", type=str, default=None, help="JSON report path")
     runp.add_argument("--csv", type=str, default=None, dest="csv_dir",
                       help="directory for decay-table CSV files")

@@ -85,10 +85,13 @@ def invariant_pair(qm: QMatrix) -> EquivalenceInvariant:
     return EquivalenceInvariant(qm.sign, float(trace.real))
 
 
-def monoidally_equivalent(q1: QMatrix, q2: QMatrix, tol: float = 1e-10) -> bool:
+_EQUIV_TOL = 1e-10
+
+
+def monoidally_equivalent(q1: QMatrix, q2: QMatrix) -> bool:
     """Same sign and same trace invariant."""
     a, b = invariant_pair(q1), invariant_pair(q2)
-    return a.sign == b.sign and abs(a.trace - b.trace) < tol
+    return a.sign == b.sign and abs(a.trace - b.trace) < _EQUIV_TOL
 
 
 def solve_su2_parameter(qm: QMatrix) -> float:

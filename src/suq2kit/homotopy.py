@@ -28,7 +28,7 @@ import numpy as np
 
 from .qarith import HalfInt, QParam, guarded_sqrt_array, m_array, qpow
 from .peterweyl import (BandedOperator, block_matrix, bundle_space, operator_norm, _band,
-                        _idx_arrays, _iratio, _src_ok, _masked_sqrt_ratio)
+                        _iratio, _src_ok, _masked_sqrt_ratio)
 
 __all__ = [
     "eval_t_coeff",
@@ -49,20 +49,20 @@ __all__ = [
 # s stands for |q|^t.  Masks encode the boundary convention (coefficient 0
 # whenever source or target vector is absent); the k = 0 families are
 # evaluated in grouped form so the removable 0/0 at spin zero never occurs.
+# The twelve families and the rescaled ones are total: exactly 0.0 off the
+# support and never raising there, at any integer indices, shifted or not.
 
 def _omq(q, e):
     return 1.0 - qpow(q, e)
 
 
 def t_a1(q, s, l2, i2, j2):
-    l2, i2, j2 = _idx_arrays(l2, i2, j2)
     return _band(q, _src_ok(l2, i2, j2),
                  (l2 + j2 + 2, l2 + i2 + 2, l2 - j2 + 2, l2 - i2 + 2), (2 * l2 + 2, 2 * l2 + 6),
                  pref=s * qpow(q, 2 * l2 + 3) - qpow(q, l2 + 3) / s, den_exp=2 * l2 + 4)
 
 
 def t_am1(q, s, l2, i2, j2):
-    l2, i2, j2 = _idx_arrays(l2, i2, j2)
     mask = _src_ok(l2, i2, j2) & (np.abs(i2) != l2) & (np.abs(j2) != l2)
     return _band(q, mask,
                  (l2 - j2, l2 - i2, l2 + j2, l2 + i2), (2 * l2 - 2, 2 * l2 + 2),
@@ -70,7 +70,6 @@ def t_am1(q, s, l2, i2, j2):
 
 
 def t_a0(q, s, l2, i2, j2):
-    l2, i2, j2 = _idx_arrays(l2, i2, j2)
     mask = _src_ok(l2, i2, j2)
     grp1 = ((s * qpow(q, (2 * l2 - i2 - j2) // 2) * _omq(q, l2 + j2 + 2)
              + qpow(q, (2 * l2 - i2 + j2) // 2 + 2) / s * _omq(q, l2 - j2 + 2))
@@ -82,14 +81,12 @@ def t_a0(q, s, l2, i2, j2):
 
 
 def t_b1(q, s, l2, i2, j2):
-    l2, i2, j2 = _idx_arrays(l2, i2, j2)
     return _band(q, _src_ok(l2, i2, j2),
                  (l2 - j2 + 2, l2 - i2 + 2, l2 + j2 + 2, l2 + i2 + 2), (2 * l2 + 2, 2 * l2 + 6),
                  pref=q / s - s * qpow(q, l2 + 1), den_exp=2 * l2 + 4)
 
 
 def t_bm1(q, s, l2, i2, j2):
-    l2, i2, j2 = _idx_arrays(l2, i2, j2)
     mask = _src_ok(l2, i2, j2) & (np.abs(i2) != l2) & (np.abs(j2) != l2)
     return _band(q, mask,
                  (l2 + j2, l2 + i2, l2 - j2, l2 - i2), (2 * l2 - 2, 2 * l2 + 2),
@@ -97,7 +94,6 @@ def t_bm1(q, s, l2, i2, j2):
 
 
 def t_b0(q, s, l2, i2, j2):
-    l2, i2, j2 = _idx_arrays(l2, i2, j2)
     mask = _src_ok(l2, i2, j2)
     grp1 = ((qpow(q, (2 * l2 + i2 + j2) // 2 + 2) / s * _omq(q, l2 - j2 + 2)
              + s * qpow(q, (2 * l2 + i2 - j2) // 2) * _omq(q, l2 + j2 + 2))
@@ -109,7 +105,6 @@ def t_b0(q, s, l2, i2, j2):
 
 
 def t_c1(q, s, l2, i2, j2):
-    l2, i2, j2 = _idx_arrays(l2, i2, j2)
     return _band(q, _src_ok(l2, i2, j2),
                  (l2 + j2 + 2, l2 + i2 + 2, l2 - j2 + 2, l2 + i2 + 4), (2 * l2 + 2, 2 * l2 + 6),
                  pref=qpow(q, (l2 - i2) // 2 + 1) / s - s * qpow(q, (3 * l2 - i2) // 2 + 1),
@@ -117,7 +112,6 @@ def t_c1(q, s, l2, i2, j2):
 
 
 def t_cm1(q, s, l2, i2, j2):
-    l2, i2, j2 = _idx_arrays(l2, i2, j2)
     mask = _src_ok(l2, i2, j2) & (np.abs(j2) != l2) & (i2 <= l2 - 4)
     return _band(q, mask,
                  (l2 - j2, l2 - i2, l2 + j2, l2 - i2 - 2), (2 * l2 - 2, 2 * l2 + 2),
@@ -126,7 +120,6 @@ def t_cm1(q, s, l2, i2, j2):
 
 
 def t_c0(q, s, l2, i2, j2):
-    l2, i2, j2 = _idx_arrays(l2, i2, j2)
     mask = _src_ok(l2, i2, j2) & (i2 <= l2 - 2)
     rad = _masked_sqrt_ratio(q, (l2 + i2 + 2, l2 - i2), (), mask)
     grp1 = ((s * qpow(q, (3 * l2 - j2) // 2 + 1) * _omq(q, l2 + j2 + 2)
@@ -139,7 +132,6 @@ def t_c0(q, s, l2, i2, j2):
 
 
 def t_d1(q, s, l2, i2, j2):
-    l2, i2, j2 = _idx_arrays(l2, i2, j2)
     return _band(q, _src_ok(l2, i2, j2),
                  (l2 - j2 + 2, l2 - i2 + 2, l2 + j2 + 2, l2 - i2 + 4), (2 * l2 + 2, 2 * l2 + 6),
                  pref=qpow(q, (l2 + i2) // 2 + 1) / s - s * qpow(q, (3 * l2 + i2) // 2 + 1),
@@ -147,7 +139,6 @@ def t_d1(q, s, l2, i2, j2):
 
 
 def t_dm1(q, s, l2, i2, j2):
-    l2, i2, j2 = _idx_arrays(l2, i2, j2)
     mask = _src_ok(l2, i2, j2) & (np.abs(j2) != l2) & (i2 >= -l2 + 4)
     return _band(q, mask,
                  (l2 + j2, l2 + i2, l2 - j2, l2 + i2 - 2), (2 * l2 - 2, 2 * l2 + 2),
@@ -156,7 +147,6 @@ def t_dm1(q, s, l2, i2, j2):
 
 
 def t_d0(q, s, l2, i2, j2):
-    l2, i2, j2 = _idx_arrays(l2, i2, j2)
     mask = _src_ok(l2, i2, j2) & (i2 >= -l2 + 2)
     rad = _masked_sqrt_ratio(q, (l2 + i2, l2 - i2 + 2), (), mask)
     grp1 = ((qpow(q, (3 * l2 - j2) // 2 + 1) / s * _iratio(q, l2 + j2, l2)
@@ -204,56 +194,49 @@ def eval_t_coeff(family: str, k: int, q, t: float, l, i, j) -> float:
 #     m(t, l+1)^(-1/2) = sqrt(s^2 - q^(2l+4)) / (|q| sqrt(1 - s^2 q^(2l)))
 # while every x_1 prefactor carries the factor (1 - s^2 q^(2l)).
 
-def _m_half(q, s, l2, mask):
-    """sqrt(m(t, l)) on the mask (which enforces spin >= 1)."""
-    return guarded_sqrt_array(m_array(q, s, l2, mask))
-
-
-def _plus_scale(q, s, l2):
-    """sqrt(1 - s^2 q^(2l)) * sqrt(s^2 - q^(2l+4)) / (s |q|)."""
-    l2 = np.asarray(l2)
-    return (guarded_sqrt_array((1.0 - s**2 * qpow(q, l2)) * (s**2 - qpow(q, l2 + 4)))
-            / (s * abs(q)))
+def _plus_scale(q, s, l2, mask):
+    """sqrt(1 - s^2 q^(2l)) * sqrt(s^2 - q^(2l+4)) / (s |q|), zero off the mask."""
+    rad = np.where(mask, (1.0 - s**2 * qpow(q, l2)) * (s**2 - qpow(q, l2 + 4)), 0.0)
+    return guarded_sqrt_array(rad) / (s * abs(q))
 
 
 def _resc_plus(num_exps, pref):
     """X_1 from the two numerator exponents of its radical and its prefactor,
     both functions of the twice arrays; the four families differ only there."""
     def fn(q, s, l2, i2):
-        l2, i2, _ = _idx_arrays(l2, i2, 0)
         mask = (l2 >= 0) & (np.abs(i2) <= l2)
         rad = _masked_sqrt_ratio(q, num_exps(l2, i2), (2 * l2 + 2, 2 * l2 + 6), mask)
         den = np.where(mask, _omq(q, 2 * l2 + 4), 1.0)
         r = _omq(q, l2 + 2) * rad / den
-        return np.where(mask, pref(q, l2, i2) * _plus_scale(q, s, l2) * r, 0.0)
+        return np.where(mask, pref(q, l2, i2) * _plus_scale(q, s, l2, mask) * r, 0.0)
     return fn
 
 
 def _resc_minus(core):
+    """X_-1: the j = 0 entry times sqrt(m(t, l)), taken where the entry is
+    nonzero, which holds only at spins >= 1."""
     def fn(q, s, l2, i2):
-        l2, i2, _ = _idx_arrays(l2, i2, 0)
-        raw = core(q, s, l2, i2, np.zeros_like(l2))
-        mask = raw != 0.0
-        return raw * _m_half(q, s, l2, mask)
+        raw = core(q, s, l2, i2, 0)
+        return raw * guarded_sqrt_array(m_array(q, s, l2, raw != 0.0))
     return fn
 
 
 _RESC_CORES = {
     ("A", 1): _resc_plus(lambda l2, i2: (l2 + i2 + 2, l2 - i2 + 2),
                          lambda q, l2, i2: -qpow(q, l2 + 3)),
-    ("A", 0): lambda q, s, l2, i2: t_a0(q, s, l2, i2, np.zeros_like(np.asarray(l2))),
+    ("A", 0): lambda q, s, l2, i2: t_a0(q, s, l2, i2, 0),
     ("A", -1): _resc_minus(t_am1),
     ("B", 1): _resc_plus(lambda l2, i2: (l2 + i2 + 2, l2 - i2 + 2),
                          lambda q, l2, i2: q),
-    ("B", 0): lambda q, s, l2, i2: t_b0(q, s, l2, i2, np.zeros_like(np.asarray(l2))),
+    ("B", 0): lambda q, s, l2, i2: t_b0(q, s, l2, i2, 0),
     ("B", -1): _resc_minus(t_bm1),
     ("C", 1): _resc_plus(lambda l2, i2: (l2 + i2 + 2, l2 + i2 + 4),
                          lambda q, l2, i2: qpow(q, (l2 - i2) // 2 + 1)),
-    ("C", 0): lambda q, s, l2, i2: t_c0(q, s, l2, i2, np.zeros_like(np.asarray(l2))),
+    ("C", 0): lambda q, s, l2, i2: t_c0(q, s, l2, i2, 0),
     ("C", -1): _resc_minus(t_cm1),
     ("D", 1): _resc_plus(lambda l2, i2: (l2 - i2 + 2, l2 - i2 + 4),
                          lambda q, l2, i2: qpow(q, (l2 + i2) // 2 + 1)),
-    ("D", 0): lambda q, s, l2, i2: t_d0(q, s, l2, i2, np.zeros_like(np.asarray(l2))),
+    ("D", 0): lambda q, s, l2, i2: t_d0(q, s, l2, i2, 0),
     ("D", -1): _resc_minus(t_dm1),
 }
 
@@ -283,10 +266,9 @@ def eval_rescaled(family: str, k: int, q, t: float, l, i) -> float:
 # ---------------------------------------------------------------------------
 
 def _omega_rules(family: str, di2: int, s: float):
-    cores = {k: _RESC_CORES[(family, k)] for k in (1, 0, -1)}
-    return tuple(
-        ((2 * k, di2, 0), (lambda q, l2, i2, j2, _c=cores[k]: _c(q, s, l2, i2)))
-        for k in (1, 0, -1))
+    return tuple(((2 * k, di2, 0), (lambda q, l2, i2, j2, _c=_RESC_CORES[(family, k)]:
+                                    _c(q, s, l2, i2)))
+                 for k in (1, 0, -1))
 
 
 def build_omega(q, t: float, lmax) -> dict:
@@ -314,46 +296,24 @@ def _t_grid(n: int):
     return np.linspace(0.0, 1.0, n)
 
 
-def _level_arrays(lmax2, lmin2=0):
-    """All (l2, i2) pairs with lmin2 <= l2 <= lmax2 in steps of 2, |i2| <= l2,
-    i2 of the parity of l2."""
-    ls, is_ = [], []
-    for l2 in range(lmin2, lmax2 + 1, 2):
-        i2 = np.arange(-l2, l2 + 1, 2)
-        ls.append(np.full(i2.size, l2))
-        is_.append(i2)
-    return np.concatenate(ls), np.concatenate(is_)
+def _level_arrays(levels2):
+    """All (l2, i2) pairs with l2 in levels2 and |i2| <= l2, i2 of the parity
+    of l2, spin after spin."""
+    return (np.repeat(levels2, [l2 + 1 for l2 in levels2]),
+            np.concatenate([np.arange(-l2, l2 + 1, 2) for l2 in levels2]))
 
 
-# adjoint pairings between the rescaled families: each triple is
-# (name, lhs(q,s,l2,i2), rhs(q,s,l2,i2)); quantified over all admissible
-# (l, i) including the spin-zero boundary where both sides vanish.
+# adjoint pairings between the rescaled families: each row is
+# (name, lhs family, rhs family, dl2, di2), the rhs evaluated at
+# (l2 + dl2, i2 + di2); quantified over all admissible (l, i) including the
+# spin-zero boundary, where both sides vanish.
 _LEMMA1_IDENTITIES = (
-    ("A_1(l, i) = B_-1(l+1, i)",
-     lambda q, s, l2, i2: _RESC_CORES[("A", 1)](q, s, l2, i2),
-     lambda q, s, l2, i2: _RESC_CORES[("B", -1)](q, s, l2 + 2, i2)),
-    ("A_0(l, i) = B_0(l, i)",
-     lambda q, s, l2, i2: _RESC_CORES[("A", 0)](q, s, l2, i2),
-     lambda q, s, l2, i2: _RESC_CORES[("B", 0)](q, s, l2, i2)),
-    ("A_-1(l, i) = B_1(l-1, i)",
-     lambda q, s, l2, i2: _RESC_CORES[("A", -1)](q, s, l2, i2),
-     lambda q, s, l2, i2: np.where(l2 >= 2,
-                                   _RESC_CORES[("B", 1)](q, s, np.maximum(l2 - 2, 0), i2), 0.0)
-     * (np.abs(i2) <= np.maximum(l2 - 2, 0))),
-    ("C_1(l, i) = D_-1(l+1, i+1)",
-     lambda q, s, l2, i2: _RESC_CORES[("C", 1)](q, s, l2, i2),
-     lambda q, s, l2, i2: _RESC_CORES[("D", -1)](q, s, l2 + 2, i2 + 2)),
-    ("C_0(l, i) = D_0(l, i+1)",
-     lambda q, s, l2, i2: _RESC_CORES[("C", 0)](q, s, l2, i2),
-     lambda q, s, l2, i2: np.where(np.abs(i2 + 2) <= l2,
-                                   _RESC_CORES[("D", 0)](q, s, l2, np.minimum(i2 + 2, l2)), 0.0)),
-    ("C_-1(l, i) = D_1(l-1, i+1)",
-     lambda q, s, l2, i2: _RESC_CORES[("C", -1)](q, s, l2, i2),
-     lambda q, s, l2, i2: np.where((l2 >= 2) & (np.abs(i2 + 2) <= l2 - 2),
-                                   _RESC_CORES[("D", 1)](q, s, np.maximum(l2 - 2, 0),
-                                                         np.clip(i2 + 2, -np.maximum(l2 - 2, 0),
-                                                                 np.maximum(l2 - 2, 0))),
-                                   0.0)),
+    ("A_1(l, i) = B_-1(l+1, i)", ("A", 1), ("B", -1), 2, 0),
+    ("A_0(l, i) = B_0(l, i)", ("A", 0), ("B", 0), 0, 0),
+    ("A_-1(l, i) = B_1(l-1, i)", ("A", -1), ("B", 1), -2, 0),
+    ("C_1(l, i) = D_-1(l+1, i+1)", ("C", 1), ("D", -1), 2, 2),
+    ("C_0(l, i) = D_0(l, i+1)", ("C", 0), ("D", 0), 0, 2),
+    ("C_-1(l, i) = D_1(l-1, i+1)", ("C", -1), ("D", 1), -2, 2),
 )
 
 
@@ -365,14 +325,15 @@ def verify_lemma1(q, lmax, t_grid_size: int = 11) -> dict:
     """
     qp = QParam.of(q).require_strict()
     grid = _t_grid(t_grid_size)
-    l2, i2 = _level_arrays(HalfInt.of(lmax).twice)
+    l2, i2 = _level_arrays(range(0, HalfInt.of(lmax).twice + 1, 2))
     out = {}
-    for name, lhs, rhs in _LEMMA1_IDENTITIES:
+    for name, lhs, rhs, dl2, di2 in _LEMMA1_IDENTITIES:
         worst = 0.0
         for t in grid:
             s = qp.abs_q ** t
-            worst = max(worst, float(np.max(np.abs(lhs(qp.q, s, l2, i2)
-                                                   - rhs(qp.q, s, l2, i2)))))
+            diff = (_RESC_CORES[lhs](qp.q, s, l2, i2)
+                    - _RESC_CORES[rhs](qp.q, s, l2 + dl2, i2 + di2))
+            worst = max(worst, float(np.max(np.abs(diff))))
         out[name] = worst
     return out
 
@@ -418,10 +379,8 @@ def verify_lemma2(q, l_list, t_grid_size: int = 11, include_extra: bool = False)
         raise ValueError("decay families are indexed by spins >= 1")
     families = _LEMMA2_FAMILIES + (_LEMMA2_EXTRA if include_extra else ())
     # every spin of l_list in one array; each spin's 2l+1 weights are a segment
-    sizes = [2 * l + 1 for l in l_list]
-    l2 = np.repeat([2 * l for l in l_list], sizes)
-    i2 = np.concatenate([np.arange(-2 * l, 2 * l + 1, 2) for l in l_list])
-    starts = np.cumsum([0] + sizes[:-1])
+    l2, i2 = _level_arrays([2 * l for l in l_list])
+    starts = np.cumsum([0] + [2 * l + 1 for l in l_list[:-1]])
 
     def sup(vals):
         return np.maximum.reduceat(np.abs(vals), starts)
@@ -431,8 +390,7 @@ def verify_lemma2(q, l_list, t_grid_size: int = 11, include_extra: bool = False)
         worst = np.zeros(len(l_list))
         # the t = 1 family at j = +-1/2, the same at every grid point
         t1 = ([] if kind == "resc" else
-              [_T_CORES[(fam, k)](qp.q, qp.abs_q, l2, i2, np.full_like(l2, j2))
-               for j2 in (2, -2)])
+              [_T_CORES[(fam, k)](qp.q, qp.abs_q, l2, i2, j2) for j2 in (2, -2)])
         if kind == "t1":
             for vals in t1:
                 worst = np.maximum(worst, sup(vals))
@@ -482,7 +440,7 @@ def verify_lemma3(q, lmax, signed: bool = True) -> dict:
     lmax2 = HalfInt.of(lmax).twice
     if lmax2 < 4:
         raise ValueError("need lmax >= 2")
-    l2, i2 = _level_arrays(lmax2, lmin2=2)
+    l2, i2 = _level_arrays(range(2, lmax2 + 1, 2))
     sgn = _endpoint_sign(qp.q) if signed else 1.0
     s0, s1 = 1.0, qp.abs_q
     out = {}
@@ -493,7 +451,7 @@ def verify_lemma3(q, lmax, signed: bool = True) -> dict:
             rv = _RESC_CORES[(resc, k)](qp.q, s0, l2, i2)
             worst = 0.0
             for j2 in (2, -2):
-                tv = _T_CORES[(fam, k)](qp.q, s1, l2, i2, np.full_like(l2, j2))
+                tv = _T_CORES[(fam, k)](qp.q, s1, l2, i2, j2)
                 worst = max(worst, float(np.max(np.abs(rv - factor * tv))))
             label = f"{resc}_{k}(0,l,i) = " + (f"sgn(q) {fam}_{k}(1,l,i,j1)" if k == 0
                                                else f"{fam}_{k}(1,l,i,j1)")
@@ -520,12 +478,12 @@ def degenerate_module_check(q, lmax) -> dict:
     lmax2 = HalfInt.of(lmax).twice
 
     # (i): x_k(1, l, i, +1/2) = x_k(1, l, i, -1/2) on half-odd spins
-    l2, i2 = _level_arrays(lmax2, lmin2=1)
+    l2, i2 = _level_arrays(range(1, lmax2 + 1, 2))
     sym = 0.0
     for fam in "abcd":
         for k in (1, 0, -1):
-            plus = _T_CORES[(fam, k)](qp.q, qp.abs_q, l2, i2, np.ones_like(l2))
-            minus = _T_CORES[(fam, k)](qp.q, qp.abs_q, l2, i2, -np.ones_like(l2))
+            plus = _T_CORES[(fam, k)](qp.q, qp.abs_q, l2, i2, 1)
+            minus = _T_CORES[(fam, k)](qp.q, qp.abs_q, l2, i2, -1)
             sym = max(sym, float(np.max(np.abs(plus - minus))))
 
     # (ii): unsigned endpoint matching over spins >= 1
@@ -548,15 +506,9 @@ def _omega_matrices_on_minus2(q, lmax, t: float):
     minus2 = bundle_space(-2, lmax2)
     s = qp.abs_q ** t
     out_omega_t, out_omega1 = {}, {}
-    l2, i2, j2 = minus2.l2, minus2.i2, minus2.j2
     for name, fam, di2 in (("alpha", "a", 0), ("gamma", "c", 2)):
-        resc_rules = _omega_rules(fam.upper(), di2, s)
         out_omega_t[name] = BandedOperator.from_shift_rules(
-            minus2, minus2,
-            tuple(((dl2, di2_, 0),
-                   (lambda qq, a2, b2, c2, fn=fn: fn(qq, a2, b2, np.zeros_like(a2))))
-                  for (dl2, di2_, _dj2), fn in resc_rules),
-            HalfInt(2), q=qp.q)
+            minus2, minus2, _omega_rules(fam.upper(), di2, s), HalfInt(2), q=qp.q)
         rules1 = tuple(((2 * k, di2, 0),
                         (lambda qq, a2, b2, c2, _fam=fam, _k=k:
                          _T_CORES[(_fam, _k)](qq, qp.abs_q, a2, b2, c2)))

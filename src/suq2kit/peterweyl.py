@@ -69,13 +69,11 @@ class TruncatedSpace:
         lmax2 = self.lmax.twice
         if self.full:
             levels = np.arange(0, lmax2 + 1)
-        else:
-            levels = np.arange(abs(self.k), lmax2 + 1, 2)
-        self.levels2 = levels
-        if self.full:
             sizes = (levels + 1) ** 2
         else:
+            levels = np.arange(abs(self.k), lmax2 + 1, 2)
             sizes = levels + 1
+        self.levels2 = levels
         self.level_base = np.concatenate(([0], np.cumsum(sizes)))
         self.dim = int(self.level_base[-1])
 
@@ -162,12 +160,9 @@ def bundle_space(k: int, lmax2: int) -> TruncatedSpace:
 # Boundary convention: a coefficient is zero whenever the source or target
 # basis vector does not exist.  The masks below encode exactly that; at every
 # masked point the printed closed form is either zero or an indeterminate
-# 0/0, so masking is the unique continuous completion.
-
-def _idx_arrays(l2, i2, j2):
-    return (np.asarray(l2, dtype=np.int64), np.asarray(i2, dtype=np.int64),
-            np.asarray(j2, dtype=np.int64))
-
+# 0/0, so masking is the unique continuous completion.  Every table here, in
+# podles and in homotopy is total: at any integer indices it is exactly 0.0
+# off its support and never raises there, so callers shift without clipping.
 
 def _src_ok(l2, i2, j2):
     return (l2 >= 0) & (np.abs(i2) <= l2) & (np.abs(j2) <= l2)
@@ -175,7 +170,7 @@ def _src_ok(l2, i2, j2):
 
 def _masked_sqrt_ratio(q, num_exps, den_exps, mask):
     """sqrt(prod(1-q^n) / prod(1-q^d)) with zeros where mask is false."""
-    num = np.ones(np.broadcast(*[np.asarray(e) for e in num_exps]).shape)
+    num = np.ones(np.broadcast(*num_exps).shape)
     for e in num_exps:
         num = num * (1.0 - qpow(q, e))
     den = np.ones_like(num)
@@ -192,7 +187,6 @@ def _iratio(q, num_exp, l2):
     so any finite completion gives the same product; 1/(1 + q^l2) is the
     continuous one.
     """
-    l2 = np.asarray(l2)
     safe = np.where(l2 > 0, 1.0 - qpow(q, 2 * l2), 1.0)
     return np.where(l2 > 0, (1.0 - qpow(q, num_exp)) / safe,
                     1.0 / (1.0 + qpow(q, l2)))
@@ -212,25 +206,21 @@ def _band(q, mask, num_exps, den_exps, pref=1.0, den_exp=None):
 
 
 def reg_a_plus(q, l2, i2, j2):
-    l2, i2, j2 = _idx_arrays(l2, i2, j2)
     return _band(q, _src_ok(l2, i2, j2), (l2 - j2 + 2, l2 - i2 + 2),
                  (2 * l2 + 2, 2 * l2 + 4), pref=qpow(q, (2 * l2 + i2 + j2) // 2 + 1))
 
 
 def reg_a_minus(q, l2, i2, j2):
-    l2, i2, j2 = _idx_arrays(l2, i2, j2)
     mask = _src_ok(l2, i2, j2) & (i2 != -l2) & (j2 != -l2)
     return _band(q, mask, (l2 + j2, l2 + i2), (2 * l2, 2 * l2 + 2))
 
 
 def reg_c_plus(q, l2, i2, j2):
-    l2, i2, j2 = _idx_arrays(l2, i2, j2)
     return _band(q, _src_ok(l2, i2, j2), (l2 - j2 + 2, l2 + i2 + 2),
                  (2 * l2 + 2, 2 * l2 + 4), pref=-qpow(q, (l2 + j2) // 2))
 
 
 def reg_c_minus(q, l2, i2, j2):
-    l2, i2, j2 = _idx_arrays(l2, i2, j2)
     mask = _src_ok(l2, i2, j2) & (i2 != l2) & (j2 != -l2)
     return _band(q, mask, (l2 + j2, l2 - i2), (2 * l2, 2 * l2 + 2),
                  pref=qpow(q, (l2 + i2) // 2))
@@ -259,12 +249,12 @@ def coeff_reg(sym: str, q, l, i, j) -> float:
 # for their adjoints).
 _GEN_RULES = {
     "alpha": (
-        ((1, -1, -1), lambda q, l2, i2, j2: reg_a_plus(q, l2, i2, j2)),
-        ((-1, -1, -1), lambda q, l2, i2, j2: reg_a_minus(q, l2, i2, j2)),
+        ((1, -1, -1), reg_a_plus),
+        ((-1, -1, -1), reg_a_minus),
     ),
     "gamma": (
-        ((1, 1, -1), lambda q, l2, i2, j2: reg_c_plus(q, l2, i2, j2)),
-        ((-1, 1, -1), lambda q, l2, i2, j2: reg_c_minus(q, l2, i2, j2)),
+        ((1, 1, -1), reg_c_plus),
+        ((-1, 1, -1), reg_c_minus),
     ),
     "alpha*": (
         ((-1, 1, 1), lambda q, l2, i2, j2: reg_a_plus(q, l2 - 1, i2 + 1, j2 + 1)),

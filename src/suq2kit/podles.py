@@ -20,7 +20,7 @@ import numpy as np
 
 from .qarith import HalfInt, QParam, qpow
 from .peterweyl import (BandedOperator, TruncatedSpace, block_stack, bundle_space,
-                        operator_norm, _band, _idx_arrays, _iratio, _src_ok,
+                        full_space, operator_norm, _band, _iratio, _src_ok,
                         _masked_sqrt_ratio)
 
 __all__ = [
@@ -41,14 +41,12 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def sphere_a_minus(q, l2, i2, j2):
-    l2, i2, j2 = _idx_arrays(l2, i2, j2)
     mask = _src_ok(l2, i2, j2) & (np.abs(i2) != l2) & (np.abs(j2) != l2)
     return _band(q, mask, (l2 - j2, l2 + i2, l2 + j2, l2 - i2), (2 * l2 - 2, 2 * l2 + 2),
                  pref=-qpow(q, (2 * l2 + i2 + j2) // 2 - 1), den_exp=2 * l2)
 
 
 def sphere_a_diag(q, l2, i2, j2):
-    l2, i2, j2 = _idx_arrays(l2, i2, j2)
     mask = _src_ok(l2, i2, j2)
     t1 = (qpow(q, l2 + j2) * (1.0 - qpow(q, l2 - j2 + 2)) * (1.0 - qpow(q, l2 + i2 + 2))
           / ((1.0 - qpow(q, 2 * l2 + 2)) * (1.0 - qpow(q, 2 * l2 + 4))))
@@ -58,21 +56,18 @@ def sphere_a_diag(q, l2, i2, j2):
 
 
 def sphere_a_plus(q, l2, i2, j2):
-    l2, i2, j2 = _idx_arrays(l2, i2, j2)
     return _band(q, _src_ok(l2, i2, j2),
                  (l2 + j2 + 2, l2 - i2 + 2, l2 - j2 + 2, l2 + i2 + 2), (2 * l2 + 2, 2 * l2 + 6),
                  pref=-qpow(q, (2 * l2 + i2 + j2) // 2 + 1), den_exp=2 * l2 + 4)
 
 
 def sphere_b_minus(q, l2, i2, j2):
-    l2, i2, j2 = _idx_arrays(l2, i2, j2)
     mask = _src_ok(l2, i2, j2) & (np.abs(j2) != l2) & (i2 <= l2 - 4)
     return _band(q, mask, (l2 - j2, l2 - i2 - 2, l2 + j2, l2 - i2), (2 * l2 - 2, 2 * l2 + 2),
                  pref=qpow(q, (3 * l2 + 2 * i2 + j2) // 2), den_exp=2 * l2)
 
 
 def sphere_b_diag(q, l2, i2, j2):
-    l2, i2, j2 = _idx_arrays(l2, i2, j2)
     mask = _src_ok(l2, i2, j2) & (i2 <= l2 - 2)
     rad = _masked_sqrt_ratio(q, (l2 + i2 + 2, l2 - i2), (), mask)
     t1 = qpow(q, (l2 + i2) // 2) * _iratio(q, l2 + j2, l2) / (1.0 - qpow(q, 2 * l2 + 2))
@@ -82,7 +77,6 @@ def sphere_b_diag(q, l2, i2, j2):
 
 
 def sphere_b_plus(q, l2, i2, j2):
-    l2, i2, j2 = _idx_arrays(l2, i2, j2)
     return _band(q, _src_ok(l2, i2, j2),
                  (l2 + j2 + 2, l2 + i2 + 4, l2 - j2 + 2, l2 + i2 + 2), (2 * l2 + 2, 2 * l2 + 6),
                  pref=-qpow(q, (l2 + j2) // 2), den_exp=2 * l2 + 4)
@@ -132,8 +126,6 @@ def check_podles_relations(q, lmax):
 
     Returns a dict name -> residual, from :func:`sphere_relation_residuals`.
     """
-    from .peterweyl import full_space
-
     qp = QParam.of(q).require_strict()
     lmax = HalfInt.of(lmax)
     if lmax < HalfInt.of(3):
@@ -173,33 +165,36 @@ class FredholmModule:
         return max(d1, d2)
 
 
-def index_pair_operator(lmax, pair=(0, -2)) -> BandedOperator:
-    """The off-diagonal corner of F for a bundle pair (domain k, codomain k')."""
+def index_pair_operator(lmax) -> BandedOperator:
+    """The off-diagonal corner of F from the winding 0 to the winding -2 bundle."""
     lmax = HalfInt.of(lmax)
-    dom = bundle_space(pair[0], max(lmax.twice, abs(pair[0])))
-    cod = bundle_space(pair[1], max(lmax.twice, abs(pair[1])))
-    return BandedOperator.identification(dom, cod)
+    return BandedOperator.identification(bundle_space(0, lmax.twice),
+                                         bundle_space(-2, max(lmax.twice, 2)))
 
 
-def fredholm_index(op, sv_threshold: float = 1e-8, guard: float = 10.0) -> int:
+_SV_THRESHOLD = 1e-8
+_RANK_GUARD = 10.0
+
+
+def fredholm_index(op) -> int:
     """dim ker - dim coker of a truncated corner, by singular value counting.
 
     The singular values come from the direct-sum blocks of the matrix (see
     :func:`suq2kit.peterweyl.block_stack`), which together with zeros are
     those of the whole matrix, so the rank and the guard decide as one SVD
     of the whole matrix would.  Raises when the rank decision is ill
-    conditioned, i.e. the smallest kept singular value is within ``guard``
-    times the threshold.
+    conditioned, i.e. the smallest kept singular value is within
+    ``_RANK_GUARD`` times ``_SV_THRESHOLD``.
     """
     mat = op.matrix if isinstance(op, BandedOperator) else op
     stack, _ = block_stack(mat)
     svals = np.linalg.svd(stack, compute_uv=False) if stack.size else np.zeros(0)
-    kept = svals[svals > sv_threshold]
+    kept = svals[svals > _SV_THRESHOLD]
     rank = int(kept.size)
-    if rank and kept.min() < guard * sv_threshold:
+    if rank and kept.min() < _RANK_GUARD * _SV_THRESHOLD:
         raise ArithmeticError(
             f"rank decision ill conditioned: smallest kept singular value "
-            f"{kept.min():.3e} within {guard}x of threshold {sv_threshold:.1e}")
+            f"{kept.min():.3e} within {_RANK_GUARD}x of threshold {_SV_THRESHOLD:.1e}")
     n_rows, n_cols = mat.shape
     return (n_cols - rank) - (n_rows - rank)
 

@@ -197,7 +197,6 @@ def m_array(q: float, s, l2, mask=True):
     (q^2 - s^2 q^(2l)) / (s^2 - q^(2l+2)); entries outside ``mask`` are 0 and
     never divide.  This is the arithmetic the coefficient tables run.
     """
-    l2 = np.asarray(l2)
     # q^2 factored out, so that where s^2 q^(2l-2) = 1 the zero is exact and
     # not the difference of a scalar and an array power of q
     num = np.where(mask, q**2 * (1.0 - s**2 * qpow(q, l2 - 2)), 0.0)
@@ -224,19 +223,22 @@ def m_scalar(q, t: float, l: int) -> float:
     return float(m_array(qp.q, qp.abs_q ** t, 2 * l))
 
 
-def guarded_sqrt_array(x, tol: float = 1e-12):
+_SQRT_TOL = 1e-12
+
+
+def guarded_sqrt_array(x):
     """Elementwise square root that clamps tiny negative rounding residue to zero.
 
-    A radicand below -tol is a genuinely negative value, i.e. a formula bug
-    upstream, and raises instead of being silently clamped.
+    A radicand below -_SQRT_TOL is a genuinely negative value, i.e. a formula
+    bug upstream, and raises instead of being silently clamped.
     """
     x = np.asarray(x, dtype=float)
     low = float(x.min(initial=0.0))
-    if low < -tol:
-        raise ValueError(f"negative radicand {low!r} exceeds tolerance {tol!r}")
+    if low < -_SQRT_TOL:
+        raise ValueError(f"negative radicand {low!r} exceeds tolerance {_SQRT_TOL!r}")
     return np.sqrt(np.maximum(x, 0.0))
 
 
-def guarded_sqrt(x: float, tol: float = 1e-12) -> float:
+def guarded_sqrt(x: float) -> float:
     """Scalar form of :func:`guarded_sqrt_array`."""
-    return float(guarded_sqrt_array(float(x), tol))
+    return float(guarded_sqrt_array(float(x)))

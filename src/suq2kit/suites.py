@@ -46,7 +46,7 @@ class SuiteConfig:
     n: int = 3
     d_trunc: int = 10
     seed: int = 0
-    qmatrix: list | None = None          # rows of [re, im] pairs, foq suite
+    qmatrix: list | None = None          # rows of [re, im] pairs, foq and all suites
 
     def __post_init__(self):
         self.lmax = HalfInt.of(self.lmax)
@@ -60,6 +60,11 @@ class SuiteConfig:
             raise UsageError("the truncation degree D must be >= 1")
         if self.seed < 0:
             raise UsageError("the seed must be >= 0")
+        if self.qmatrix is not None:
+            if self.suite not in ("foq", "all"):
+                raise UsageError(f"suite {self.suite!r} takes no parameter matrix; "
+                                 "--qmatrix belongs to the foq and all suites")
+            _validated_qmatrix(self.qmatrix)
 
     def require_q(self) -> QParam:
         if self.q is None:
@@ -77,6 +82,19 @@ class SuiteConfig:
             "tol_decay": self.tol_decay, "t_grid": self.t_grid, "n": self.n,
             "D": self.d_trunc,
         }
+
+
+def _validated_qmatrix(rows) -> fo.QMatrix:
+    """The parameter matrix from its wire format, rows of [re, im] pairs."""
+    try:
+        entries = np.array([[complex(re, im) for re, im in row] for row in rows])
+    except (TypeError, ValueError) as exc:
+        raise UsageError("the parameter matrix must be a list of rows of [re, im] "
+                         f"pairs of numbers: {exc}") from exc
+    try:
+        return fo.validate_q(entries)
+    except ValueError as exc:
+        raise UsageError(f"supplied parameter matrix rejected: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -381,15 +399,7 @@ def _suite_foq(cfg: SuiteConfig, rep: VerificationReport):
     rep.add(Check("equivalence predicate is an equivalence relation (random sample)",
                   "monoidal equivalence invariant", float(viol), 0.0))
     if cfg.qmatrix is not None:
-        try:
-            entries = np.array([[complex(re, im) for re, im in row] for row in cfg.qmatrix])
-        except (TypeError, ValueError) as exc:
-            raise UsageError("the parameter matrix must be a list of rows of [re, im] "
-                             f"pairs of numbers: {exc}") from exc
-        try:
-            qm = fo.validate_q(entries)
-        except ValueError as exc:
-            raise UsageError(f"supplied parameter matrix rejected: {exc}") from exc
+        qm = _validated_qmatrix(cfg.qmatrix)
         solved = fo.solve_su2_parameter(qm)
         inv = fo.invariant_pair(qm)
         rep.parameters["qmatrix_sign"] = inv.sign
@@ -411,7 +421,8 @@ def _suite_all(cfg: SuiteConfig, rep: VerificationReport):
         if part == "rotation" and qp.q > 0:
             rep.parameters["rotation_skipped"] = "needs q < 0"
             continue
-        sub = run_suite(dataclasses.replace(cfg, suite=part))
+        sub = run_suite(dataclasses.replace(
+            cfg, suite=part, qmatrix=cfg.qmatrix if part == "foq" else None))
         for c in sub.checks:
             rep.add(Check(f"{part}: {c.name}", c.anchor, c.value, c.threshold, c.mode))
         for a in sub.assumptions:

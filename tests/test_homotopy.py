@@ -7,6 +7,9 @@ from suq2kit.qarith import HalfInt, QParam, m_scalar
 from suq2kit.homotopy import (build_omega, decay_verdict, degenerate_module_check,
                               eval_rescaled, eval_t_coeff, rotation_homotopy_check,
                               verify_lemma1, verify_lemma2, verify_lemma3)
+import suq2kit.homotopy as ho
+import suq2kit.peterweyl as pw
+import suq2kit.podles as po
 from suq2kit.peterweyl import (BandedOperator, bundle_space, operator_norm,
                                reg_a_minus, reg_a_plus, reg_c_minus, reg_c_plus,
                                relation_residuals)
@@ -178,6 +181,37 @@ def test_minus_band_rescaling_uses_interpolation_scalar():
         for i2 in range(-l2 + 2, l2 - 1, 2):
             raw = m_scalar(q, t, l2 // 2) ** 0.5 * eval_t_coeff("a", -1, q, t, H(l2), H(i2), 0)
             assert eval_rescaled("A", -1, q, t, H(l2), H(i2)) == pytest.approx(raw, abs=1e-14)
+
+
+def _index_grid():
+    """Every integer (l2, i2, j2) of one parity with -4 <= l2 <= 24 and
+    |i2|, |j2| <= l2 + 4: the support and a margin of absent vectors."""
+    pts = [(l2, i2, j2) for l2 in range(-4, 25) for i2 in range(-l2 - 4, l2 + 5, 2)
+           for j2 in range(-l2 - 4, l2 + 5, 2)]
+    return tuple(np.array(x, dtype=np.int64) for x in zip(*pts))
+
+
+@pytest.mark.parametrize("t", (0.0, 0.5, 1.0))
+@pytest.mark.parametrize("q", (0.05, -0.05, 0.5, -0.5, 0.9, -0.9, 0.999))
+def test_every_family_is_total(q, t):
+    # callers evaluate a family at shifted indices as they are, so off its
+    # support each one must be exactly 0.0 and raise nothing; np.where
+    # evaluates both branches, and the discarded one may divide by zero
+    s = abs(q) ** t
+    l2, i2, j2 = _index_grid()
+    absent = (l2 < 0) | (np.abs(i2) > l2) | (np.abs(j2) > l2)
+    even = (l2 % 2 == 0) & (j2 == 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tables = [(key, f(q, l2, i2, j2), absent) for key, f in pw._REG_CORES.items()]
+        tables += [(f.__name__, f(q, l2, i2, j2), absent)
+                   for rules in po._SPHERE_RULES.values() for _, f in rules]
+        tables += [(key, f(q, s, l2, i2, j2), absent) for key, f in ho._T_CORES.items()]
+        tables += [(key, f(q, s, l2[even], i2[even]), absent[even])
+                   for key, f in ho._RESC_CORES.items()]
+    for key, vals, off in tables:
+        assert vals.shape == off.shape, key
+        assert np.isfinite(vals).all(), key
+        assert (vals[off] == 0.0).all(), key
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
-no named function takes a parameter its body never reads, no power of q
-has an exponent array, and only peterweyl imports scipy."""
+no named function takes a parameter its body never reads, no lambda only
+forwards its parameters to one call, no power of q has an exponent array,
+and only peterweyl imports scipy."""
 
 import ast
 from pathlib import Path
@@ -64,6 +65,41 @@ def test_scan_flags_unused_parameters():
               "class K:\n    def m(self, d):\n        d = 2\n"
               "    @classmethod\n    def n(cls, e):\n        return lambda u: e\n")
     assert unused_parameters(source) == ["f(a)", "f(c)", "f(args)", "m(d)"]
+
+
+def forwarding_lambdas(source: str) -> list:
+    """Each lambda whose body is one call passing the lambda's parameters
+    without defaults, in order, and nothing else; the callee can be named
+    in its place."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Lambda) and isinstance(node.body, ast.Call)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        params = [a.arg for a in positional[:len(positional) - len(args.defaults)]]
+        call = node.body
+        if (args.vararg is None and not args.kwonlyargs and args.kwarg is None
+                and not call.keywords
+                and [ast.unparse(a) for a in call.args] == params):
+            found.append(ast.unparse(node))
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_forwarding_lambdas(path):
+    assert forwarding_lambdas(path.read_text()) == []
+
+
+def test_scan_flags_forwarding_lambdas():
+    source = ("a = lambda q, l2: f(q, l2)\nb = lambda q, l2, _g=g: _g(q, l2)\n"
+              "c = lambda: T[k]()\nd = lambda q, l2: f(q, l2 + 2)\n"
+              "e = lambda q, l2: f(l2, q)\nh = lambda q, l2: f(q, l2, 0)\n"
+              "m = lambda q, l2: f(q, l2=l2)\nn = lambda *a: f(*a)\n"
+              "o = lambda q, l2: q\n")
+    assert forwarding_lambdas(source) == ["lambda q, l2: f(q, l2)",
+                                          "lambda q, l2, _g=g: _g(q, l2)",
+                                          "lambda: T[k]()"]
 
 
 def array_powers_of_q(source: str) -> list:

@@ -156,15 +156,15 @@ def test_m_scalar_rejects_bad_t():
 def test_guarded_sqrt_basic():
     assert guarded_sqrt(0.0) == 0.0
     assert guarded_sqrt(0.25) == 0.5
-    assert guarded_sqrt(-1e-16, tol=1e-12) == 0.0
+    assert guarded_sqrt(-1e-16) == 0.0
     assert list(guarded_sqrt_array([-1e-16, 0.0, 0.25])) == [0.0, 0.0, 0.5]
 
 
 def test_guarded_sqrt_flags_genuinely_negative():
     with pytest.raises(ValueError):
-        guarded_sqrt(-1e-6, tol=1e-12)
+        guarded_sqrt(-1e-6)
     with pytest.raises(ValueError):
-        guarded_sqrt_array([0.25, -1e-6], tol=1e-12)
+        guarded_sqrt_array([0.25, -1e-6])
 
 
 @given(st.floats(min_value=0.0, max_value=1e6, allow_nan=False))

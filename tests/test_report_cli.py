@@ -165,6 +165,29 @@ def test_cli_malformed_qmatrix_is_a_usage_error(content, tmp_path, capsys):
     assert "rows of [re, im] pairs" in capsys.readouterr().err
 
 
+def test_cli_qmatrix_for_another_suite_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps([1, 2]))
+    code = main(["run", "--suite", "relations", "--q", "0.5", "--lmax", "4",
+                 "--qmatrix", str(path)])
+    assert code == 2
+    assert "'relations'" in capsys.readouterr().err
+
+
+def test_cli_all_checks_qmatrix_before_any_part_runs(tmp_path, capsys, monkeypatch):
+    import suq2kit.cli as cli
+
+    started = []
+    monkeypatch.setattr(cli, "run_suite", lambda cfg: started.append(cfg.suite))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps([1, 2]))
+    code = main(["run", "--suite", "all", "--q", "-0.5", "--lmax", "20",
+                 "--qmatrix", str(path)])
+    assert code == 2
+    assert started == []
+    assert "rows of [re, im] pairs" in capsys.readouterr().err
+
+
 def test_cli_halfint_lmax(tmp_path):
     out = tmp_path / "rep.json"
     code = main(["run", "--suite", "lemma1", "--q", "-0.7", "--lmax", "21/2",
