@@ -13,7 +13,7 @@ from .podles import (FredholmModule, check_podles_relations, commutator_tail,
 from .homotopy import (build_omega, degenerate_module_check, eval_rescaled,
                        eval_t_coeff, rotation_homotopy_check, verify_lemma1,
                        verify_lemma2, verify_lemma3)
-from .kring import (FusionElement, KGroups, ZtPoly, dim_classical, dim_quantum,
+from .kring import (FusionElement, KGroups, dim_classical, dim_quantum,
                     fuse, koszul_verify, ktheory_fo, smith_normal_form)
 from .foq import (EquivalenceInvariant, QMatrix, canonical_su2_qmatrix,
                   invariant_pair, monoidally_equivalent, solve_su2_parameter,

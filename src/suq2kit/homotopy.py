@@ -28,7 +28,7 @@ import numpy as np
 
 from .qarith import HalfInt, QParam, guarded_sqrt_array, m_array, qpow
 from .peterweyl import (BandedOperator, block_matrix, bundle_space, operator_norm, _band,
-                        _iratio, _src_ok, _masked_sqrt_ratio)
+                        _iratio, _spin_dens, _src_ok, _masked_sqrt_ratio)
 
 __all__ = [
     "eval_t_coeff",
@@ -71,12 +71,13 @@ def t_am1(q, s, l2, i2, j2):
 
 def t_a0(q, s, l2, i2, j2):
     mask = _src_ok(l2, i2, j2)
+    d1, d12 = _spin_dens(q, l2, mask)
     grp1 = ((s * qpow(q, (2 * l2 - i2 - j2) // 2) * _omq(q, l2 + j2 + 2)
              + qpow(q, (2 * l2 - i2 + j2) // 2 + 2) / s * _omq(q, l2 - j2 + 2))
-            * _omq(q, l2 + i2 + 2) / (_omq(q, 2 * l2 + 2) * _omq(q, 2 * l2 + 4)))
+            * _omq(q, l2 + i2 + 2) / d12)
     grp2 = ((s * qpow(q, (2 * l2 + i2 + j2) // 2) * _omq(q, l2 - j2)
              + qpow(q, (2 * l2 + i2 - j2) // 2 + 2) / s * _omq(q, l2 + j2))
-            * _iratio(q, l2 - i2, l2) / _omq(q, 2 * l2 + 2))
+            * _iratio(q, l2 - i2, l2) / d1)
     return np.where(mask, grp1 + grp2, 0.0)
 
 
@@ -95,12 +96,13 @@ def t_bm1(q, s, l2, i2, j2):
 
 def t_b0(q, s, l2, i2, j2):
     mask = _src_ok(l2, i2, j2)
+    d1, d12 = _spin_dens(q, l2, mask)
     grp1 = ((qpow(q, (2 * l2 + i2 + j2) // 2 + 2) / s * _omq(q, l2 - j2 + 2)
              + s * qpow(q, (2 * l2 + i2 - j2) // 2) * _omq(q, l2 + j2 + 2))
-            * _omq(q, l2 - i2 + 2) / (_omq(q, 2 * l2 + 2) * _omq(q, 2 * l2 + 4)))
+            * _omq(q, l2 - i2 + 2) / d12)
     grp2 = ((qpow(q, (2 * l2 - i2 - j2) // 2 + 2) / s * _omq(q, l2 + j2)
              + s * qpow(q, (2 * l2 - i2 + j2) // 2) * _omq(q, l2 - j2))
-            * _iratio(q, l2 + i2, l2) / _omq(q, 2 * l2 + 2))
+            * _iratio(q, l2 + i2, l2) / d1)
     return np.where(mask, grp1 + grp2, 0.0)
 
 
@@ -122,12 +124,11 @@ def t_cm1(q, s, l2, i2, j2):
 def t_c0(q, s, l2, i2, j2):
     mask = _src_ok(l2, i2, j2) & (i2 <= l2 - 2)
     rad = _masked_sqrt_ratio(q, (l2 + i2 + 2, l2 - i2), (), mask)
+    d1, d12 = _spin_dens(q, l2, mask)
     grp1 = ((s * qpow(q, (3 * l2 - j2) // 2 + 1) * _omq(q, l2 + j2 + 2)
-             + qpow(q, (3 * l2 + j2) // 2 + 3) / s * _omq(q, l2 - j2 + 2))
-            / (_omq(q, 2 * l2 + 2) * _omq(q, 2 * l2 + 4)))
+             + qpow(q, (3 * l2 + j2) // 2 + 3) / s * _omq(q, l2 - j2 + 2)) / d12)
     grp2 = ((s * qpow(q, (l2 + j2) // 2 - 1) * _iratio(q, l2 - j2, l2)
-             + qpow(q, (l2 - j2) // 2 + 1) / s * _iratio(q, l2 + j2, l2))
-            / _omq(q, 2 * l2 + 2))
+             + qpow(q, (l2 - j2) // 2 + 1) / s * _iratio(q, l2 + j2, l2)) / d1)
     return np.where(mask, rad * (grp1 - grp2), 0.0)
 
 
@@ -149,12 +150,11 @@ def t_dm1(q, s, l2, i2, j2):
 def t_d0(q, s, l2, i2, j2):
     mask = _src_ok(l2, i2, j2) & (i2 >= -l2 + 2)
     rad = _masked_sqrt_ratio(q, (l2 + i2, l2 - i2 + 2), (), mask)
+    d1, d12 = _spin_dens(q, l2, mask)
     grp1 = ((qpow(q, (3 * l2 - j2) // 2 + 1) / s * _iratio(q, l2 + j2, l2)
-             + s * qpow(q, (3 * l2 + j2) // 2 - 1) * _iratio(q, l2 - j2, l2))
-            / _omq(q, 2 * l2 + 2))
+             + s * qpow(q, (3 * l2 + j2) // 2 - 1) * _iratio(q, l2 - j2, l2)) / d1)
     grp2 = ((qpow(q, (l2 + j2) // 2 + 1) / s * _omq(q, l2 - j2 + 2)
-             + s * qpow(q, (l2 - j2) // 2 - 1) * _omq(q, l2 + j2 + 2))
-            / (_omq(q, 2 * l2 + 2) * _omq(q, 2 * l2 + 4)))
+             + s * qpow(q, (l2 - j2) // 2 - 1) * _omq(q, l2 + j2 + 2)) / d12)
     return np.where(mask, rad * (grp1 - grp2), 0.0)
 
 

@@ -22,7 +22,6 @@ from .qarith import QParam, qnumber
 
 __all__ = [
     "FusionElement",
-    "ZtPoly",
     "KGroups",
     "fuse",
     "fusion_closed_form",
@@ -61,20 +60,11 @@ class FusionElement:
     def as_dict(self) -> dict:
         return dict(self.coefficients)
 
-    def __add__(self, other: "FusionElement") -> "FusionElement":
-        d = self.as_dict()
-        for k, v in other.coefficients:
-            d[k] = d.get(k, 0) + v
-        return FusionElement.from_dict(d)
-
     def __sub__(self, other: "FusionElement") -> "FusionElement":
         d = self.as_dict()
         for k, v in other.coefficients:
             d[k] = d.get(k, 0) - v
         return FusionElement.from_dict(d)
-
-    def scale(self, n: int) -> "FusionElement":
-        return FusionElement.from_dict({k: n * v for k, v in self.coefficients})
 
 
 def _fuse_with_generator(x: FusionElement) -> FusionElement:
@@ -141,59 +131,6 @@ def dim_quantum(q, k: int) -> float:
     if k < 0:
         raise ValueError("label must be nonnegative")
     return qnumber(QParam.of(q), k + 1)
-
-
-# ---------------------------------------------------------------------------
-# Z[t] polynomials
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ZtPoly:
-    """Integer polynomial in one variable t, exact coefficients."""
-
-    coeffs: tuple
-
-    @classmethod
-    def of(cls, coeffs) -> "ZtPoly":
-        c = [int(x) for x in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        return cls(tuple(c))
-
-    @classmethod
-    def t(cls) -> "ZtPoly":
-        return cls.of((0, 1))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return ZtPoly.of([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                          for i in range(n)])
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, n: int):
-        return ZtPoly.of([n * c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if not self.coeffs or not other.coeffs:
-            return ZtPoly.of(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return ZtPoly.of(out)
-
-    def __call__(self, value: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
 
 
 # ---------------------------------------------------------------------------
@@ -385,11 +322,13 @@ def koszul_verify(n: int, d_trunc: int) -> dict:
 
     Checks: multiplication by (n - t) is injective (kernel rank 0), its
     cokernel is a free abelian group of rank one (all invariant factors 1),
-    the augmentation t -> n annihilates the image and is onto.  The Smith
-    form certificate is recomputed in full: U A V = D is multiplied out in
-    exact integers, and |det U| = |det V| = 1 are both computed exactly (V
-    is triangular, so :func:`int_det` takes its diagonal product; U goes
-    through Bareiss), neither taken as known by construction.
+    the augmentation t -> n annihilates the image and is onto.  The
+    augmentation is the integer row (n^0, ..., n^D), applied to the columns
+    of the same matrix the Smith form certifies.  That certificate is
+    recomputed in full: U A V = D is multiplied out in exact integers, and
+    |det U| = |det V| = 1 are both computed exactly (V is triangular, so
+    :func:`int_det` takes its diagonal product; U goes through Bareiss),
+    neither taken as known by construction.
     """
     n, d_trunc = int(n), int(d_trunc)
     if n < 2 or d_trunc < 1:
@@ -406,10 +345,10 @@ def koszul_verify(n: int, d_trunc: int) -> dict:
     recomposed = _matmul(_matmul(u, mat), v)
     snf_ok = recomposed == d and abs(int_det(u)) == 1 and abs(int_det(v)) == 1
 
-    factor = ZtPoly.of((n, -1))
-    eps_of_image = max(abs((factor * ZtPoly.of([1 if r == k else 0 for r in range(d_trunc)]))(n))
+    augmentation = [n ** r for r in range(d_trunc + 1)]
+    eps_of_image = max(abs(sum(e * row[k] for e, row in zip(augmentation, mat) if row[k]))
                        for k in range(d_trunc))
-    eps_onto = ZtPoly.of((1,))(n) == 1
+    eps_onto = augmentation[0] == 1
 
     return {
         "n": n,
@@ -455,8 +394,7 @@ def ktheory_fo(n: int, d_trunc: int = 10) -> KGroups:
     the class of the unit respectively.
     """
     cert = koszul_verify(n, d_trunc)
-    induced = ZtPoly.of((n, -1))(n)
-    if induced != 0:
+    if not cert["augmentation_annihilates_image"]:
         raise ArithmeticError("augmentation of (n - t) must vanish")
     return KGroups(
         k0_rank=1, k0_torsion=(), k0_generator="[1]",

@@ -192,6 +192,14 @@ def _iratio(q, num_exp, l2):
                     1.0 / (1.0 + qpow(q, l2)))
 
 
+def _spin_dens(q, l2, mask):
+    """1 - q^(2l+2) and (1 - q^(2l+2))(1 - q^(2l+4)) where mask holds and 1
+    elsewhere: the denominators of the diagonal tables, which vanish at the
+    absent spins l2 = -1 and -2."""
+    d1 = 1.0 - qpow(q, 2 * l2 + 2)
+    return np.where(mask, d1, 1.0), np.where(mask, d1 * (1.0 - qpow(q, 2 * l2 + 4)), 1.0)
+
+
 def _band(q, mask, num_exps, den_exps, pref=1.0, den_exp=None):
     """One off-diagonal table entry: pref * sqrt(prod(1-q^n) / prod(1-q^d)),
     divided by 1 - q^den_exp when given, and zero where mask is false.
@@ -318,11 +326,8 @@ class BandedOperator:
         identity of a space, the bijection between the bundles k = 1 and
         k' = -1, and for (k, k') = (0, -2) the map annihilating e^(0)_{0,0}.
         """
-        rows = codomain.locate(domain.l2, domain.i2, domain.j2 + codomain.k - domain.k)
-        keep = rows >= 0
-        mat = sp.csr_matrix((np.ones(int(keep.sum())), (rows[keep], np.nonzero(keep)[0])),
-                            shape=(codomain.dim, domain.dim))
-        return cls(domain, codomain, mat, HalfInt(0))
+        rule = ((0, 0, codomain.k - domain.k), lambda q, l2, i2, j2: np.ones(l2.shape))
+        return cls.from_shift_rules(domain, codomain, (rule,), HalfInt(0), q=None)
 
     @classmethod
     def identity(cls, space):
@@ -434,15 +439,15 @@ def operator_norm(mat, exact_dim: int = 1200) -> float:
     caps the blocks that SVD runs on: a block whose smaller side exceeds it
     raises ValueError naming its shape.
 
-    An empty or all-zero matrix has norm 0.  When the rigorous upper bound
-    sqrt(norm_1 * norm_inf) is below 1e-13, that bound is returned in place
-    of the norm: it is at rounding level and certifies any realistic
-    threshold of a ``max`` check.
+    An empty matrix, or one whose stored entries are all zero, has norm 0.
+    When the rigorous upper bound sqrt(norm_1 * norm_inf) is below 1e-13,
+    that bound is returned in place of the norm: it is at rounding level and
+    certifies any realistic threshold of a ``max`` check.
     """
     mat = sp.csr_matrix(mat)
     if not mat.has_canonical_format:
         mat = mat.copy()  # spla.norm sorts the indices of its argument in place
-    if min(mat.shape) == 0 or mat.nnz == 0:
+    if min(mat.shape) == 0 or not mat.data.any():
         return 0.0
     upper = float(np.sqrt(spla.norm(mat, 1) * spla.norm(mat, np.inf)))
     if upper < 1e-13:

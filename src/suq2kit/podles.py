@@ -20,8 +20,8 @@ import numpy as np
 
 from .qarith import HalfInt, QParam, qpow
 from .peterweyl import (BandedOperator, TruncatedSpace, block_stack, bundle_space,
-                        full_space, operator_norm, _band, _iratio, _src_ok,
-                        _masked_sqrt_ratio)
+                        full_space, operator_norm, _band, _iratio, _spin_dens,
+                        _src_ok, _masked_sqrt_ratio)
 
 __all__ = [
     "FredholmModule",
@@ -48,10 +48,9 @@ def sphere_a_minus(q, l2, i2, j2):
 
 def sphere_a_diag(q, l2, i2, j2):
     mask = _src_ok(l2, i2, j2)
-    t1 = (qpow(q, l2 + j2) * (1.0 - qpow(q, l2 - j2 + 2)) * (1.0 - qpow(q, l2 + i2 + 2))
-          / ((1.0 - qpow(q, 2 * l2 + 2)) * (1.0 - qpow(q, 2 * l2 + 4))))
-    t2 = (qpow(q, l2 + i2) * (1.0 - qpow(q, l2 + j2)) * _iratio(q, l2 - i2, l2)
-          / (1.0 - qpow(q, 2 * l2 + 2)))
+    d1, d12 = _spin_dens(q, l2, mask)
+    t1 = qpow(q, l2 + j2) * (1.0 - qpow(q, l2 - j2 + 2)) * (1.0 - qpow(q, l2 + i2 + 2)) / d12
+    t2 = qpow(q, l2 + i2) * (1.0 - qpow(q, l2 + j2)) * _iratio(q, l2 - i2, l2) / d1
     return np.where(mask, t1 + t2, 0.0)
 
 
@@ -70,9 +69,9 @@ def sphere_b_minus(q, l2, i2, j2):
 def sphere_b_diag(q, l2, i2, j2):
     mask = _src_ok(l2, i2, j2) & (i2 <= l2 - 2)
     rad = _masked_sqrt_ratio(q, (l2 + i2 + 2, l2 - i2), (), mask)
-    t1 = qpow(q, (l2 + i2) // 2) * _iratio(q, l2 + j2, l2) / (1.0 - qpow(q, 2 * l2 + 2))
-    t2 = (qpow(q, (3 * l2 + i2 + 2 * j2) // 2 + 2) * (1.0 - qpow(q, l2 - j2 + 2))
-          / ((1.0 - qpow(q, 2 * l2 + 2)) * (1.0 - qpow(q, 2 * l2 + 4))))
+    d1, d12 = _spin_dens(q, l2, mask)
+    t1 = qpow(q, (l2 + i2) // 2) * _iratio(q, l2 + j2, l2) / d1
+    t2 = qpow(q, (3 * l2 + i2 + 2 * j2) // 2 + 2) * (1.0 - qpow(q, l2 - j2 + 2)) / d12
     return np.where(mask, rad * (t1 - t2), 0.0)
 
 
@@ -94,11 +93,9 @@ def podles_op(which: str, q, space: TruncatedSpace) -> BandedOperator:
     """Materialize the printed three-term table of A or B on a space.
 
     B* is not keyed in separately: adjointness is its definition, so it is
-    the transpose of B's table.
+    B's ``.adjoint()``.
     """
     qp = QParam.of(q).require_strict()
-    if which == "B*":
-        return podles_op("B", qp, space).adjoint()
     if which not in _SPHERE_RULES:
         raise ValueError(f"unknown sphere generator {which!r}")
     return BandedOperator.from_shift_rules(space, space, _SPHERE_RULES[which],
@@ -203,41 +200,22 @@ def fredholm_index(op) -> int:
 # commutator tails
 # ---------------------------------------------------------------------------
 
-def _module_action(module: FredholmModule, x):
-    """Operators of x on the two bundle sectors, rows/cols aligned by the swap.
-
-    x is a sphere generator name, "1", or a word (sequence of names) whose
-    product acts by left multiplication on both sectors.
-    """
-    if isinstance(x, str):
-        x = (x,)
-    plus = BandedOperator.identity(module.plus_space)
-    minus = BandedOperator.identity(module.minus_space)
-    for letter in x:
-        if letter == "1":
-            continue
-        if letter not in ("A", "B", "B*"):
-            raise TypeError("word letters must be 'A', 'B', 'B*' or '1'")
-        plus = podles_op(letter, module.q, module.plus_space) @ plus
-        minus = podles_op(letter, module.q, module.minus_space) @ minus
-    return plus, minus
-
-
-def commutator_tails(module: FredholmModule, x, cutoffs) -> list:
+def commutator_tails(module: FredholmModule, x: str, cutoffs) -> list:
     """Operator norms of [F, phi(x)] restricted to spins >= each cutoff.
 
-    phi acts block diagonally on the two sectors and F identifies their
-    bases, so the commutator reduces to the difference of the two sector
-    matrices; its tail decaying to zero is the finite-truncation proxy for
-    compactness of the commutator.  The commutator is assembled once and
-    restricted to the columns of each cutoff in turn.
+    x is a sphere generator name, "A" or "B".  phi acts block diagonally on
+    the two sectors and F identifies their bases, so the commutator reduces
+    to the difference of the two sector matrices; its tail decaying to zero
+    is the finite-truncation proxy for compactness of the commutator.  The
+    commutator is assembled once and restricted to the columns of each
+    cutoff in turn.
     """
-    plus, minus = _module_action(module, x)
-    diff = module.F @ plus - minus @ module.F
+    diff = (module.F @ podles_op(x, module.q, module.plus_space)
+            - podles_op(x, module.q, module.minus_space) @ module.F)
     return [operator_norm(diff.restrict_cols(module.plus_space.tail_mask(c))) for c in cutoffs]
 
 
-def commutator_tail(module: FredholmModule, x, l_from) -> float:
+def commutator_tail(module: FredholmModule, x: str, l_from) -> float:
     """Operator norm of [F, phi(x)] restricted to spins >= l_from."""
     return commutator_tails(module, x, [l_from])[0]
 

@@ -72,28 +72,6 @@ class HalfInt:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return HalfInt(self.twice - HalfInt.of(other).twice)
-
-    def __rsub__(self, other):
-        return HalfInt(HalfInt.of(other).twice - self.twice)
-
-    def __neg__(self):
-        return HalfInt(-self.twice)
-
-    def __abs__(self):
-        return HalfInt(abs(self.twice))
-
-    def __mul__(self, n: int):
-        if not isinstance(n, int):
-            raise TypeError("HalfInt can only be scaled by an integer")
-        return HalfInt(self.twice * n)
-
-    __rmul__ = __mul__
-
-    def __float__(self):
-        return self.twice / 2.0
-
     def __eq__(self, other):
         try:
             return self.twice == HalfInt.of(other).twice
@@ -149,10 +127,6 @@ class QParam:
     @property
     def abs_q(self) -> float:
         return abs(self.q)
-
-    @property
-    def sign(self) -> int:
-        return 1 if self.q > 0 else -1
 
     def require_strict(self) -> "QParam":
         """Reject |q| = 1 (needed whenever a 1 - q^(2n) denominator occurs)."""

@@ -101,6 +101,16 @@ def _validated_qmatrix(rows) -> fo.QMatrix:
 # the individual suites
 # ---------------------------------------------------------------------------
 
+def _add_fit_check(rep: VerificationReport, name: str, anchor: str, xs, values):
+    """Gate the R^2 of a geometric decay fit at 0.99, over the points above
+    the double-precision noise floor (saturated differences sit at ~1e-16
+    whatever the spin); fewer than three such points add no check."""
+    usable = [(x, v) for x, v in zip(xs, values) if v > _FIT_NOISE_FLOOR]
+    if len(usable) >= 3:
+        _, r2 = po.fit_geometric([p[0] for p in usable], [p[1] for p in usable])
+        rep.add(Check(name, anchor, r2, 0.99, mode="min"))
+
+
 def _suite_relations(cfg: SuiteConfig, rep: VerificationReport):
     qp = cfg.require_q()
     space = pw.full_space(cfg.lmax.twice)
@@ -177,14 +187,8 @@ def _suite_lemma2(cfg: SuiteConfig, rep: VerificationReport):
         rep.add(Check(f"final entry of {name}",
                       "uniform coefficient decay in the spin label",
                       sups[-1], cfg.tol_decay))
-        # geometric fits only make sense above the double-precision noise
-        # floor; saturated differences sit at ~1e-16 regardless of l
-        usable = [(l, s) for l, s in zip(l_list, sups) if s > _FIT_NOISE_FLOOR]
-        if len(usable) >= 3:
-            _, r2 = po.fit_geometric([p[0] for p in usable], [p[1] for p in usable])
-            rep.add(Check(f"log-linear decay fit of {name}",
-                          "uniform coefficient decay in the spin label",
-                          r2, 0.99, mode="min"))
+        _add_fit_check(rep, f"log-linear decay fit of {name}",
+                       "uniform coefficient decay in the spin label", l_list, sups)
 
 
 def _suite_lemma3(cfg: SuiteConfig, rep: VerificationReport):
@@ -231,11 +235,8 @@ def _suite_fredholm(cfg: SuiteConfig, rep: VerificationReport):
         uptick = max((tails[m + 1] - tails[m] for m in range(len(tails) - 1)), default=0.0)
         rep.add(Check(f"[F, {x}] tails decrease monotonically",
                       "commutator tail compactness proxy", max(uptick, 0.0), 0.0))
-        usable = [(c, t) for c, t in zip(cutoffs, tails) if t > _FIT_NOISE_FLOOR]
-        if len(usable) >= 3:
-            _, r2 = po.fit_geometric([p[0] for p in usable], [p[1] for p in usable])
-            rep.add(Check(f"[F, {x}] tail decays geometrically (fit quality)",
-                          "commutator tail compactness proxy", r2, 0.99, mode="min"))
+        _add_fit_check(rep, f"[F, {x}] tail decays geometrically (fit quality)",
+                       "commutator tail compactness proxy", cutoffs, tails)
         rep.add(Check(f"measured: [F, {x}] tail at cutoff 15",
                       "commutator tail compactness proxy", at15, None, mode="info"))
 

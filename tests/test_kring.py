@@ -3,9 +3,8 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
 
-from suq2kit.kring import (FusionElement, ZtPoly, dim_classical, dim_quantum,
+from suq2kit.kring import (FusionElement, dim_classical, dim_quantum,
                            fuse, fusion_closed_form, int_det, koszul_matrix,
                            koszul_verify, ktheory_fo, smith_normal_form, _matmul)
 
@@ -91,27 +90,6 @@ def test_quantum_dimension_values_and_multiplicativity():
             lhs = dim_quantum(q, k) * dim_quantum(q, m)
             rhs = sum(v * dim_quantum(q, j) for j, v in fuse(k, m).coefficients)
             assert lhs == pytest.approx(rhs, abs=1e-10)
-
-
-# ---------------------------------------------------------------------------
-# Z[t] polynomials
-# ---------------------------------------------------------------------------
-
-def test_ztpoly_arithmetic():
-    p = ZtPoly.of((3, -1))       # 3 - t
-    t = ZtPoly.t()
-    assert (p * t).coeffs == (0, 3, -1)
-    assert p(3) == 0
-    assert (p + t).coeffs == (3,)
-    assert p.degree == 1
-
-
-@given(st.lists(st.integers(-50, 50), max_size=5),
-       st.lists(st.integers(-50, 50), max_size=5),
-       st.integers(-20, 20))
-def test_ztpoly_multiplication_evaluates(a, b, x):
-    pa, pb = ZtPoly.of(a), ZtPoly.of(b)
-    assert (pa * pb)(x) == pa(x) * pb(x)
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +376,22 @@ def test_ktheory_groups_and_generators():
 
 
 def test_induced_endomorphism_vanishes_for_every_n():
+    # evaluating at t = n sends column k of (n - t), n t^k - t^(k+1), to 0
     for n in range(2, 12):
-        assert ZtPoly.of((n, -1))(n) == 0
+        mat = koszul_matrix(n, 6)
+        assert all(sum(n ** r * row[k] for r, row in enumerate(mat)) == 0 for k in range(6))
+        cert = koszul_verify(n, 6)
+        assert cert["augmentation_annihilates_image"] and cert["augmentation_onto"]
+
+
+def test_ktheory_raises_when_the_augmentation_survives(monkeypatch):
+    import suq2kit.kring as kr
+
+    verify = kr.koszul_verify
+    monkeypatch.setattr(kr, "koszul_verify", lambda n, d: {
+        **verify(n, d), "augmentation_annihilates_image": False})
+    with pytest.raises(ArithmeticError):
+        ktheory_fo(3)
 
 
 # ---------------------------------------------------------------------------

@@ -53,12 +53,12 @@ def test_coeff_reg_frozen_values():
 def test_coeff_reg_boundary_vanishing():
     for q in Q_GRID:
         for l2 in (1, 2, 5):
-            l = H(l2)
+            l, bottom = H(l2), H(-l2)
             for j2 in range(-l2, l2 + 1, 2):
-                assert coeff_reg("a-", q, l, -l, H(j2)) == 0.0
+                assert coeff_reg("a-", q, l, bottom, H(j2)) == 0.0
                 assert coeff_reg("c-", q, l, l, H(j2)) == 0.0
-                assert coeff_reg("a-", q, l, H(j2), -l) == 0.0
-                assert coeff_reg("c-", q, l, H(j2), -l) == 0.0
+                assert coeff_reg("a-", q, l, H(j2), bottom) == 0.0
+                assert coeff_reg("c-", q, l, H(j2), bottom) == 0.0
 
 
 def test_coeff_reg_parity_error():
@@ -220,6 +220,35 @@ def test_operator_norm_skips_stored_zeros_and_leaves_the_matrix():
     assert mat.nnz == 5
     for now, then in zip((mat.data, mat.indices, mat.indptr), before):
         assert (now == then).all()
+
+
+def test_operator_norm_of_stored_zeros_takes_the_zero_path(monkeypatch):
+    # only explicit zeros stored: the norm is 0 without computing a bound
+    import suq2kit.peterweyl as pw
+
+    def no_bound(*args, **kwargs):
+        raise AssertionError("the all-zero matrix went through the bound path")
+
+    mat = sp.csr_matrix((np.zeros(3), np.array([0, 2, 1]), np.array([0, 2, 2, 3])),
+                        shape=(3, 3))
+    assert mat.nnz == 3
+    monkeypatch.setattr(pw.spla, "norm", no_bound)
+    assert operator_norm(mat) == 0.0
+
+
+def test_identification_is_the_spin_preserving_zero_one_map():
+    for dom, cod in ((bundle_space(1, 9), bundle_space(-1, 9)),
+                     (bundle_space(0, 8), bundle_space(-2, 8)),
+                     (full_space(6), full_space(6))):
+        mat = BandedOperator.identification(dom, cod).matrix
+        rows = cod.locate(dom.l2, dom.i2, dom.j2 + cod.k - dom.k)
+        keep = rows >= 0
+        expected = np.zeros((cod.dim, dom.dim))
+        expected[rows[keep], np.nonzero(keep)[0]] = 1.0
+        assert mat.has_canonical_format and (mat.data == 1.0).all()
+        assert (mat.toarray() == expected).all()
+    space = full_space(6)
+    assert (BandedOperator.identity(space).matrix.toarray() == np.eye(space.dim)).all()
 
 
 def test_operator_norm_rejects_a_block_above_exact_dim():
