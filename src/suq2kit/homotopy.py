@@ -363,9 +363,10 @@ _LEMMA2_EXTRA = (
 )
 
 
-def verify_lemma2(q, l_list, t_grid_size: int = 11, include_extra: bool = False) -> dict:
+def verify_lemma2(q, l_list, t_grid_size: int = 11) -> dict:
     """Decay table: for each l, the sup over the t grid, both j = +-1 and all
-    admissible i of the eight difference families.
+    admissible i of the sixteen difference families, the eight gated ones
+    first.
 
     Returns {family_name: [sup at each l]}; the caller decides pass/fail
     (eventual decrease plus a final threshold).
@@ -377,7 +378,6 @@ def verify_lemma2(q, l_list, t_grid_size: int = 11, include_extra: bool = False)
         raise ValueError("l_list must be strictly increasing")
     if min(l_list) < 1:
         raise ValueError("decay families are indexed by spins >= 1")
-    families = _LEMMA2_FAMILIES + (_LEMMA2_EXTRA if include_extra else ())
     # every spin of l_list in one array; each spin's 2l+1 weights are a segment
     l2, i2 = _level_arrays([2 * l for l in l_list])
     starts = np.cumsum([0] + [2 * l + 1 for l in l_list[:-1]])
@@ -386,7 +386,7 @@ def verify_lemma2(q, l_list, t_grid_size: int = 11, include_extra: bool = False)
         return np.maximum.reduceat(np.abs(vals), starts)
 
     out = {}
-    for name, fam, k, kind in families:
+    for name, fam, k, kind in _LEMMA2_FAMILIES + _LEMMA2_EXTRA:
         worst = np.zeros(len(l_list))
         # the t = 1 family at j = +-1/2, the same at every grid point
         t1 = ([] if kind == "resc" else
@@ -495,27 +495,27 @@ def degenerate_module_check(q, lmax) -> dict:
     }
 
 
-def _omega_matrices_on_minus2(q, lmax, t: float):
-    """omega_t and the t = 1 action, both as matrices on the winding -2 basis.
+def _omega_matrices_on_minus2(q, lmax):
+    """omega_0 and the t = 1 action, both as matrices on the winding -2 basis.
 
-    omega_t lives on the winding-zero bundle; the canonical identification
+    omega_0 lives on the winding-zero bundle; the canonical identification
     drops the bottom vector and matches e^(l)_{i,0} with e^(l)_{i,-1}.
     """
     qp = QParam.of(q).require_strict()
     lmax2 = HalfInt.of(lmax).twice
     minus2 = bundle_space(-2, lmax2)
-    s = qp.abs_q ** t
-    out_omega_t, out_omega1 = {}, {}
+    out_omega0, out_omega1 = {}, {}
     for name, fam, di2 in (("alpha", "a", 0), ("gamma", "c", 2)):
-        out_omega_t[name] = BandedOperator.from_shift_rules(
-            minus2, minus2, _omega_rules(fam.upper(), di2, s), HalfInt(2), q=qp.q)
+        # s = |q|^0 = 1 at t = 0
+        out_omega0[name] = BandedOperator.from_shift_rules(
+            minus2, minus2, _omega_rules(fam.upper(), di2, 1.0), HalfInt(2), q=qp.q)
         rules1 = tuple(((2 * k, di2, 0),
                         (lambda qq, a2, b2, c2, _fam=fam, _k=k:
                          _T_CORES[(_fam, _k)](qq, qp.abs_q, a2, b2, c2)))
                        for k in (1, 0, -1))
         out_omega1[name] = BandedOperator.from_shift_rules(
             minus2, minus2, rules1, HalfInt(2), q=qp.q)
-    return minus2, out_omega_t, out_omega1
+    return minus2, out_omega0, out_omega1
 
 
 def rotation_homotopy_check(q, t_grid_size: int = 11, lmax=30, l_from=15) -> dict:
@@ -533,7 +533,7 @@ def rotation_homotopy_check(q, t_grid_size: int = 11, lmax=30, l_from=15) -> dic
         raise ValueError("the rotation homotopy is only needed for q < 0")
     qp.require_strict()
     grid = _t_grid(t_grid_size)
-    minus2, om0, om1 = _omega_matrices_on_minus2(qp, lmax, 0.0)
+    minus2, om0, om1 = _omega_matrices_on_minus2(qp, lmax)
     cols = minus2.tail_mask(HalfInt.of(l_from))
 
     # the two off corners of the graded commutator are Kronecker products

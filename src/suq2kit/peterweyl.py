@@ -367,8 +367,7 @@ class BandedOperator:
                               self.interior_margin)
 
     def restrict_cols(self, mask: np.ndarray) -> sp.csr_matrix:
-        keep = sp.diags(mask.astype(float))
-        return (self.matrix @ keep).tocsr()
+        return self.matrix[:, mask]
 
     def interior_residual_norm(self, margin=None) -> float:
         """Operator norm restricted to interior columns."""

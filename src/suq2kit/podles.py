@@ -19,15 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qarith import HalfInt, QParam, qpow
-from .peterweyl import (BandedOperator, TruncatedSpace, block_stack, bundle_space,
-                        full_space, operator_norm, _band, _iratio, _spin_dens,
-                        _src_ok, _masked_sqrt_ratio)
+from .peterweyl import (BandedOperator, TruncatedSpace, bundle_space, operator_norm,
+                        _band, _iratio, _spin_dens, _src_ok, _masked_sqrt_ratio)
 
 __all__ = [
     "FredholmModule",
     "podles_op",
     "sphere_relation_residuals",
-    "check_podles_relations",
     "commutator_tail",
     "commutator_tails",
     "fredholm_index",
@@ -118,20 +116,6 @@ def sphere_relation_residuals(A: BandedOperator, B: BandedOperator, q: float) ->
     }
 
 
-def check_podles_relations(q, lmax):
-    """Interior residuals of the four sphere relations on the full space.
-
-    Returns a dict name -> residual, from :func:`sphere_relation_residuals`.
-    """
-    qp = QParam.of(q).require_strict()
-    lmax = HalfInt.of(lmax)
-    if lmax < HalfInt.of(3):
-        raise ValueError("need lmax >= 3 for a meaningful interior")
-    space = full_space(lmax.twice)
-    return sphere_relation_residuals(podles_op("A", qp, space), podles_op("B", qp, space),
-                                     qp.q)
-
-
 # ---------------------------------------------------------------------------
 # Fredholm module and index data
 # ---------------------------------------------------------------------------
@@ -169,31 +153,14 @@ def index_pair_operator(lmax) -> BandedOperator:
                                          bundle_space(-2, max(lmax.twice, 2)))
 
 
-_SV_THRESHOLD = 1e-8
-_RANK_GUARD = 10.0
+def fredholm_index(op: BandedOperator) -> int:
+    """dim ker - dim coker of a truncated corner.
 
-
-def fredholm_index(op) -> int:
-    """dim ker - dim coker of a truncated corner, by singular value counting.
-
-    The singular values come from the direct-sum blocks of the matrix (see
-    :func:`suq2kit.peterweyl.block_stack`), which together with zeros are
-    those of the whole matrix, so the rank and the guard decide as one SVD
-    of the whole matrix would.  Raises when the rank decision is ill
-    conditioned, i.e. the smallest kept singular value is within
-    ``_RANK_GUARD`` times ``_SV_THRESHOLD``.
+    By rank-nullity, dim ker - dim coker of a map between finite-dimensional
+    spaces is dim domain - dim codomain, whatever its rank, so no singular
+    value is computed.
     """
-    mat = op.matrix if isinstance(op, BandedOperator) else op
-    stack, _ = block_stack(mat)
-    svals = np.linalg.svd(stack, compute_uv=False) if stack.size else np.zeros(0)
-    kept = svals[svals > _SV_THRESHOLD]
-    rank = int(kept.size)
-    if rank and kept.min() < _RANK_GUARD * _SV_THRESHOLD:
-        raise ArithmeticError(
-            f"rank decision ill conditioned: smallest kept singular value "
-            f"{kept.min():.3e} within {_RANK_GUARD}x of threshold {_SV_THRESHOLD:.1e}")
-    n_rows, n_cols = mat.shape
-    return (n_cols - rank) - (n_rows - rank)
+    return op.domain.dim - op.codomain.dim
 
 
 # ---------------------------------------------------------------------------

@@ -150,14 +150,13 @@ def _suite_podles(cfg: SuiteConfig, rep: VerificationReport):
 
 def _suite_lemma1(cfg: SuiteConfig, rep: VerificationReport):
     qp = cfg.require_q()
-    lmax_int = cfg.lmax.twice // 2
-    residuals = ho.verify_lemma1(qp, lmax_int, cfg.t_grid)
+    residuals = ho.verify_lemma1(qp, cfg.lmax, cfg.t_grid)
     for name, value in residuals.items():
         rep.add(Check(name, "adjoint pairing of the rescaled coefficient families",
                       value, cfg.tol_identity / 10))
     worst = {}
     for t in np.linspace(0.0, 1.0, cfg.t_grid):
-        om = ho.build_omega(qp, float(t), lmax_int)
+        om = ho.build_omega(qp, float(t), cfg.lmax)
         for name, value in pw.relation_residuals(om, qp.q).items():
             worst[name] = max(worst.get(name, 0.0), value)
     for name, value in worst.items():
@@ -170,7 +169,7 @@ def _suite_lemma2(cfg: SuiteConfig, rep: VerificationReport):
     qp = cfg.require_q()
     top = max(40, cfg.lmax.twice // 2)
     l_list = list(range(10, top + 1, 10))
-    table = ho.verify_lemma2(qp, l_list, cfg.t_grid, include_extra=True)
+    table = ho.verify_lemma2(qp, l_list, cfg.t_grid)
     gated = {name for name, *_ in ho._LEMMA2_FAMILIES}
     for name, sups in table.items():
         for l, s in zip(l_list, sups):
@@ -193,12 +192,11 @@ def _suite_lemma2(cfg: SuiteConfig, rep: VerificationReport):
 
 def _suite_lemma3(cfg: SuiteConfig, rep: VerificationReport):
     qp = cfg.require_q()
-    lmax_int = cfg.lmax.twice // 2
-    for name, value in ho.verify_lemma3(qp, lmax_int, signed=True).items():
+    for name, value in ho.verify_lemma3(qp, cfg.lmax, signed=True).items():
         rep.add(Check(name, "endpoint matching of the coefficient homotopy",
                       value, cfg.tol_identity / 100))
     if qp.q < 0:
-        unsigned = max(ho.verify_lemma3(qp, lmax_int, signed=False).values())
+        unsigned = max(ho.verify_lemma3(qp, cfg.lmax, signed=False).values())
         rep.add(Check("negative control: unsigned diagonal endpoint identity must fail",
                       "sign factor on the diagonal families",
                       unsigned, 1000 * cfg.tol_identity, mode="min"))
@@ -267,8 +265,7 @@ def _suite_rotation(cfg: SuiteConfig, rep: VerificationReport):
 
 def _suite_degenerate(cfg: SuiteConfig, rep: VerificationReport):
     qp = cfg.require_q()
-    lmax_int = cfg.lmax.twice // 2
-    out = ho.degenerate_module_check(qp, lmax_int)
+    out = ho.degenerate_module_check(qp, cfg.lmax)
     rep.add(Check("the swap intertwines the two sector actions on the (+1, -1) pair",
                   "column symmetry degeneracy", out["column_symmetry_residual"],
                   cfg.tol_identity / 100))

@@ -303,7 +303,7 @@ def test_lemma1_needs_both_endpoints():
 
 def test_lemma2_decay_table():
     table = verify_lemma2(0.5, [10, 20, 30, 40], 5)
-    assert len(table) == 8
+    assert len(table) == 16
     for name, sups in table.items():
         decreasing, final_ok = decay_verdict(sups, 1e-8)
         assert decreasing, name
@@ -311,15 +311,16 @@ def test_lemma2_decay_table():
 
 
 def test_lemma2_extra_families_measured():
-    table = verify_lemma2(0.5, [10, 20], 3, include_extra=True)
-    assert len(table) == 16
+    # the eight gated families come first, the eight adjoint ones after them
+    table = verify_lemma2(0.5, [10, 20], 3)
+    assert list(table) == [name for name, *_ in ho._LEMMA2_FAMILIES + ho._LEMMA2_EXTRA]
 
 
 @pytest.mark.parametrize("q", (0.5, -0.9))
 def test_lemma2_spins_together_equal_spins_alone(q):
     l_list = [1, 4, 9]
-    table = verify_lemma2(q, l_list, 3, include_extra=True)
-    alone = [verify_lemma2(q, [l], 3, include_extra=True) for l in l_list]
+    table = verify_lemma2(q, l_list, 3)
+    alone = [verify_lemma2(q, [l], 3) for l in l_list]
     assert table == {name: [a[name][0] for a in alone] for name in table}
 
 
@@ -365,6 +366,21 @@ def test_degenerate_checks_positive_q():
         out = degenerate_module_check(q, 12)
         assert out["column_symmetry_residual"] < 1e-12
         assert out["endpoint_unsigned_residual"] < 1e-12
+
+
+def test_degenerate_suite_checks_up_to_a_half_odd_lmax(monkeypatch):
+    from suq2kit.suites import SuiteConfig, run_suite
+
+    seen = []
+    check = ho.degenerate_module_check
+
+    def recording(q, lmax):
+        seen.append(lmax)
+        return check(q, lmax)
+
+    monkeypatch.setattr(ho, "degenerate_module_check", recording)
+    run_suite(SuiteConfig(suite="degenerate", q=0.5, lmax=H(41)))
+    assert seen == [H(41)]
 
 
 def test_degenerate_negative_control():

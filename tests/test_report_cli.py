@@ -1,5 +1,6 @@
 """Report schema, suite dispatch, CLI exit codes and determinism."""
 
+import ast
 import copy
 import json
 import shlex
@@ -255,3 +256,19 @@ def test_readme_command_line_exits_zero(line, tmp_path, monkeypatch):
     (tmp_path / "qmat.json").write_text(
         json.dumps([[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]))
     assert main(shlex.split(line)[1:]) == 0
+
+
+def test_readme_library_example_gives_its_commented_results():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library example", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    namespace, results = {}, []
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            results.append(eval(compile(ast.Expression(stmt.value), "README", "eval"),
+                                namespace))
+        else:
+            exec(compile(ast.Module([stmt], []), "README", "exec"), namespace)
+    haar, index, groups = results
+    assert abs(haar - 0.8) < 1e-14
+    assert index == 1
+    assert groups["K0"]["rank"] == groups["K1"]["rank"] == 1
