@@ -31,8 +31,6 @@ from .peterweyl import (BandedOperator, block_matrix, bundle_space, operator_nor
                         _iratio, _spin_dens, _src_ok, _masked_sqrt_ratio)
 
 __all__ = [
-    "eval_t_coeff",
-    "eval_rescaled",
     "build_omega",
     "verify_lemma1",
     "verify_lemma2",
@@ -166,25 +164,6 @@ _T_CORES = {
 }
 
 
-def eval_t_coeff(family: str, k: int, q, t: float, l, i, j) -> float:
-    """One entry of the interpolated action pi_t in closed form.
-
-    family in {a, b, c, d} tags which generator image the entry belongs to;
-    k in {-1, 0, 1} is the spin shift of the band.  Returns 0 whenever the
-    source or target basis vector is absent.
-    """
-    if (family, k) not in _T_CORES:
-        raise ValueError(f"unknown family {(family, k)!r}")
-    qp = QParam.of(q).require_strict()
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t!r}")
-    l, i, j = HalfInt.of(l), HalfInt.of(i), HalfInt.of(j)
-    if not (l.integer_distance(i) and l.integer_distance(j)):
-        raise ValueError(f"parity violation: l={l}, i={i}, j={j}")
-    s = qp.abs_q ** t
-    return float(_T_CORES[(family, k)](qp.q, s, l.twice, i.twice, j.twice))
-
-
 # ---------------------------------------------------------------------------
 # rescaled families
 # ---------------------------------------------------------------------------
@@ -239,26 +218,6 @@ _RESC_CORES = {
     ("D", 0): lambda q, s, l2, i2: t_d0(q, s, l2, i2, 0),
     ("D", -1): _resc_minus(t_dm1),
 }
-
-
-def eval_rescaled(family: str, k: int, q, t: float, l, i) -> float:
-    """Rescaled band entry X_k(t, l, i) for X in {A, B, C, D}.
-
-    These are the matrix entries of the homotopy omega_t on the winding-zero
-    bundle; X_1 is evaluated in a cancellation-safe form that stays finite
-    and continuous through (t, l) = (0, 0).
-    """
-    if (family, k) not in _RESC_CORES:
-        raise ValueError(f"unknown rescaled family {(family, k)!r}")
-    qp = QParam.of(q).require_strict()
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t!r}")
-    l2 = HalfInt.of(l).twice
-    i2 = HalfInt.of(i).twice
-    if l2 < 0 or (l2 - i2) % 2:
-        raise ValueError(f"bad spin/weight pair l={l}, i={i}")
-    s = qp.abs_q ** t
-    return float(_RESC_CORES[(family, k)](qp.q, s, l2, i2))
 
 
 # ---------------------------------------------------------------------------

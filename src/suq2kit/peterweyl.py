@@ -30,9 +30,7 @@ __all__ = [
     "BandedOperator",
     "full_space",
     "bundle_space",
-    "coeff_reg",
     "generator_op",
-    "involution",
     "haar_state",
     "relation_residuals",
     "operator_norm",
@@ -232,24 +230,6 @@ def reg_c_minus(q, l2, i2, j2):
     mask = _src_ok(l2, i2, j2) & (i2 != l2) & (j2 != -l2)
     return _band(q, mask, (l2 + j2, l2 - i2), (2 * l2, 2 * l2 + 2),
                  pref=qpow(q, (l2 + i2) // 2))
-
-
-_REG_CORES = {"a+": reg_a_plus, "a-": reg_a_minus, "c+": reg_c_plus, "c-": reg_c_minus}
-
-
-def coeff_reg(sym: str, q, l, i, j) -> float:
-    """Regular-representation coefficient a_+/a_-/c_+/c_- at one index.
-
-    Returns 0 whenever the transition target does not exist (which is exactly
-    where the closed form degenerates).
-    """
-    if sym not in _REG_CORES:
-        raise ValueError(f"unknown coefficient symbol {sym!r}")
-    qp = QParam.of(q).require_strict()
-    l, i, j = HalfInt.of(l), HalfInt.of(i), HalfInt.of(j)
-    if not (l.integer_distance(i) and l.integer_distance(j)):
-        raise ValueError(f"parity violation: l={l}, i={i}, j={j}")
-    return float(_REG_CORES[sym](qp.q, l.twice, i.twice, j.twice))
 
 
 # shifts in twice units: (dl2, di2, dj2) and the coefficient evaluated at the
@@ -462,8 +442,7 @@ def operator_norm(mat, exact_dim: int = 1200) -> float:
 # operations
 # ---------------------------------------------------------------------------
 
-def generator_op(gen: str, q, space: TruncatedSpace, codomain: TruncatedSpace = None
-                 ) -> BandedOperator:
+def generator_op(gen: str, q, space: TruncatedSpace) -> BandedOperator:
     """Banded operator of a generator on a truncated space.
 
     alpha and gamma lower the column weight by 1/2 (bundle winding k -> k-1),
@@ -473,30 +452,13 @@ def generator_op(gen: str, q, space: TruncatedSpace, codomain: TruncatedSpace = 
     if gen not in _GEN_RULES:
         raise ValueError(f"unknown generator {gen!r}")
     qp = QParam.of(q).require_strict()
-    if codomain is None:
-        if space.full:
-            codomain = space
-        else:
-            dk = -1 if gen in ("alpha", "gamma") else 1
-            codomain = bundle_space(space.k + dk, space.lmax.twice)
+    if space.full:
+        codomain = space
+    else:
+        dk = -1 if gen in ("alpha", "gamma") else 1
+        codomain = bundle_space(space.k + dk, space.lmax.twice)
     return BandedOperator.from_shift_rules(space, codomain, _GEN_RULES[gen],
                                            HalfInt(1), q=qp.q)
-
-
-def involution(vec, space: TruncatedSpace, q):
-    """The *-involution on a coefficient array over ``space``.
-
-    e^(l)_{i,j} is sent to (-1)^(2l+i+j) q^(i+j) e^(l)_{-i,-j}; coefficients
-    are conjugated.  Bundle vectors land in the opposite bundle.  Returns the
-    image array and the space it lives on.
-    """
-    qp = QParam.of(q)
-    target = space if space.full else bundle_space(-space.k, space.lmax.twice)
-    l2, i2, j2 = space.l2, space.i2, space.j2
-    phase = qpow(-1.0, (2 * l2 + i2 + j2) // 2) * qpow(qp.q, (i2 + j2) // 2)
-    out = np.zeros(target.dim, dtype=complex)
-    out[target.locate(l2, -i2, -j2)] = phase * np.conj(vec)
-    return out, target
 
 
 def haar_state(word, q) -> complex:

@@ -22,9 +22,7 @@ __all__ = [
     "qnumber",
     "qpow",
     "m_array",
-    "m_scalar",
     "guarded_sqrt_array",
-    "guarded_sqrt",
 ]
 
 
@@ -61,11 +59,6 @@ class HalfInt:
         if text.endswith("/2"):
             return cls(int(text[:-2]))
         return cls(2 * int(text))
-
-    def integer_distance(self, other) -> bool:
-        """True iff self - other is an integer (same parity of ``twice``)."""
-        other = HalfInt.of(other)
-        return (self.twice - other.twice) % 2 == 0
 
     def __add__(self, other):
         return HalfInt(self.twice + HalfInt.of(other).twice)
@@ -178,25 +171,6 @@ def m_array(q: float, s, l2, mask=True):
     return num / den
 
 
-def m_scalar(q, t: float, l: int) -> float:
-    """Interpolation scalar (q^2 - |q|^(2t) q^(2l)) / (|q|^(2t) - q^(2l+2)).
-
-    Defined for t in [0, 1] and spin l >= 1, where numerator and denominator
-    are both nonnegative (denominator strictly positive) for |q| < 1.  At
-    t = 1 the value is exactly 1 for every l, and the single degenerate
-    request (t=1, l=0) is resolved to 1 by that convention.
-    """
-    qp = QParam.of(q).require_strict()
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t!r}")
-    l = int(l)
-    if l < 1:
-        if l == 0 and t == 1.0:
-            return 1.0
-        raise ValueError(f"spin label must be >= 1, got {l}")
-    return float(m_array(qp.q, qp.abs_q ** t, 2 * l))
-
-
 _SQRT_TOL = 1e-12
 
 
@@ -211,8 +185,3 @@ def guarded_sqrt_array(x):
     if low < -_SQRT_TOL:
         raise ValueError(f"negative radicand {low!r} exceeds tolerance {_SQRT_TOL!r}")
     return np.sqrt(np.maximum(x, 0.0))
-
-
-def guarded_sqrt(x: float) -> float:
-    """Scalar form of :func:`guarded_sqrt_array`."""
-    return float(guarded_sqrt_array(float(x)))

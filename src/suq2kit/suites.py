@@ -50,8 +50,9 @@ class SuiteConfig:
 
     def __post_init__(self):
         self.lmax = HalfInt.of(self.lmax)
-        if not (self.tol_identity > 0.0 and self.tol_decay > 0.0):
-            raise UsageError("tolerances must be positive")
+        # an infinite tolerance would switch off every max gate it sets
+        if not (0.0 < self.tol_identity < np.inf and 0.0 < self.tol_decay < np.inf):
+            raise UsageError("tolerances must be positive and finite")
         if self.t_grid < 2:
             raise UsageError("the t grid must include both endpoints (>= 2 points)")
         if self.n < 2:

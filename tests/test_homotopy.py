@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from suq2kit.qarith import HalfInt, QParam, m_scalar
+from suq2kit.qarith import HalfInt, QParam, m_array
 from suq2kit.homotopy import (build_omega, decay_verdict, degenerate_module_check,
-                              eval_rescaled, eval_t_coeff, rotation_homotopy_check,
-                              verify_lemma1, verify_lemma2, verify_lemma3)
+                              rotation_homotopy_check, verify_lemma1, verify_lemma2,
+                              verify_lemma3)
 import suq2kit.homotopy as ho
-import suq2kit.peterweyl as pw
 import suq2kit.podles as po
 from suq2kit.peterweyl import (BandedOperator, bundle_space, operator_norm,
                                reg_a_minus, reg_a_plus, reg_c_minus, reg_c_plus,
@@ -16,6 +15,20 @@ from suq2kit.peterweyl import (BandedOperator, bundle_space, operator_norm,
 
 H = HalfInt
 FAMILIES = [(fam, k) for fam in "abcd" for k in (1, 0, -1)]
+
+
+# single entries of the array cores, with indices in twice units and s = |q|^t
+
+def t_entry(family, k, q, t, l2, i2, j2):
+    return float(ho._T_CORES[(family, k)](q, abs(q) ** t, l2, i2, j2))
+
+
+def rescaled_entry(family, k, q, t, l2, i2):
+    return float(ho._RESC_CORES[(family, k)](q, abs(q) ** t, l2, i2))
+
+
+def m_entry(q, t, l):
+    return float(m_array(q, abs(q) ** t, 2 * l))
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +112,7 @@ def test_closed_forms_match_composite_products(q, t):
         for i2 in range(-l2, l2 + 1, 2):
             for j2 in range(-l2, l2 + 1, 2):
                 for fam, k in FAMILIES:
-                    closed = eval_t_coeff(fam, k, q, t, H(l2), H(i2), H(j2))
+                    closed = t_entry(fam, k, q, t, l2, i2, j2)
                     product = t_coeff_composite(fam, k, q, t, H(l2), H(i2), H(j2))
                     assert closed == pytest.approx(product, abs=2e-15), \
                         (fam, k, q, t, l2, i2, j2)
@@ -107,12 +120,8 @@ def test_closed_forms_match_composite_products(q, t):
 
 def test_t_coeff_boundary_and_parity():
     # lowering from the bottom of the admissible range vanishes
-    assert eval_t_coeff("c", -1, 0.5, 0.4, H(4), H(4), H(0)) == 0.0
-    assert eval_t_coeff("c", 0, 0.5, 0.4, H(2), H(2), H(0)) == 0.0
-    with pytest.raises(ValueError):
-        eval_t_coeff("a", 0, 0.5, 0.4, H(2), H(1), H(0))
-    with pytest.raises(ValueError):
-        eval_t_coeff("a", 0, 0.5, 1.5, H(2), H(0), H(0))
+    assert t_entry("c", -1, 0.5, 0.4, 4, 4, 0) == 0.0
+    assert t_entry("c", 0, 0.5, 0.4, 2, 2, 0) == 0.0
 
 
 def test_t1_tables_symmetric_in_column_weight():
@@ -121,8 +130,8 @@ def test_t1_tables_symmetric_in_column_weight():
             for i2 in range(-l2, l2 + 1, 2):
                 for j2 in range(2 - l2 % 2, l2 + 1, 2):
                     for fam, k in FAMILIES:
-                        plus = eval_t_coeff(fam, k, q, 1.0, H(l2), H(i2), H(j2))
-                        minus = eval_t_coeff(fam, k, q, 1.0, H(l2), H(i2), H(-j2))
+                        plus = t_entry(fam, k, q, 1.0, l2, i2, j2)
+                        minus = t_entry(fam, k, q, 1.0, l2, i2, -j2)
                         assert plus == pytest.approx(minus, abs=1e-14)
 
 
@@ -132,11 +141,11 @@ def test_t1_tables_symmetric_in_column_weight():
 
 def test_rescaled_frozen_values():
     q = 0.5
-    assert eval_rescaled("A", 1, q, 0.0, 0, 0) == 0.0
-    assert eval_rescaled("A", 0, q, 0.0, 0, 0) == pytest.approx(1.0, abs=1e-14)
-    assert eval_rescaled("A", 0, q, 1.0, 0, 0) == pytest.approx(2 * q / (1 + q * q), abs=1e-14)
-    assert eval_rescaled("C", 1, q, 0.0, 0, 0) == 0.0
-    assert eval_rescaled("C", 0, q, 0.0, 0, 0) == 0.0
+    assert rescaled_entry("A", 1, q, 0.0, 0, 0) == 0.0
+    assert rescaled_entry("A", 0, q, 0.0, 0, 0) == pytest.approx(1.0, abs=1e-14)
+    assert rescaled_entry("A", 0, q, 1.0, 0, 0) == pytest.approx(2 * q / (1 + q * q), abs=1e-14)
+    assert rescaled_entry("C", 1, q, 0.0, 0, 0) == 0.0
+    assert rescaled_entry("C", 0, q, 0.0, 0, 0) == 0.0
 
 
 @pytest.mark.parametrize("q", (0.5, -0.7))
@@ -145,8 +154,8 @@ def test_rescaled_reduces_to_plain_tables_at_t_one(q):
         for k in (1, 0, -1):
             for l2 in range(0, 31, 2):
                 for i2 in range(-l2, l2 + 1, 2):
-                    resc = eval_rescaled(fam, k, q, 1.0, H(l2), H(i2))
-                    plain = eval_t_coeff(fam.lower(), k, q, 1.0, H(l2), H(i2), 0)
+                    resc = rescaled_entry(fam, k, q, 1.0, l2, i2)
+                    plain = t_entry(fam.lower(), k, q, 1.0, l2, i2, 0)
                     assert resc == pytest.approx(plain, abs=1e-13)
 
 
@@ -157,10 +166,9 @@ def test_cancellation_safe_plus_band(q):
         for l2 in range(0, 17, 2):
             for i2 in range(-l2, l2 + 1, 2):
                 for fam in "ABCD":
-                    raw = (m_scalar(q, t, l2 // 2 + 1) ** -0.5
-                           * eval_t_coeff(fam.lower(), 1, q, t, H(l2), H(i2), 0))
-                    assert eval_rescaled(fam, 1, q, t, H(l2), H(i2)) == \
-                        pytest.approx(raw, abs=1e-13)
+                    raw = (m_entry(q, t, l2 // 2 + 1) ** -0.5
+                           * t_entry(fam.lower(), 1, q, t, l2, i2, 0))
+                    assert rescaled_entry(fam, 1, q, t, l2, i2) == pytest.approx(raw, abs=1e-13)
 
 
 def test_plus_band_continuous_through_origin():
@@ -169,7 +177,7 @@ def test_plus_band_continuous_through_origin():
         steps = []
         for size in (11, 101, 1001):
             ts = np.linspace(0.0, 1.0, size)
-            vals = [eval_rescaled("A", 1, q, float(t), 0, 0) for t in ts]
+            vals = [rescaled_entry("A", 1, q, float(t), 0, 0) for t in ts]
             steps.append(max(abs(b - a) for a, b in zip(vals, vals[1:])))
         assert steps[0] > steps[1] > steps[2]
         assert steps[2] < 1e-2
@@ -179,8 +187,8 @@ def test_minus_band_rescaling_uses_interpolation_scalar():
     q, t = -0.6, 0.4
     for l2 in (2, 6, 12):
         for i2 in range(-l2 + 2, l2 - 1, 2):
-            raw = m_scalar(q, t, l2 // 2) ** 0.5 * eval_t_coeff("a", -1, q, t, H(l2), H(i2), 0)
-            assert eval_rescaled("A", -1, q, t, H(l2), H(i2)) == pytest.approx(raw, abs=1e-14)
+            raw = m_entry(q, t, l2 // 2) ** 0.5 * t_entry("a", -1, q, t, l2, i2, 0)
+            assert rescaled_entry("A", -1, q, t, l2, i2) == pytest.approx(raw, abs=1e-14)
 
 
 def _index_grid():
@@ -202,7 +210,8 @@ def test_every_family_is_total(q, t):
     l2, i2, j2 = _index_grid()
     absent = (l2 < 0) | (np.abs(i2) > l2) | (np.abs(j2) > l2)
     even = (l2 % 2 == 0) & (j2 == 0)
-    tables = [(key, f(q, l2, i2, j2), absent) for key, f in pw._REG_CORES.items()]
+    tables = [(f.__name__, f(q, l2, i2, j2), absent)
+              for f in (reg_a_plus, reg_a_minus, reg_c_plus, reg_c_minus)]
     tables += [(f.__name__, f(q, l2, i2, j2), absent)
                for rules in po._SPHERE_RULES.values() for _, f in rules]
     tables += [(key, f(q, s, l2, i2, j2), absent) for key, f in ho._T_CORES.items()]
@@ -261,7 +270,7 @@ def test_omega_is_diagonal_conjugation_of_unrescaled_action():
     gvals = np.ones(space.dim)
     for pos in range(space.dim):
         l = int(space.l2[pos]) // 2
-        gvals[pos] = np.prod([m_scalar(q, t, r) ** -0.5 for r in range(1, l + 1)])
+        gvals[pos] = np.prod([m_entry(q, t, r) ** -0.5 for r in range(1, l + 1)])
     g = np.diag(gvals)
     ginv = np.diag(1.0 / gvals)
     import suq2kit.homotopy as ho
@@ -293,7 +302,7 @@ def test_lemma1_identities_at_small_q(q):
     # was a 1.7e-18 residue at q = 0.1, which the square roots blew up to 1.3e-8
     out = verify_lemma1(q, 20)
     assert max(out.values()) < 1e-11
-    assert m_scalar(q, 0.0, 1) == 0.0
+    assert m_entry(q, 0.0, 1) == 0.0
 
 
 def test_lemma1_needs_both_endpoints():
@@ -351,8 +360,8 @@ def test_lemma3_quantifies_over_positive_spins_only():
     # the identities fail at spin zero (that is why the bottom vector is
     # split off); the verifier must exclude it
     q = 0.5
-    lhs = eval_rescaled("A", 0, q, 0.0, 0, 0)   # = 1
-    rhs = eval_t_coeff("a", 0, q, 1.0, 0, 0, 0)  # = 0.8
+    lhs = rescaled_entry("A", 0, q, 0.0, 0, 0)  # = 1
+    rhs = t_entry("a", 0, q, 1.0, 0, 0, 0)  # = 0.8
     assert abs(lhs - rhs) > 0.1
     assert max(verify_lemma3(q, 10).values()) < 1e-12
 

@@ -1,14 +1,17 @@
 """Source hygiene: no module of the package imports a name it never uses,
 no named function takes a parameter its body never reads, no lambda only
 forwards its parameters to one call, no power of q has an exponent array,
-and only peterweyl imports scipy."""
+only peterweyl imports scipy, and every exported name has a caller outside
+the tests."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "suq2kit"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "suq2kit"
 SOURCES = sorted(SRC.glob("*.py"))
 # the package __init__ imports names only to re-export them
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
@@ -161,3 +164,70 @@ def test_scan_flags_scipy_imports():
               "import scipyx\nfrom .scipy import x\nfrom numpy import scipy\n")
     assert scipy_imports(source) == ["scipy", "scipy.sparse", "scipy", "scipy.sparse.csgraph",
                                      "scipy.sparse.linalg"]
+
+
+def _reads(tree) -> set:
+    """Names read as a bare name or as an attribute, except inside the
+    definition of the same name, so that a recursive call is no caller."""
+    found = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id not in inside:
+                found.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in inside:
+            found.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return found
+
+
+def uncalled_exports(package: dict, readme: str, bench: list) -> list:
+    """"module.name" for each name in a module's ``__all__`` that nothing
+    reads: not the package's modules (the ``__init__`` re-export and the
+    name's own definition do not count), not a Python block of the README,
+    and not the text of a benchmark file, which may name it in a dotted
+    string."""
+    trees = {name: ast.parse(source) for name, source in package.items()}
+    reads = set()
+    for name, tree in trees.items():
+        if name != "__init__.py":
+            reads |= _reads(tree)
+    for block in re.findall(r"```python\n(.*?)```", readme, re.DOTALL):
+        reads |= _reads(ast.parse(block))
+    found = []
+    for name, tree in sorted(trees.items()):
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+                found += [f"{name[:-3]}.{export}" for export in ast.literal_eval(node.value)
+                          if export not in reads
+                          and not any(re.search(rf"\b{export}\b", text) for text in bench)]
+    return found
+
+
+def test_every_export_has_a_caller():
+    package = {p.name: p.read_text() for p in SOURCES}
+    bench = [p.read_text() for p in sorted((ROOT / "bench").glob("*.py"))]
+    assert uncalled_exports(package, (ROOT / "README.md").read_text(), bench) == []
+
+
+def test_scan_flags_exports_without_a_caller():
+    package = {
+        "a.py": ('__all__ = ["f", "g", "h", "k", "m", "n", "K"]\n'
+                 "def f():\n    return f()\n"
+                 "def g():\n    pass\n"
+                 "h = 1\n"
+                 "def k():\n    return g()\n"
+                 "def m():\n    pass\n"
+                 "def n():\n    pass\n"
+                 "class K:\n    def __eq__(self, other):\n        return isinstance(other, K)\n"),
+        "b.py": "from . import a\nx = a.h\n",
+        "__init__.py": "from .a import f, g, h, k, m, n, K\nm()\n",
+    }
+    readme = "```python\nfrom pkg import k\nk()\n```\n```sh\nm f\n```\n"
+    bench = ['wrap("a.n")\n', "fx = 1\n"]
+    assert uncalled_exports(package, readme, bench) == ["a.f", "a.m", "a.K"]

@@ -6,10 +6,9 @@ import scipy.sparse as sp
 
 from suq2kit.kring import dim_quantum
 from suq2kit.qarith import HalfInt
-from suq2kit.peterweyl import (BandedOperator, block_stack, bundle_space, coeff_reg,
-                               full_space, generator_op, haar_state, involution, operator_norm,
-                               reg_a_minus, reg_a_plus, reg_c_minus, reg_c_plus,
-                               _masked_sqrt_ratio)
+from suq2kit.peterweyl import (BandedOperator, block_stack, bundle_space, full_space,
+                               generator_op, haar_state, operator_norm, reg_a_minus,
+                               reg_a_plus, reg_c_minus, reg_c_plus, _masked_sqrt_ratio)
 
 Q_GRID = (0.3, -0.3, 0.5, -0.5, 0.9, -0.9)
 H = HalfInt
@@ -46,38 +45,18 @@ def test_locate_rejects_foreign_indices():
 
 def test_coeff_reg_frozen_values():
     q = 0.5
-    assert coeff_reg("a+", q, 0, 0, 0) == pytest.approx(q / (1 + q * q) ** 0.5, abs=1e-12)
-    assert coeff_reg("c+", q, 0, 0, 0) == pytest.approx(-1 / (1 + q * q) ** 0.5, abs=1e-12)
+    assert float(reg_a_plus(q, 0, 0, 0)) == pytest.approx(q / (1 + q * q) ** 0.5, abs=1e-12)
+    assert float(reg_c_plus(q, 0, 0, 0)) == pytest.approx(-1 / (1 + q * q) ** 0.5, abs=1e-12)
 
 
 def test_coeff_reg_boundary_vanishing():
     for q in Q_GRID:
         for l2 in (1, 2, 5):
-            l, bottom = H(l2), H(-l2)
             for j2 in range(-l2, l2 + 1, 2):
-                assert coeff_reg("a-", q, l, bottom, H(j2)) == 0.0
-                assert coeff_reg("c-", q, l, l, H(j2)) == 0.0
-                assert coeff_reg("a-", q, l, H(j2), bottom) == 0.0
-                assert coeff_reg("c-", q, l, H(j2), bottom) == 0.0
-
-
-def test_coeff_reg_parity_error():
-    with pytest.raises(ValueError):
-        coeff_reg("a+", 0.5, H(2), H(1), H(0))
-    with pytest.raises(ValueError):
-        coeff_reg("x+", 0.5, 0, 0, 0)
-
-
-@pytest.mark.parametrize("q", (0.1, -0.1, 0.3, 0.5, -0.5, 0.9, -0.9, 0.999, -0.999))
-def test_coeff_reg_is_the_table_entry_bitwise(q):
-    # one index at a time or a whole grid at once: the same float64 values
-    space = full_space(8)
-    tables = {"a+": reg_a_plus, "a-": reg_a_minus, "c+": reg_c_plus, "c-": reg_c_minus}
-    for sym, table in tables.items():
-        grid = table(q, space.l2, space.i2, space.j2)
-        scalars = [coeff_reg(sym, q, H(int(l2)), H(int(i2)), H(int(j2)))
-                   for l2, i2, j2 in zip(space.l2, space.i2, space.j2)]
-        assert np.array_equal(np.array(scalars).view(np.int64), grid.view(np.int64)), sym
+                assert float(reg_a_minus(q, l2, -l2, j2)) == 0.0
+                assert float(reg_c_minus(q, l2, l2, j2)) == 0.0
+                assert float(reg_a_minus(q, l2, j2, -l2)) == 0.0
+                assert float(reg_c_minus(q, l2, j2, -l2)) == 0.0
 
 
 def test_table_radicands_are_guarded():
@@ -257,49 +236,6 @@ def test_operator_norm_rejects_a_block_above_exact_dim():
     with pytest.raises(ValueError, match=r"\(3, 3\)"):
         operator_norm(mat, exact_dim=2)
     assert operator_norm(mat, exact_dim=3) == pytest.approx(_dense_norm(mat), rel=1e-14)
-
-
-# ---------------------------------------------------------------------------
-# involution
-# ---------------------------------------------------------------------------
-
-def test_involution_is_involutive_and_fixes_unit():
-    q = -0.7
-    space = full_space(6)
-    rng = np.random.default_rng(3)
-    vec = np.zeros(space.dim, dtype=complex)
-    support = rng.choice(space.dim, size=8, replace=False)
-    vec[support] = rng.normal(size=8) + 1j * rng.normal(size=8)
-    once, target = involution(vec, space, q)
-    twice, back = involution(once, target, q)
-    assert back == space
-    np.testing.assert_allclose(twice, vec, rtol=0, atol=1e-14)
-
-    unit = np.zeros(space.dim)
-    unit[0] = 1.0
-    out, _ = involution(unit, space, q)
-    assert (out == unit).all()
-
-
-def test_involution_frozen_example():
-    # e^(1/2)_{1/2,-1/2} maps to -e^(1/2)_{-1/2,1/2} for any q
-    space = full_space(3)
-    vec = np.zeros(space.dim)
-    vec[space.locate([1], [1], [-1])[0]] = 1.0
-    out, _ = involution(vec, space, 0.5)
-    pos = space.locate([1], [-1], [1])[0]
-    assert out[pos] == pytest.approx(-1.0)
-    assert np.count_nonzero(out) == 1
-
-
-def test_involution_swaps_bundles():
-    space = bundle_space(2, 8)
-    vec = np.zeros(space.dim)
-    vec[space.locate([2], [0], [2])[0]] = 2.0
-    out, target = involution(vec, space, 0.5)
-    assert target.k == -2
-    assert np.count_nonzero(out) == 1
-    assert out[target.locate([2], [0], [-2])[0]] != 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from suq2kit.qarith import (HalfInt, QParam, guarded_sqrt, guarded_sqrt_array, m_array,
-                            m_scalar, qnumber, qpow)
+from suq2kit.qarith import HalfInt, QParam, guarded_sqrt_array, m_array, qnumber, qpow
 from suq2kit.suites import SuiteConfig, UsageError
 
 Q_GRID = (0.3, -0.3, 0.5, -0.5, 0.9, -0.9)
@@ -91,40 +90,23 @@ def test_qpow_rejects_float_exponents():
 
 
 # ---------------------------------------------------------------------------
-# m_scalar
+# m_array
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("q", WIDE_Q_GRID + (0.3,))
-def test_m_scalar_is_the_array_entry_bitwise(q):
-    spins = np.arange(1, 61)
-    for t in [k / 10 for k in range(11)]:
-        table = m_array(q, abs(q) ** t, 2 * spins)
-        scalars = [m_scalar(q, t, int(l)) for l in spins]
-        assert np.array_equal(bits(scalars), bits(table))
-
-
 def test_m_scalar_is_one_at_t_one():
+    spins = np.arange(1, 101)
     for q in Q_GRID:
-        for l in range(1, 101):
-            assert abs(m_scalar(q, 1.0, l) - 1.0) < 1e-15
-
-
-def test_m_scalar_convention_at_spin_zero():
-    assert m_scalar(0.5, 1.0, 0) == 1.0
-    with pytest.raises(ValueError):
-        m_scalar(0.5, 0.5, 0)
-    with pytest.raises(ValueError):
-        m_scalar(0.5, 0.5, -1)
+        assert (np.abs(m_array(q, abs(q) ** 1.0, 2 * spins) - 1.0) < 1e-15).all()
 
 
 def test_m_scalar_frozen_values():
-    assert m_scalar(0.5, 0.0, 1) == pytest.approx(0.0, abs=1e-15)
+    assert m_array(0.5, 0.5 ** 0.0, 2) == pytest.approx(0.0, abs=1e-15)
     # (0.25 - 0.5 * 0.0625) / (0.5 - 0.015625)
-    assert m_scalar(0.5, 0.5, 2) == pytest.approx(0.45161290322580644, abs=1e-13)
+    assert m_array(0.5, 0.5 ** 0.5, 4) == pytest.approx(0.45161290322580644, abs=1e-13)
     mpmath.mp.dps = 40
     q, t, l = mpmath.mpf(-0.7), mpmath.mpf(0.3), 4
     exact = (q**2 - abs(q) ** (2 * t) * q ** (2 * l)) / (abs(q) ** (2 * t) - q ** (2 * l + 2))
-    assert m_scalar(-0.7, 0.3, 4) == pytest.approx(float(exact), rel=1e-13)
+    assert m_array(-0.7, 0.7 ** 0.3, 8) == pytest.approx(float(exact), rel=1e-13)
 
 
 def test_m_scalar_range_and_monotone_in_spin():
@@ -132,7 +114,7 @@ def test_m_scalar_range_and_monotone_in_spin():
     for q in Q_GRID:
         for t in (0.0, 0.25, 0.5, 0.9, 1.0):
             limit = abs(q) ** (2.0 - 2.0 * t)
-            values = [m_scalar(q, t, l) for l in range(1, 40)]
+            values = m_array(q, abs(q) ** t, 2 * np.arange(1, 40)).tolist()
             assert all(0.0 <= v <= limit + 1e-15 for v in values)
             for a, b in zip(values, values[1:]):
                 if t < 1.0:
@@ -142,34 +124,24 @@ def test_m_scalar_range_and_monotone_in_spin():
             assert values[-1] == pytest.approx(limit, abs=abs(q) ** 60 + 1e-12)
 
 
-def test_m_scalar_rejects_bad_t():
-    with pytest.raises(ValueError):
-        m_scalar(0.5, -0.1, 2)
-    with pytest.raises(ValueError):
-        m_scalar(0.5, 1.1, 2)
-
-
 # ---------------------------------------------------------------------------
-# guarded_sqrt
+# guarded_sqrt_array
 # ---------------------------------------------------------------------------
 
 def test_guarded_sqrt_basic():
-    assert guarded_sqrt(0.0) == 0.0
-    assert guarded_sqrt(0.25) == 0.5
-    assert guarded_sqrt(-1e-16) == 0.0
     assert list(guarded_sqrt_array([-1e-16, 0.0, 0.25])) == [0.0, 0.0, 0.5]
 
 
 def test_guarded_sqrt_flags_genuinely_negative():
     with pytest.raises(ValueError):
-        guarded_sqrt(-1e-6)
+        guarded_sqrt_array(-1e-6)
     with pytest.raises(ValueError):
         guarded_sqrt_array([0.25, -1e-6])
 
 
 @given(st.floats(min_value=0.0, max_value=1e6, allow_nan=False))
 def test_guarded_sqrt_squares_back(x):
-    r = guarded_sqrt(x)
+    r = float(guarded_sqrt_array(x))
     assert r * r == pytest.approx(x, rel=1e-12, abs=1e-300)
 
 
@@ -182,12 +154,6 @@ def test_halfint_addition_is_exact(a, b):
     x, y = HalfInt(a), HalfInt(b)
     assert (x + y).twice == a + b
     assert x + 0 == 0 + x == x
-
-
-@given(st.integers(-1000, 1000), st.integers(-1000, 1000))
-def test_halfint_parity_predicate(a, b):
-    x, y = HalfInt(a), HalfInt(b)
-    assert x.integer_distance(y) == ((a - b) % 2 == 0)
 
 
 def test_halfint_parse_and_str():
@@ -230,3 +196,8 @@ def test_precision_validation():
         SuiteConfig(suite="relations", tol_identity=0.0)
     with pytest.raises(UsageError):
         SuiteConfig(suite="relations", tol_decay=-1e-8)
+    # an infinite tolerance would pass every threshold it sets
+    with pytest.raises(UsageError):
+        SuiteConfig(suite="relations", tol_identity=math.inf)
+    with pytest.raises(UsageError):
+        SuiteConfig(suite="relations", tol_decay=math.inf)

@@ -133,6 +133,8 @@ def test_cli_exit_codes(tmp_path):
 @pytest.mark.parametrize("args, message", [
     pytest.param(["--suite", "relations", "--q", "0.5", "--tol-identity", "0"],
                  "tolerances must be positive", id="zero-tolerance"),
+    pytest.param(["--suite", "relations", "--q", "0.5", "--tol-identity", "inf"],
+                 "tolerances must be positive and finite", id="infinite-tolerance"),
     pytest.param(["--suite", "relations", "--q", "0.5", "--lmax", "-3"],
                  "needs lmax >= 1", id="relations-lmax"),
     pytest.param(["--suite", "podles", "--q", "0.5", "--lmax", "2"],
