@@ -3,7 +3,7 @@ Podles sphere with its Fredholm module, the coefficient homotopy behind the
 index computation, and the exact fusion/K-theory data of free orthogonal
 quantum groups."""
 
-from .qarith import HalfInt, QParam, qnumber
+from .qarith import HalfInt, qnumber
 from .peterweyl import (BandedOperator, TruncatedSpace, bundle_space, full_space,
                         generator_op, haar_state, operator_norm, relation_residuals)
 from .podles import (FredholmModule, commutator_tail, commutator_tails,

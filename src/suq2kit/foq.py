@@ -14,11 +14,11 @@ the canonical entries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qarith import QParam
 
 __all__ = [
     "QMatrix",
@@ -106,9 +106,11 @@ def solve_su2_parameter(qm: QMatrix) -> float:
 
 def canonical_su2_qmatrix(q) -> QMatrix:
     """|q|^(-1/2) [[0, -q], [1, 0]], the 2x2 parameter of quantum SU(2)."""
-    qp = QParam.of(q)
-    s = qp.abs_q ** -0.5
-    return validate_q(np.array([[0.0, -qp.q * s], [s, 0.0]], dtype=complex))
+    q = float(q)
+    if not math.isfinite(q) or q == 0.0 or abs(q) > 1.0:
+        raise ValueError(f"q must lie in [-1, 1] and be nonzero, got {q!r}")
+    s = abs(q) ** -0.5
+    return validate_q(np.array([[0.0, -q * s], [s, 0.0]], dtype=complex))
 
 
 def random_valid_qmatrix(rng: np.random.Generator) -> QMatrix:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .qarith import HalfInt, QParam, guarded_sqrt_array, m_array, qpow
+from .qarith import HalfInt, guarded_sqrt_array, m_array, qpow, strict_q
 from .peterweyl import (BandedOperator, block_matrix, bundle_space, operator_norm, _band,
                         _iratio, _spin_dens, _src_ok, _masked_sqrt_ratio)
 
@@ -232,16 +232,16 @@ def _omega_rules(family: str, di2: int, s: float):
 
 def build_omega(q, t: float, lmax) -> dict:
     """omega_t as {generator name: banded image} on the winding-zero bundle."""
-    qp = QParam.of(q).require_strict()
+    q = strict_q(q)
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t!r}")
     space = bundle_space(0, HalfInt.of(lmax).twice)
-    s = qp.abs_q ** t
+    s = abs(q) ** t
     ops = {}
     for name, family, di2 in (("alpha", "A", 0), ("alpha*", "B", 0),
                               ("gamma", "C", 2), ("gamma*", "D", -2)):
         ops[name] = BandedOperator.from_shift_rules(
-            space, space, _omega_rules(family, di2, s), HalfInt(2), q=qp.q)
+            space, space, _omega_rules(family, di2, s), HalfInt(2), q=q)
     return ops
 
 
@@ -282,16 +282,16 @@ def verify_lemma1(q, lmax, t_grid_size: int = 11) -> dict:
     These are exactly the equalities making omega_t(x)* = omega_t(x*) for the
     generator pairs, checked pointwise on the (t, l, i) grid.
     """
-    qp = QParam.of(q).require_strict()
+    q = strict_q(q)
     grid = _t_grid(t_grid_size)
     l2, i2 = _level_arrays(range(0, HalfInt.of(lmax).twice + 1, 2))
     out = {}
     for name, lhs, rhs, dl2, di2 in _LEMMA1_IDENTITIES:
         worst = 0.0
         for t in grid:
-            s = qp.abs_q ** t
-            diff = (_RESC_CORES[lhs](qp.q, s, l2, i2)
-                    - _RESC_CORES[rhs](qp.q, s, l2 + dl2, i2 + di2))
+            s = abs(q) ** t
+            diff = (_RESC_CORES[lhs](q, s, l2, i2)
+                    - _RESC_CORES[rhs](q, s, l2 + dl2, i2 + di2))
             worst = max(worst, float(np.max(np.abs(diff))))
         out[name] = worst
     return out
@@ -330,7 +330,7 @@ def verify_lemma2(q, l_list, t_grid_size: int = 11) -> dict:
     Returns {family_name: [sup at each l]}; the caller decides pass/fail
     (eventual decrease plus a final threshold).
     """
-    qp = QParam.of(q).require_strict()
+    q = strict_q(q)
     grid = _t_grid(t_grid_size)
     l_list = [int(l) for l in l_list]
     if any(b <= a for a, b in zip(l_list, l_list[1:])):
@@ -349,15 +349,15 @@ def verify_lemma2(q, l_list, t_grid_size: int = 11) -> dict:
         worst = np.zeros(len(l_list))
         # the t = 1 family at j = +-1/2, the same at every grid point
         t1 = ([] if kind == "resc" else
-              [_T_CORES[(fam, k)](qp.q, qp.abs_q, l2, i2, j2) for j2 in (2, -2)])
+              [_T_CORES[(fam, k)](q, abs(q), l2, i2, j2) for j2 in (2, -2)])
         if kind == "t1":
             for vals in t1:
                 worst = np.maximum(worst, sup(vals))
         else:
             resc = fam.upper()
             for t in grid:
-                s = qp.abs_q ** t
-                rv = _RESC_CORES[(resc, k)](qp.q, s, l2, i2)
+                s = abs(q) ** t
+                rv = _RESC_CORES[(resc, k)](q, s, l2, i2)
                 if kind == "resc":
                     worst = np.maximum(worst, sup(rv))
                 else:
@@ -395,22 +395,22 @@ def verify_lemma3(q, lmax, signed: bool = True) -> dict:
     quantified over spins l >= 1 only.  ``signed=False`` evaluates the
     unsigned variant, which must fail for q < 0 (negative control).
     """
-    qp = QParam.of(q).require_strict()
+    q = strict_q(q)
     lmax2 = HalfInt.of(lmax).twice
     if lmax2 < 4:
         raise ValueError("need lmax >= 2")
     l2, i2 = _level_arrays(range(2, lmax2 + 1, 2))
-    sgn = _endpoint_sign(qp.q) if signed else 1.0
-    s0, s1 = 1.0, qp.abs_q
+    sgn = _endpoint_sign(q) if signed else 1.0
+    s0, s1 = 1.0, abs(q)
     out = {}
     for fam in ("a", "c"):
         resc = fam.upper()
         for k in (1, 0, -1):
             factor = sgn if k == 0 else 1.0
-            rv = _RESC_CORES[(resc, k)](qp.q, s0, l2, i2)
+            rv = _RESC_CORES[(resc, k)](q, s0, l2, i2)
             worst = 0.0
             for j2 in (2, -2):
-                tv = _T_CORES[(fam, k)](qp.q, s1, l2, i2, j2)
+                tv = _T_CORES[(fam, k)](q, s1, l2, i2, j2)
                 worst = max(worst, float(np.max(np.abs(rv - factor * tv))))
             label = f"{resc}_{k}(0,l,i) = " + (f"sgn(q) {fam}_{k}(1,l,i,j1)" if k == 0
                                                else f"{fam}_{k}(1,l,i,j1)")
@@ -433,7 +433,7 @@ def degenerate_module_check(q, lmax) -> dict:
          holds verbatim for q > 0 and must fail on the diagonal families for
          q < 0 (the sign obstruction driving the rotation homotopy).
     """
-    qp = QParam.of(q).require_strict()
+    q = strict_q(q)
     lmax2 = HalfInt.of(lmax).twice
 
     # (i): x_k(1, l, i, +1/2) = x_k(1, l, i, -1/2) on half-odd spins
@@ -441,16 +441,15 @@ def degenerate_module_check(q, lmax) -> dict:
     sym = 0.0
     for fam in "abcd":
         for k in (1, 0, -1):
-            plus = _T_CORES[(fam, k)](qp.q, qp.abs_q, l2, i2, 1)
-            minus = _T_CORES[(fam, k)](qp.q, qp.abs_q, l2, i2, -1)
+            plus = _T_CORES[(fam, k)](q, abs(q), l2, i2, 1)
+            minus = _T_CORES[(fam, k)](q, abs(q), l2, i2, -1)
             sym = max(sym, float(np.max(np.abs(plus - minus))))
 
     # (ii): unsigned endpoint matching over spins >= 1
-    unsigned = verify_lemma3(qp, HalfInt(lmax2), signed=False)
+    unsigned = verify_lemma3(q, HalfInt(lmax2), signed=False)
     return {
         "column_symmetry_residual": sym,
         "endpoint_unsigned_residual": max(unsigned.values()),
-        "endpoint_identities": unsigned,
     }
 
 
@@ -460,20 +459,20 @@ def _omega_matrices_on_minus2(q, lmax):
     omega_0 lives on the winding-zero bundle; the canonical identification
     drops the bottom vector and matches e^(l)_{i,0} with e^(l)_{i,-1}.
     """
-    qp = QParam.of(q).require_strict()
+    q = strict_q(q)
     lmax2 = HalfInt.of(lmax).twice
     minus2 = bundle_space(-2, lmax2)
     out_omega0, out_omega1 = {}, {}
     for name, fam, di2 in (("alpha", "a", 0), ("gamma", "c", 2)):
         # s = |q|^0 = 1 at t = 0
         out_omega0[name] = BandedOperator.from_shift_rules(
-            minus2, minus2, _omega_rules(fam.upper(), di2, 1.0), HalfInt(2), q=qp.q)
+            minus2, minus2, _omega_rules(fam.upper(), di2, 1.0), HalfInt(2), q=q)
         rules1 = tuple(((2 * k, di2, 0),
                         (lambda qq, a2, b2, c2, _fam=fam, _k=k:
-                         _T_CORES[(_fam, _k)](qq, qp.abs_q, a2, b2, c2)))
+                         _T_CORES[(_fam, _k)](qq, abs(q), a2, b2, c2)))
                        for k in (1, 0, -1))
         out_omega1[name] = BandedOperator.from_shift_rules(
-            minus2, minus2, rules1, HalfInt(2), q=qp.q)
+            minus2, minus2, rules1, HalfInt(2), q=q)
     return minus2, out_omega0, out_omega1
 
 
@@ -487,12 +486,11 @@ def rotation_homotopy_check(q, t_grid_size: int = 11, lmax=30, l_from=15) -> dic
     (a rotation is an isometry), and the endpoint block structures are exact,
     diag(omega_0, omega) at t = 0 and diag(omega, omega_0) at t = 1.
     """
-    qp = QParam.of(q)
-    if qp.q >= 0:
+    q = strict_q(q)
+    if q >= 0:
         raise ValueError("the rotation homotopy is only needed for q < 0")
-    qp.require_strict()
     grid = _t_grid(t_grid_size)
-    minus2, om0, om1 = _omega_matrices_on_minus2(qp, lmax)
+    minus2, om0, om1 = _omega_matrices_on_minus2(q, lmax)
     cols = minus2.tail_mask(HalfInt.of(l_from))
 
     # the two off corners of the graded commutator are Kronecker products

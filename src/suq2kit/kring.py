@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import prod
 
-from .qarith import QParam, qnumber
+from .qarith import qnumber
 
 __all__ = [
     "FusionElement",
@@ -130,7 +130,7 @@ def dim_quantum(q, k: int) -> float:
     k = int(k)
     if k < 0:
         raise ValueError("label must be nonnegative")
-    return qnumber(QParam.of(q), k + 1)
+    return qnumber(q, k + 1)
 
 
 # ---------------------------------------------------------------------------

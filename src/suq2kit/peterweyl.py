@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .qarith import HalfInt, QParam, guarded_sqrt_array, qpow
+from .qarith import HalfInt, guarded_sqrt_array, qpow, strict_q
 
 __all__ = [
     "TruncatedSpace",
@@ -451,17 +451,17 @@ def generator_op(gen: str, q, space: TruncatedSpace) -> BandedOperator:
     """
     if gen not in _GEN_RULES:
         raise ValueError(f"unknown generator {gen!r}")
-    qp = QParam.of(q).require_strict()
+    q = strict_q(q)
     if space.full:
         codomain = space
     else:
         dk = -1 if gen in ("alpha", "gamma") else 1
         codomain = bundle_space(space.k + dk, space.lmax.twice)
     return BandedOperator.from_shift_rules(space, codomain, _GEN_RULES[gen],
-                                           HalfInt(1), q=qp.q)
+                                           HalfInt(1), q=q)
 
 
-def haar_state(word, q) -> complex:
+def haar_state(word, q) -> float:
     """Haar state of a product of generators, via the GNS cyclic vector.
 
     ``word`` is a sequence over {"alpha", "alpha*", "gamma", "gamma*"}; the
@@ -473,13 +473,13 @@ def haar_state(word, q) -> complex:
     for g in word:
         if g not in GENERATORS:
             raise ValueError(f"unknown generator {g!r} in word")
-    qp = QParam.of(q).require_strict()
+    q = strict_q(q)
     space = full_space(len(word))
     vec = np.zeros(space.dim)
     vec[0] = 1.0
     for g in reversed(word):
-        vec = generator_op(g, qp, space).matrix @ vec
-    return complex(vec[0])
+        vec = generator_op(g, q, space).matrix @ vec
+    return float(vec[0])
 
 
 def relation_residuals(gens: dict, q: float) -> dict:

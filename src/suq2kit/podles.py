@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qarith import HalfInt, QParam, qpow
+from .qarith import HalfInt, qpow, strict_q
 from .peterweyl import (BandedOperator, TruncatedSpace, bundle_space, operator_norm,
                         _band, _iratio, _spin_dens, _src_ok, _masked_sqrt_ratio)
 
@@ -93,11 +93,11 @@ def podles_op(which: str, q, space: TruncatedSpace) -> BandedOperator:
     B* is not keyed in separately: adjointness is its definition, so it is
     B's ``.adjoint()``.
     """
-    qp = QParam.of(q).require_strict()
+    q = strict_q(q)
     if which not in _SPHERE_RULES:
         raise ValueError(f"unknown sphere generator {which!r}")
     return BandedOperator.from_shift_rules(space, space, _SPHERE_RULES[which],
-                                           HalfInt(2), q=qp.q)
+                                           HalfInt(2), q=q)
 
 
 def sphere_relation_residuals(A: BandedOperator, B: BandedOperator, q: float) -> dict:
@@ -132,11 +132,11 @@ class FredholmModule:
 
     @classmethod
     def standard(cls, q, lmax) -> "FredholmModule":
-        qp = QParam.of(q).require_strict()
+        q = strict_q(q)
         lmax = HalfInt.of(lmax)
         plus = bundle_space(1, lmax.twice)
         minus = bundle_space(-1, lmax.twice)
-        return cls(qp.q, lmax, plus, minus, BandedOperator.identification(plus, minus))
+        return cls(q, lmax, plus, minus, BandedOperator.identification(plus, minus))
 
     def unitary_defect(self) -> float:
         """max(|F*F - 1|, |FF* - 1|) on the truncation; F is a unitary."""

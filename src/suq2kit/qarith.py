@@ -1,11 +1,14 @@
 """Deformation-parameter arithmetic.
 
 Everything downstream (operator tables, coefficient homotopies, fusion data)
-consumes a real deformation parameter q in [-1, 1] \\ {0} and spin labels in
-half-integer steps.  This module keeps both exact: q is validated once and
-carried around as a :class:`QParam`, spins are stored as twice their value in
-a plain integer (:class:`HalfInt`), and the handful of scalar functions that
-appear in every coefficient formula live here.
+consumes a real deformation parameter q and spin labels in half-integer
+steps.  q travels as a plain float: each entry point that builds a table
+passes it through :func:`strict_q`, which rejects it unless it is finite with
+0 < |q| < 1 (the tables divide by 1 - q^(2n)); only
+``foq.canonical_su2_qmatrix`` also takes q = +-1, the classical points the
+monoidal equivalence can solve to.  Spins are stored as twice
+their value in a plain integer (:class:`HalfInt`), and the handful of scalar
+functions that appear in every coefficient formula live here.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 __all__ = [
     "HalfInt",
-    "QParam",
+    "strict_q",
     "qnumber",
     "qpow",
     "m_array",
@@ -95,37 +98,15 @@ class HalfInt:
         return f"HalfInt({self.twice})"
 
 
-@dataclass(frozen=True)
-class QParam:
-    """Validated deformation parameter.
+def strict_q(q) -> float:
+    """q as a float, checked for the operator tables: finite with 0 < |q| < 1.
 
-    q must lie in [-1, 1] and be nonzero.  The operator modules additionally
-    need |q| < 1; they call :meth:`require_strict` at their entry points.
+    |q| = 1 is rejected because the tables divide by 1 - q^(2n).
     """
-
-    q: float
-
-    def __post_init__(self):
-        q = float(self.q)
-        if not math.isfinite(q) or q == 0.0 or abs(q) > 1.0:
-            raise ValueError(f"q must lie in [-1, 1] and be nonzero, got {q!r}")
-        object.__setattr__(self, "q", q)
-
-    @classmethod
-    def of(cls, value) -> "QParam":
-        if isinstance(value, QParam):
-            return value
-        return cls(float(value))
-
-    @property
-    def abs_q(self) -> float:
-        return abs(self.q)
-
-    def require_strict(self) -> "QParam":
-        """Reject |q| = 1 (needed whenever a 1 - q^(2n) denominator occurs)."""
-        if self.abs_q == 1.0:
-            raise ValueError("this evaluation path needs |q| < 1")
-        return self
+    q = float(q)
+    if not (math.isfinite(q) and 0.0 < abs(q) < 1.0):
+        raise ValueError(f"q must be finite with 0 < |q| < 1, got {q!r}")
+    return q
 
 
 def qnumber(q, a: int) -> float:
@@ -134,8 +115,7 @@ def qnumber(q, a: int) -> float:
     Antisymmetric in a; equals a at q -> 1 but that limit is excluded since
     the denominator vanishes there.
     """
-    qp = QParam.of(q).require_strict()
-    x = qp.q
+    x = strict_q(q)
     return (x**a - x**(-a)) / (x - 1.0 / x)
 
 

@@ -33,6 +33,13 @@ def test_canonical_matrix_for_q_pm_one():
     assert m2.sign == 1
 
 
+def test_canonical_matrix_rejects_q_off_the_closed_interval():
+    # the one q entry point that takes |q| = 1; 0, |q| > 1 and nan stay out
+    for bad in (0.0, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="must lie in"):
+            canonical_su2_qmatrix(bad)
+
+
 def test_fundamental_intertwining_equations():
     # for an antidiagonal parameter [[0, a], [b, 0]] the conjugation
     # equation on the fundamental matrix collapses to a/b = -q

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from suq2kit.qarith import HalfInt, QParam, m_array
+from suq2kit.qarith import HalfInt, m_array, strict_q
 from suq2kit.homotopy import (build_omega, decay_verdict, degenerate_module_check,
                               rotation_homotopy_check, verify_lemma1, verify_lemma2,
                               verify_lemma3)
@@ -38,9 +38,8 @@ def m_entry(q, t, l):
 # independent route: the same entries as sums of products of the regular
 # representation tables
 def t_coeff_composite(family: str, k: int, q, t: float, l, i, j) -> float:
-    qp = QParam.of(q).require_strict()
-    qq = qp.q
-    s = qp.abs_q ** t
+    qq = strict_q(q)
+    s = abs(qq) ** t
     l2 = HalfInt.of(l).twice
     i2 = HalfInt.of(i).twice
     j2 = HalfInt.of(j).twice

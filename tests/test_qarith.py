@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from suq2kit.qarith import HalfInt, QParam, guarded_sqrt_array, m_array, qnumber, qpow
+from suq2kit.qarith import HalfInt, guarded_sqrt_array, m_array, qnumber, qpow, strict_q
+from suq2kit import homotopy as ho
+from suq2kit.peterweyl import full_space, generator_op, haar_state
+from suq2kit.podles import FredholmModule, podles_op
 from suq2kit.suites import SuiteConfig, UsageError
 
 Q_GRID = (0.3, -0.3, 0.5, -0.5, 0.9, -0.9)
@@ -176,18 +179,41 @@ def test_halfint_of_rejects_non_half_integers():
 
 
 # ---------------------------------------------------------------------------
-# QParam / tolerances
+# strict_q / tolerances
 # ---------------------------------------------------------------------------
 
-def test_qparam_validation():
-    qp = QParam(-0.7)
-    assert qp.abs_q == 0.7
-    for bad in (0.0, 1.5, -2.0, math.nan):
-        with pytest.raises(ValueError):
-            QParam(bad)
-    QParam(1.0)  # allowed; strict paths reject it separately
-    with pytest.raises(ValueError):
-        QParam(1.0).require_strict()
+def test_strict_q_validation():
+    assert strict_q(-0.7) == -0.7
+    assert type(strict_q(np.float64(0.5))) is float
+    for bad in (0.0, 1.5, -2.0, math.nan, math.inf, 1.0, -1.0):
+        with pytest.raises(ValueError, match=r"\|q\| < 1"):
+            strict_q(bad)
+
+
+# every entry point that builds tables or q-numbers from q, on a small cutoff
+STRICT_Q_ENTRY_POINTS = {
+    "qnumber": lambda q: qnumber(q, 3),
+    "generator_op": lambda q: generator_op("alpha", q, full_space(2)),
+    "haar_state": lambda q: haar_state(("gamma*", "gamma"), q),
+    "podles_op": lambda q: podles_op("A", q, full_space(4)),
+    "FredholmModule.standard": lambda q: FredholmModule.standard(q, 2),
+    "build_omega": lambda q: ho.build_omega(q, 0.5, 2),
+    "verify_lemma1": lambda q: ho.verify_lemma1(q, 2, 3),
+    "verify_lemma2": lambda q: ho.verify_lemma2(q, [1, 2], 3),
+    "verify_lemma3": lambda q: ho.verify_lemma3(q, 2),
+    "degenerate_module_check": lambda q: ho.degenerate_module_check(q, 2),
+    "_omega_matrices_on_minus2": lambda q: ho._omega_matrices_on_minus2(q, 2),
+    "rotation_homotopy_check": lambda q: ho.rotation_homotopy_check(q, 3, 4, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRICT_Q_ENTRY_POINTS))
+def test_entry_points_take_only_strict_q(name):
+    call = STRICT_Q_ENTRY_POINTS[name]
+    call(-0.5)
+    for bad in (0.0, 1.0, -1.0, 1.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"\|q\| < 1"):
+            call(bad)
 
 
 def test_precision_validation():

@@ -148,6 +148,10 @@ def test_cli_exit_codes(tmp_path):
     pytest.param(["--suite", "degenerate", "--q", "0.5", "--lmax", "0"],
                  "needs lmax >= 2", id="degenerate-lmax"),
     pytest.param(["--suite", "fusion", "--q", "1.0"], "|q| < 1", id="fusion-q"),
+    pytest.param(["--suite", "relations", "--q", "1"], "|q| < 1", id="q-one"),
+    pytest.param(["--suite", "lemma3", "--q", "-1"], "|q| < 1", id="q-minus-one"),
+    pytest.param(["--suite", "podles", "--q", "nan"], "|q| < 1", id="q-nan"),
+    pytest.param(["--suite", "all", "--q", "inf"], "|q| < 1", id="q-inf"),
     pytest.param(["--suite", "foq", "--seed", "-1"], "seed must be >= 0", id="negative-seed"),
 ])
 def test_cli_bad_parameters_are_usage_errors(args, message, capsys):
