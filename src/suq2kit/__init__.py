@@ -10,8 +10,8 @@ from .podles import (FredholmModule, commutator_tail, commutator_tails,
                      fit_geometric, fredholm_index, index_pair_operator, podles_op)
 from .homotopy import (build_omega, degenerate_module_check, rotation_homotopy_check,
                        verify_lemma1, verify_lemma2, verify_lemma3)
-from .kring import (FusionElement, KGroups, dim_classical, dim_quantum,
-                    fuse, koszul_verify, ktheory_fo, smith_normal_form)
+from .kring import (dim_classical, dim_quantum, fuse, koszul_verify,
+                    smith_normal_form)
 from .foq import (EquivalenceInvariant, QMatrix, canonical_su2_qmatrix,
                   invariant_pair, monoidally_equivalent, solve_su2_parameter,
                   validate_q)

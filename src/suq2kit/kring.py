@@ -3,26 +3,25 @@
 The representation ring of a free orthogonal quantum group is of SU(2) type:
 irreducibles H_k indexed by nonnegative integers with the rank-one fusion
 rule H_k (x) H_1 = H_{k-1} + H_{k+1}.  Everything in this module is exact:
-fusion multiplicities, classical dimensions (they grow like n^k, so Python's
-unbounded integers are mandatory), the Koszul-style resolution
+fusion multiplicities ({label: multiplicity} dicts), classical dimensions
+(they grow like n^k, so Python's unbounded integers are mandatory), the
+Koszul-style resolution
 
     0 -> Z[t] --(n - t)--> Z[t] --eval at n--> Z -> 0
 
 whose truncated exactness is certified through Smith normal forms, and the
-resulting K-groups (Z in both degrees, generated by the unit and by the
-fundamental matrix).
+K-groups read off the endomorphism c = eval_n(n - t) of Z it leaves:
+K0 = coker c, generated by the unit, and K1 = ker c, generated by the
+fundamental matrix (Z both, as c = 0).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import prod
 
 from .qarith import qnumber
 
 __all__ = [
-    "FusionElement",
-    "KGroups",
     "fuse",
     "fusion_closed_form",
     "dim_classical",
@@ -31,7 +30,6 @@ __all__ = [
     "int_det",
     "koszul_matrix",
     "koszul_verify",
-    "ktheory_fo",
     "KTHEORY_ASSUMPTIONS",
 ]
 
@@ -40,70 +38,46 @@ __all__ = [
 # fusion ring
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FusionElement:
-    """Finitely supported integer combination of the irreducibles H_k."""
-
-    coefficients: tuple
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FusionElement":
-        items = tuple(sorted((int(k), int(v)) for k, v in d.items() if v != 0))
-        if any(k < 0 for k, _ in items):
-            raise ValueError("irreducible labels are nonnegative integers")
-        return cls(items)
-
-    @classmethod
-    def irreducible(cls, k: int) -> "FusionElement":
-        return cls.from_dict({k: 1})
-
-    def as_dict(self) -> dict:
-        return dict(self.coefficients)
-
-    def __sub__(self, other: "FusionElement") -> "FusionElement":
-        d = self.as_dict()
-        for k, v in other.coefficients:
-            d[k] = d.get(k, 0) - v
-        return FusionElement.from_dict(d)
-
-
-def _fuse_with_generator(x: FusionElement) -> FusionElement:
-    """Multiply by H_1 using the rank-one rule; H_{-1} is zero."""
+def _fuse_with_generator(x: dict, minus: dict) -> dict:
+    """x H_1 - minus by the rank-one rule; H_{-1} is zero."""
     d = {}
-    for k, v in x.coefficients:
+    for k, v in x.items():
         for m in (k - 1, k + 1):
             if m >= 0:
                 d[m] = d.get(m, 0) + v
-    return FusionElement.from_dict(d)
+    for k, v in minus.items():
+        d[k] = d.get(k, 0) - v
+    return {k: d[k] for k in sorted(d) if d[k]}
 
 
-def fuse(k: int, m: int) -> FusionElement:
+def fuse(k: int, m: int) -> dict:
     """Decompose H_k (x) H_m by iterating the rank-one rule.
 
-    The generator recursion H_{m+1} = H_m H_1 - H_{m-1} is applied inside
-    the product, so no closed form is wired in; tests compare against the
-    independently hard-coded closed form.
+    Returns {label: multiplicity} in ascending label order with no zero
+    entries.  The generator recursion H_{m+1} = H_m H_1 - H_{m-1} is applied
+    inside the product, so no closed form is wired in; the fusion suite
+    compares against the independently hard-coded closed form.
     """
     k, m = int(k), int(m)
     if k < 0 or m < 0:
         raise ValueError("irreducible labels are nonnegative")
     # tensoring with H_m, built up degree by degree
-    prev = FusionElement.irreducible(k)          # H_k (x) H_0
+    prev = {k: 1}                                # H_k (x) H_0
     if m == 0:
         return prev
-    cur = _fuse_with_generator(prev)             # H_k (x) H_1
+    cur = _fuse_with_generator(prev, {})         # H_k (x) H_1
     for _ in range(m - 1):
-        prev, cur = cur, _fuse_with_generator(cur) - prev
+        prev, cur = cur, _fuse_with_generator(cur, prev)
     return cur
 
 
-def fusion_closed_form(k: int, m: int) -> FusionElement:
-    """sum of H_j for j = |k-m|, |k-m|+2, ..., k+m.
+def fusion_closed_form(k: int, m: int) -> dict:
+    """{j: 1} for j = |k-m|, |k-m|+2, ..., k+m.
 
     The Clebsch-Gordan form of the product; the fusion suite gates the
     iterated rank-one rule in :func:`fuse` against it.
     """
-    return FusionElement.from_dict({j: 1 for j in range(abs(k - m), k + m + 1, 2)})
+    return {j: 1 for j in range(abs(k - m), k + m + 1, 2)}
 
 
 def dim_classical(n: int, k: int) -> int:
@@ -318,7 +292,8 @@ def koszul_matrix(n: int, d_trunc: int):
 
 
 def koszul_verify(n: int, d_trunc: int) -> dict:
-    """Certify exactness of the truncated resolution in exact integers.
+    """Certify exactness of the truncated resolution in exact integers and
+    read the K-groups off it.
 
     Checks: multiplication by (n - t) is injective (kernel rank 0), its
     cokernel is a free abelian group of rank one (all invariant factors 1),
@@ -329,6 +304,11 @@ def koszul_verify(n: int, d_trunc: int) -> dict:
     |det U| = |det V| = 1 are both computed exactly (V is triangular, so
     :func:`int_det` takes its diagonal product; U goes through Bareiss),
     neither taken as known by construction.
+
+    Column 0's augmentation c = sum_r n^r M[r][0] is the endomorphism of Z
+    the resolution induces (``induced_endomorphism``); ``K0`` = coker c and
+    ``K1`` = ker c have rank 1 if c = 0, else 0, with torsion [|c|] in K0
+    when |c| > 1.
     """
     n, d_trunc = int(n), int(d_trunc)
     if n < 2 or d_trunc < 1:
@@ -346,9 +326,11 @@ def koszul_verify(n: int, d_trunc: int) -> dict:
     snf_ok = recomposed == d and abs(int_det(u)) == 1 and abs(int_det(v)) == 1
 
     augmentation = [n ** r for r in range(d_trunc + 1)]
-    eps_of_image = max(abs(sum(e * row[k] for e, row in zip(augmentation, mat) if row[k]))
-                       for k in range(d_trunc))
+    eps_of_image = [sum(e * row[k] for e, row in zip(augmentation, mat) if row[k])
+                    for k in range(d_trunc)]
     eps_onto = augmentation[0] == 1
+    c = eps_of_image[0]
+    rank_k = int(c == 0)
 
     return {
         "n": n,
@@ -357,47 +339,12 @@ def koszul_verify(n: int, d_trunc: int) -> dict:
         "cokernel_free_rank": coker_free_rank,
         "cokernel_torsion": coker_torsion,
         "snf_certified": snf_ok,
-        "augmentation_annihilates_image": eps_of_image == 0,
+        "augmentation_annihilates_image": not any(eps_of_image),
         "augmentation_onto": eps_onto,
+        "induced_endomorphism": c,
+        "K0": {"rank": rank_k, "torsion": [abs(c)] if abs(c) > 1 else [],
+               "generator": "[1]"},
+        "K1": {"rank": rank_k, "torsion": [], "generator": "[u]"},
         "pass": (kernel_rank == 0 and coker_free_rank == 1 and not coker_torsion
-                 and snf_ok and eps_of_image == 0 and eps_onto),
+                 and snf_ok and not any(eps_of_image) and eps_onto),
     }
-
-
-@dataclass(frozen=True)
-class KGroups:
-    """K-group descriptors derived from exact integer data only."""
-
-    k0_rank: int
-    k0_torsion: tuple
-    k0_generator: str
-    k1_rank: int
-    k1_torsion: tuple
-    k1_generator: str
-    certificate: dict = field(compare=False, default=None)
-
-    def as_dict(self):
-        return {
-            "K0": {"rank": self.k0_rank, "torsion": list(self.k0_torsion),
-                   "generator": self.k0_generator},
-            "K1": {"rank": self.k1_rank, "torsion": list(self.k1_torsion),
-                   "generator": self.k1_generator},
-        }
-
-
-def ktheory_fo(n: int, d_trunc: int = 10) -> KGroups:
-    """K-groups of the free orthogonal dual with fundamental dimension n.
-
-    The resolution reduces the computation to the endomorphism of Z induced
-    by evaluating (n - t) at t = n, which is zero; its kernel and cokernel
-    are each one copy of Z, generated by the fundamental matrix class and
-    the class of the unit respectively.
-    """
-    cert = koszul_verify(n, d_trunc)
-    if not cert["augmentation_annihilates_image"]:
-        raise ArithmeticError("augmentation of (n - t) must vanish")
-    return KGroups(
-        k0_rank=1, k0_torsion=(), k0_generator="[1]",
-        k1_rank=1, k1_torsion=(), k1_generator="[u]",
-        certificate=cert,
-    )

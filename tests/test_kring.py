@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from suq2kit.kring import (FusionElement, dim_classical, dim_quantum,
-                           fuse, fusion_closed_form, int_det, koszul_matrix,
-                           koszul_verify, ktheory_fo, smith_normal_form, _matmul)
+from suq2kit.kring import (dim_classical, dim_quantum, fuse, fusion_closed_form,
+                           int_det, koszul_matrix, koszul_verify, smith_normal_form,
+                           _matmul)
 
 
 # ---------------------------------------------------------------------------
@@ -15,13 +15,13 @@ from suq2kit.kring import (FusionElement, dim_classical, dim_quantum,
 
 def test_fuse_with_trivial_and_generator():
     for k in range(8):
-        assert fuse(k, 0) == FusionElement.irreducible(k)
+        assert fuse(k, 0) == {k: 1}
         expected = {k + 1: 1} if k == 0 else {k - 1: 1, k + 1: 1}
-        assert fuse(k, 1).as_dict() == expected
+        assert fuse(k, 1) == expected
 
 
 def test_fuse_two_two():
-    assert fuse(2, 2).as_dict() == {0: 1, 2: 1, 4: 1}
+    assert fuse(2, 2) == {0: 1, 2: 1, 4: 1}
 
 
 def test_fuse_matches_closed_form_brute():
@@ -29,29 +29,36 @@ def test_fuse_matches_closed_form_brute():
         for m in range(9):
             assert fuse(k, m) == fusion_closed_form(k, m)
             # an actual representation: every multiplicity positive
-            assert all(v > 0 for _, v in fuse(k, m).coefficients)
+            assert all(v > 0 for v in fuse(k, m).values())
+
+
+def test_fuse_lists_labels_ascending_without_zeros():
+    # the quantum-dimension sums add in this order, so it fixes their rounding
+    for k in range(11):
+        for m in range(11):
+            product = fuse(k, m)
+            assert list(product) == sorted(product)
+            assert 0 not in product.values()
 
 
 def test_fusion_commutative_and_associative():
-    def prod(x: FusionElement, y: FusionElement) -> FusionElement:
+    def prod(x: dict, y: dict) -> dict:
         out = {}
-        for k, vk in x.coefficients:
-            for m, vm in y.coefficients:
-                for j, vj in fuse(k, m).coefficients:
+        for k, vk in x.items():
+            for m, vm in y.items():
+                for j, vj in fuse(k, m).items():
                     out[j] = out.get(j, 0) + vk * vm * vj
-        return FusionElement.from_dict(out)
+        return {j: v for j, v in out.items() if v}
 
     for a in range(6):
         for b in range(6):
             assert fuse(a, b) == fuse(b, a)
             for c in range(6):
-                ia, ib, ic = map(FusionElement.irreducible, (a, b, c))
+                ia, ib, ic = {a: 1}, {b: 1}, {c: 1}
                 assert prod(prod(ia, ib), ic) == prod(ia, prod(ib, ic))
 
 
 def test_fusion_element_validation():
-    with pytest.raises(ValueError):
-        FusionElement.from_dict({-1: 1})
     with pytest.raises(ValueError):
         fuse(-1, 2)
 
@@ -76,7 +83,7 @@ def test_dimension_is_ring_homomorphism(n):
     for k in range(11):
         for m in range(11):
             lhs = dim_classical(n, k) * dim_classical(n, m)
-            rhs = sum(v * dim_classical(n, j) for j, v in fuse(k, m).coefficients)
+            rhs = sum(v * dim_classical(n, j) for j, v in fuse(k, m).items())
             assert lhs == rhs
 
 
@@ -88,7 +95,7 @@ def test_quantum_dimension_values_and_multiplicativity():
     for k in range(9):
         for m in range(9):
             lhs = dim_quantum(q, k) * dim_quantum(q, m)
-            rhs = sum(v * dim_quantum(q, j) for j, v in fuse(k, m).coefficients)
+            rhs = sum(v * dim_quantum(q, j) for j, v in fuse(k, m).items())
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
@@ -368,11 +375,11 @@ def test_koszul_rejects_bad_input():
 
 def test_ktheory_groups_and_generators():
     for n in (3, 5):
-        groups = ktheory_fo(n)
-        d = groups.as_dict()
-        assert d["K0"] == {"rank": 1, "torsion": [], "generator": "[1]"}
-        assert d["K1"] == {"rank": 1, "torsion": [], "generator": "[u]"}
-        assert groups.certificate["pass"]
+        cert = koszul_verify(n, 10)
+        assert cert["induced_endomorphism"] == 0
+        assert cert["K0"] == {"rank": 1, "torsion": [], "generator": "[1]"}
+        assert cert["K1"] == {"rank": 1, "torsion": [], "generator": "[u]"}
+        assert cert["pass"]
 
 
 def test_induced_endomorphism_vanishes_for_every_n():
@@ -384,14 +391,28 @@ def test_induced_endomorphism_vanishes_for_every_n():
         assert cert["augmentation_annihilates_image"] and cert["augmentation_onto"]
 
 
-def test_ktheory_raises_when_the_augmentation_survives(monkeypatch):
+def test_k_groups_follow_a_surviving_augmentation(monkeypatch):
     import suq2kit.kring as kr
+    from suq2kit.suites import SuiteConfig, run_suite
 
-    verify = kr.koszul_verify
-    monkeypatch.setattr(kr, "koszul_verify", lambda n, d: {
-        **verify(n, d), "augmentation_annihilates_image": False})
-    with pytest.raises(ArithmeticError):
-        ktheory_fo(3)
+    exact = kr.koszul_matrix
+    for shift, k0 in ((1, {"rank": 0, "torsion": []}), (2, {"rank": 0, "torsion": [2]})):
+        def shifted(n, d, shift=shift):
+            # n + shift on the diagonal: the augmentation of column 0 is shift
+            mat = exact(n, d)
+            for k in range(d):
+                mat[k][k] += shift
+            return mat
+
+        monkeypatch.setattr(kr, "koszul_matrix", shifted)
+        cert = koszul_verify(3, 10)
+        assert cert["induced_endomorphism"] == shift
+        assert {key: cert["K0"][key] for key in k0} == k0
+        assert cert["K1"]["rank"] == 0
+        rep = run_suite(SuiteConfig(suite="koszul", n=3, d_trunc=10))
+        assert not rep.overall
+        k_check = next(c for c in rep.checks if c.name.startswith("K-groups"))
+        assert not k_check.passed
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +441,7 @@ def test_koszul_suite_computes_one_certificate(monkeypatch):
                          ("koszul_verify", "smith_normal_form", "int_det", "_matmul"))
     rep = run_suite(SuiteConfig(suite="koszul", n=3, d_trunc=25))
     assert rep.overall
-    # twice each when the suite certified once itself and once in ktheory_fo
+    # twice each when the K-groups came from a second certificate
     assert calls == {"koszul_verify": 1, "smith_normal_form": 1, "int_det": 2, "_matmul": 2}
 
 

@@ -240,7 +240,7 @@ def test_fredholm_suite_asks_each_tail_once(monkeypatch):
         return tails(module, x, cutoffs)
 
     monkeypatch.setattr(po, "commutator_tails", recording)
-    # lmax 12 has no cutoff 15 and reports its last tail there; lmax 20 adds 15
+    # lmax 12 has no cutoff 15 and reports its last tail, at cutoff 8; lmax 20 adds 15
     for lmax2, wanted in ((24, [4, 6, 8]), (40, [4, 6, 8, 10, 12, 14, 16, 15])):
         asked.clear()
         rep = run_suite(SuiteConfig(suite="fredholm", q=-0.5, lmax=H(lmax2)))
@@ -249,4 +249,4 @@ def test_fredholm_suite_asks_each_tail_once(monkeypatch):
         if lmax2 == 24:
             for x in ("A", "B"):
                 last = [t for c, name, t in rep.decay if name == f"[F, {x}] tail"][-1]
-                assert measured[f"measured: [F, {x}] tail at cutoff 15"] == last
+                assert measured[f"measured: [F, {x}] tail at cutoff 8"] == last

@@ -147,6 +147,8 @@ def test_cli_exit_codes(tmp_path):
                  "needs lmax >= 8", id="fredholm-halfint-lmax"),
     pytest.param(["--suite", "degenerate", "--q", "0.5", "--lmax", "0"],
                  "needs lmax >= 2", id="degenerate-lmax"),
+    pytest.param(["--suite", "rotation", "--q", "-0.5", "--lmax", "5/2"],
+                 "needs lmax >= 3", id="rotation-lmax"),
     pytest.param(["--suite", "fusion", "--q", "1.0"], "|q| < 1", id="fusion-q"),
     pytest.param(["--suite", "relations", "--q", "1"], "|q| < 1", id="q-one"),
     pytest.param(["--suite", "lemma3", "--q", "-1"], "|q| < 1", id="q-minus-one"),
