@@ -17,6 +17,7 @@ fundamental matrix (Z both, as c = 0).
 
 from __future__ import annotations
 
+import operator
 from math import prod
 
 from .qarith import qnumber
@@ -113,7 +114,8 @@ def dim_quantum(q, k: int) -> float:
 
 def _matmul(a, b):
     # row i of the product is the sum of a[i][k] * (row k of b) over the
-    # nonzero a[i][k]; the certificate's U and A are mostly zeros
+    # nonzero a[i][k], adding only the nonzero entries of each row of b; the
+    # certificate's U, A and V are mostly zeros
     cols = len(b[0]) if b else 0
     out = []
     for row in a:
@@ -121,7 +123,8 @@ def _matmul(a, b):
         for x, brow in zip(row, b):
             if x:
                 for j, y in enumerate(brow):
-                    acc[j] += x * y
+                    if y:
+                        acc[j] += x * y
         out.append(acc)
     return out
 
@@ -130,21 +133,49 @@ def _identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def int_det(matrix) -> int:
-    """Exact determinant.
+def _int_rows(matrix):
+    # operator.index admits ints, bools and numpy integers; a float or any
+    # other entry int() would truncate raises TypeError
+    return [list(map(operator.index, row)) for row in matrix]
 
-    A triangular matrix (upper or lower, found by an O(n^2) scan) gives the
-    product of its diagonal.  Any other goes through fraction-free (Bareiss)
-    elimination; a row whose entry in the pivot column is 0 only rescales its
-    nonzero entries, since Bareiss division is exact.
+
+def _permutation_sign(perm) -> int:
+    # (-1)^(n - number of cycles)
+    seen = [False] * len(perm)
+    cycles = 0
+    for start in range(len(perm)):
+        if not seen[start]:
+            cycles += 1
+            j = start
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+    return -1 if (len(perm) - cycles) % 2 else 1
+
+
+def int_det(matrix) -> int:
+    """Exact determinant of a square matrix of integers.
+
+    If the columns of the rows' leading nonzero entries, or of their trailing
+    ones, form a permutation p, the rows permuted by p form a triangular
+    matrix, so det = sign(p) * (product of those entries), found in O(n^2).
+    The identity permutation is the upper (leading) or lower (trailing)
+    triangular case; the Smith form's V is upper triangular and its U a row
+    rotation of an upper triangular matrix.  Any other matrix goes through
+    fraction-free (Bareiss) elimination; a row whose entry in the pivot column
+    is 0 only rescales its nonzero entries, since Bareiss division is exact.
+    A non-integral entry raises TypeError.
     """
-    a = [list(map(int, row)) for row in matrix]
+    a = _int_rows(matrix)
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("determinant needs a square matrix")
-    if (all(not any(a[i][:i]) for i in range(n))
-            or all(not any(a[i][i + 1:]) for i in range(n))):
-        return prod(a[i][i] for i in range(n))
+    for order in (range(n), range(n - 1, -1, -1)):
+        ends = [next((j for j in order if row[j]), None) for row in a]
+        if None in ends:
+            break                                   # a zero row
+        if len(set(ends)) == n:
+            return _permutation_sign(ends) * prod(row[j] for row, j in zip(a, ends))
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -171,10 +202,12 @@ def smith_normal_form(matrix):
     divisibility chain d_1 | d_2 | ...
 
     Pivot policy is deterministic: smallest nonzero absolute value in the
-    remaining block, ties broken row-major.  Entries are Python integers, so
-    intermediate growth is exact.
+    remaining block, ties broken row-major; the search stops at the first
+    entry of absolute value 1, since none is smaller.  Entries are read as
+    Python integers (a non-integral one raises TypeError), so intermediate
+    growth is exact.
     """
-    a = [list(map(int, row)) for row in matrix]
+    a = _int_rows(matrix)
     rows = len(a)
     cols = len(a[0]) if rows else 0
     u = _identity(rows)
@@ -193,26 +226,32 @@ def smith_normal_form(matrix):
                 v[r][i], v[r][j] = v[r][j], v[r][i]
 
     def add_row(src, dst, mult):
-        # row_dst += mult * row_src
-        for c in range(cols):
-            a[dst][c] += mult * a[src][c]
-        for c in range(rows):
-            u[dst][c] += mult * u[src][c]
+        # row_dst += mult * row_src, over the nonzero entries of row_src
+        for m in (a, u):
+            target = m[dst]
+            for c, x in enumerate(m[src]):
+                if x:
+                    target[c] += mult * x
 
     def add_col(src, dst, mult):
-        # col_dst += mult * col_src
-        for r in range(rows):
-            a[r][dst] += mult * a[r][src]
-        for r in range(cols):
-            v[r][dst] += mult * v[r][src]
+        # col_dst += mult * col_src, over the nonzero entries of col_src
+        for m in (a, v):
+            for row in m:
+                if row[src]:
+                    row[dst] += mult * row[src]
 
     def pivot_position(k):
-        best = None
+        best, best_abs = None, 0
         for i in range(k, rows):
+            row = a[i]
             for j in range(k, cols):
-                if a[i][j] != 0 and (best is None
-                                     or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
+                x = row[j]
+                if x:
+                    x = abs(x)
+                    if x == 1:
+                        return i, j
+                    if best is None or x < best_abs:
+                        best, best_abs = (i, j), x
         return best
 
     def diagonalize(k0):
@@ -301,9 +340,10 @@ def koszul_verify(n: int, d_trunc: int) -> dict:
     augmentation is the integer row (n^0, ..., n^D), applied to the columns
     of the same matrix the Smith form certifies.  That certificate is
     recomputed in full: U A V = D is multiplied out in exact integers, and
-    |det U| = |det V| = 1 are both computed exactly (V is triangular, so
-    :func:`int_det` takes its diagonal product; U goes through Bareiss),
-    neither taken as known by construction.
+    |det U| = |det V| = 1 are both computed exactly, neither taken as known
+    by construction: V is upper triangular and U a row rotation of an upper
+    triangular matrix, so :func:`int_det` takes each as the signed product of
+    its rows' leading entries, in O(D^2).
 
     Column 0's augmentation c = sum_r n^r M[r][0] is the endomorphism of Z
     the resolution induces (``induced_endomorphism``); ``K0`` = coker c and

@@ -34,6 +34,9 @@ class UsageError(ValueError):
 # decay values below this are double-precision noise, not signal
 _FIT_NOISE_FLOOR = 1e-13
 
+# suites that never read q; a q given to one is a usage error
+_TAKES_NO_Q = ("koszul", "foq")
+
 
 @dataclass
 class SuiteConfig:
@@ -61,6 +64,9 @@ class SuiteConfig:
             raise UsageError("the truncation degree D must be >= 1")
         if self.seed < 0:
             raise UsageError("the seed must be >= 0")
+        if self.q is not None and self.suite in _TAKES_NO_Q:
+            raise UsageError(f"suite {self.suite!r} takes no q; --q belongs to the "
+                             "suites that read it")
         if self.qmatrix is not None:
             if self.suite not in ("foq", "all"):
                 raise UsageError(f"suite {self.suite!r} takes no parameter matrix; "
@@ -412,7 +418,8 @@ def _suite_all(cfg: SuiteConfig, rep: VerificationReport):
             rep.parameters["rotation_skipped"] = "needs q < 0"
             continue
         sub = run_suite(dataclasses.replace(
-            cfg, suite=part, qmatrix=cfg.qmatrix if part == "foq" else None))
+            cfg, suite=part, q=None if part in _TAKES_NO_Q else cfg.q,
+            qmatrix=cfg.qmatrix if part == "foq" else None))
         for c in sub.checks:
             rep.add(Check(f"{part}: {c.name}", c.anchor, c.value, c.threshold, c.mode))
         for a in sub.assumptions:

@@ -1,7 +1,9 @@
 """Exact fusion, dimension, Smith form and resolution checks."""
 
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from suq2kit.kring import (dim_classical, dim_quantum, fuse, fusion_closed_form,
@@ -137,6 +139,29 @@ def test_snf_random_certificates():
                     assert d[i][j] == 0
 
 
+def test_exact_layer_rejects_non_integral_entries():
+    # int() would truncate 1.5 to 1 and 2.7 to 2 and certify another matrix
+    with pytest.raises(TypeError):
+        int_det([[1.5, 0], [0, 2]])
+    with pytest.raises(TypeError):
+        smith_normal_form([[2.7, 0], [0, 1]])
+    with pytest.raises(TypeError):
+        int_det([[2, 1], [Fraction(1, 2), 3]])
+    with pytest.raises(TypeError):
+        smith_normal_form([["2", 0], [0, 1]])
+
+
+def test_exact_layer_reads_ints_bools_and_numpy_integers():
+    assert int_det([[True, False], [False, True]]) == 1
+    # numpy integers become Python ints, so products cannot wrap around
+    big = np.array([[2 ** 40, 0], [0, 2 ** 40]], dtype=np.int64)
+    assert int_det(big) == 2 ** 80
+    assert int_det(np.array([[2, 4], [6, 8]], dtype=np.int32)) == -8
+    u, d, v = smith_normal_form(np.array([[2, 4], [6, 8]], dtype=np.int16))
+    assert d == [[2, 0], [0, 4]]
+    assert all(type(x) is int for m in (u, d, v) for row in m for x in row)
+
+
 def test_int_det_known_values():
     assert int_det([[2, 0], [0, 3]]) == 6
     assert int_det([[0, 1], [1, 0]]) == -1
@@ -213,9 +238,17 @@ def test_int_det_equals_plain_bareiss():
                  _triangular(rng, n, lower=False), _triangular(rng, n, lower=True),
                  _triangular(rng, n, lower=False, singular=True),
                  _triangular(rng, n, lower=True, singular=True)]
+        # lead entries +-2 or 0; a 0 moves that row's leading (or trailing)
+        # entry off the diagonal, and the matrix is singular
+        even = [_triangular(rng, n, lower) for lower in (False, True)]
+        for t in even:
+            for i in range(n):
+                t[i][i] = rng.choice((-2, 0, 2))
         perm = list(range(n))
         rng.shuffle(perm)
-        cases += [[t[p] for p in perm] for t in cases[1:3]]   # row-permuted triangular
+        # row-permuted triangular, and the row rotation that U below has
+        cases += [[t[p] for p in perm] for t in cases[1:5] + even]
+        cases += [t[1:] + t[:1] for t in cases[1:3]]
         singular = _sparse_matrix(rng, n, n, 0.6)
         if n > 1:
             singular[-1] = [2 * x - y for x, y in zip(singular[0], singular[1])]
@@ -232,10 +265,14 @@ def test_koszul_transforms_at_d120_have_unit_determinant(n):
     mat = koszul_matrix(n, 120)
     u, d, v = smith_normal_form(mat)
     assert _matmul(_matmul(u, mat), v) == _naive_matmul(_naive_matmul(u, mat), v) == d
-    # V is upper triangular (the diagonal product), U is not (Bareiss)
+    # V is upper triangular; U is not triangular, but its rows lead at
+    # columns 1, 2, ..., D and then 0 (a row rotation of an upper triangular
+    # matrix), so int_det takes both as a signed product of lead entries
     assert all(not any(v[i][:i]) for i in range(len(v)))
     assert any(u[i][j] for i in range(len(u)) for j in range(i))
     assert any(u[i][j] for i in range(len(u)) for j in range(i + 1, len(u)))
+    leads = [next(j for j, x in enumerate(row) if x) for row in u]
+    assert leads == list(range(1, len(u))) + [0]
     for t in (u, v):
         assert int_det(t) == _bareiss_det(t)
         assert abs(int_det(t)) == 1
@@ -332,14 +369,26 @@ def _parent_smith_normal_form(matrix):
 
 
 def test_smith_normal_form_equals_the_parent_pivot_loop():
-    for n in (2, 3, 8, 20):
-        for d in (1, 5, 25, 40):
-            mat = koszul_matrix(n, d)
-            assert smith_normal_form(mat) == _parent_smith_normal_form(mat)
+    sizes = [(n, d) for n in (2, 3, 8, 20) for d in (1, 5, 25, 40)]
+    sizes += [(n, d) for n in (3, 20) for d in (80, 120)]     # the benchmark's
+    for n, d in sizes:
+        mat = koszul_matrix(n, d)
+        assert smith_normal_form(mat) == _parent_smith_normal_form(mat)
     rng = random.Random(13)
     for _ in range(100):
         a = _sparse_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), 0.6)
         assert smith_normal_form(a) == _parent_smith_normal_form(a)
+    # without a +-1 entry every pivot search scans its whole block (until
+    # elimination leaves a 1); with one, the first search stops there
+    for unit in (False, True):
+        for _ in range(100):
+            rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+            a = [[rng.choice((-1, 1)) * rng.randint(2, 9) if rng.random() < 0.6 else 0
+                  for _ in range(cols)] for _ in range(rows)]
+            if unit:
+                a[rng.randrange(rows)][rng.randrange(cols)] = rng.choice((-1, 1))
+            assert any(abs(x) == 1 for row in a for x in row) == unit
+            assert smith_normal_form(a) == _parent_smith_normal_form(a)
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +462,34 @@ def test_k_groups_follow_a_surviving_augmentation(monkeypatch):
         assert not rep.overall
         k_check = next(c for c in rep.checks if c.name.startswith("K-groups"))
         assert not k_check.passed
+
+
+def test_a_non_unimodular_transform_fails_the_certificate(monkeypatch):
+    import suq2kit.kring as kr
+    from suq2kit.suites import SuiteConfig, run_suite
+
+    exact = kr.smith_normal_form
+    for doubled in ("lead entry", "last row"):
+        def corrupted(matrix, doubled=doubled):
+            u, d, v = exact(matrix)
+            # U keeps its row-rotated shape; the last row leads at column 0
+            if doubled == "lead entry":
+                u[-1][0] *= 2
+            else:
+                # the last row of D is 0, so U A V = D still holds and only
+                # the determinant tells this U is not unimodular
+                u[-1] = [2 * x for x in u[-1]]
+                assert _matmul(_matmul(u, matrix), v) == d
+            assert abs(kr.int_det(u)) == 2 == abs(_bareiss_det(u))
+            return u, d, v
+
+        monkeypatch.setattr(kr, "smith_normal_form", corrupted)
+        cert = koszul_verify(3, 25)
+        assert not cert["snf_certified"] and not cert["pass"]
+        rep = run_suite(SuiteConfig(suite="koszul", n=3, d_trunc=25))
+        assert not rep.overall
+        snf_check = next(c for c in rep.checks if c.name.startswith("Smith form certificate"))
+        assert not snf_check.passed
 
 
 # ---------------------------------------------------------------------------

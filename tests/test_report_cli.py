@@ -71,6 +71,23 @@ def test_suite_all_passes_the_supplied_matrix_to_foq():
     assert "foq: supplied matrix is equivalent to its solved canonical parameter" in names
 
 
+def test_suite_all_hands_q_only_to_the_parts_that_read_it(monkeypatch):
+    import suq2kit.suites as su
+
+    parts = {}
+    real = su.run_suite
+
+    def recording(cfg):
+        parts[cfg.suite] = cfg.q
+        return real(cfg)
+
+    monkeypatch.setattr(su, "run_suite", recording)
+    assert real(SuiteConfig(suite="all", q=-0.5, lmax=HalfInt(16))).overall
+    assert parts.pop("koszul") is None and parts.pop("foq") is None
+    assert parts == dict.fromkeys(("relations", "podles", "lemma1", "lemma2", "lemma3",
+                                   "fredholm", "degenerate", "rotation", "fusion"), -0.5)
+
+
 def test_run_suite_usage_errors():
     with pytest.raises(UsageError):
         run_suite(SuiteConfig(suite="nope", q=0.5))
@@ -82,6 +99,9 @@ def test_run_suite_usage_errors():
         run_suite(SuiteConfig(suite="relations", q=1.5))
     with pytest.raises(UsageError):
         SuiteConfig(suite="relations", q=0.5, t_grid=1)
+    for suite in ("koszul", "foq"):
+        with pytest.raises(UsageError, match="takes no q"):
+            SuiteConfig(suite=suite, q=0.5)
 
 
 def test_report_schema_and_determinism(tmp_path):
@@ -155,6 +175,13 @@ def test_cli_exit_codes(tmp_path):
     pytest.param(["--suite", "podles", "--q", "nan"], "|q| < 1", id="q-nan"),
     pytest.param(["--suite", "all", "--q", "inf"], "|q| < 1", id="q-inf"),
     pytest.param(["--suite", "foq", "--seed", "-1"], "seed must be >= 0", id="negative-seed"),
+    # koszul and foq never read q, so any q given to them is refused, and a
+    # non-finite one can no longer reach the report as a bare NaN or Infinity
+    pytest.param(["--suite", "koszul", "--q", "nan", "--n", "3", "--D", "4"],
+                 "'koszul' takes no q", id="koszul-q-nan"),
+    pytest.param(["--suite", "koszul", "--q", "0.5"], "'koszul' takes no q", id="koszul-q"),
+    pytest.param(["--suite", "foq", "--q", "inf"], "'foq' takes no q", id="foq-q-inf"),
+    pytest.param(["--suite", "foq", "--q", "-0.5"], "'foq' takes no q", id="foq-q"),
 ])
 def test_cli_bad_parameters_are_usage_errors(args, message, capsys):
     assert main(["run"] + args) == 2
