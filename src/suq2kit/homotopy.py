@@ -510,7 +510,7 @@ def rotation_homotopy_check(q, t_grid_size: int = 11, lmax=30, l_from=15) -> dic
     for x in ("alpha", "gamma"):
         a = om0[x]          # omega_0 seen on the winding -2 basis
         b = om1[x]          # the t = 1 action there
-        delta_tail = operator_norm((a - b).restrict_cols(cols))
+        delta_tail = (a - b).norm(cols)
         for t in grid:
             if t == 0.0:
                 c, s = 1.0, 0.0

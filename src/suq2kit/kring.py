@@ -59,7 +59,7 @@ def fuse(k: int, m: int) -> dict:
     inside the product, so no closed form is wired in; the fusion suite
     compares against the independently hard-coded closed form.
     """
-    k, m = int(k), int(m)
+    k, m = operator.index(k), operator.index(m)
     if k < 0 or m < 0:
         raise ValueError("irreducible labels are nonnegative")
     # tensoring with H_m, built up degree by degree
@@ -87,7 +87,7 @@ def dim_classical(n: int, k: int) -> int:
     d_0 = 1, d_1 = n, d_{k+1} = n d_k - d_{k-1}; the dimension function is a
     ring homomorphism for the fusion product.
     """
-    n, k = int(n), int(k)
+    n, k = operator.index(n), operator.index(k)
     if n < 2:
         raise ValueError("need n >= 2")
     if k < 0:
@@ -102,7 +102,7 @@ def dim_classical(n: int, k: int) -> int:
 
 def dim_quantum(q, k: int) -> float:
     """q-deformed dimension [k+1] of H_k; multiplicative over fusion."""
-    k = int(k)
+    k = operator.index(k)
     if k < 0:
         raise ValueError("label must be nonnegative")
     return qnumber(q, k + 1)
@@ -322,7 +322,7 @@ KTHEORY_ASSUMPTIONS = (
 
 def koszul_matrix(n: int, d_trunc: int):
     """Integer matrix of multiplication by (n - t) from degree < D to degree <= D."""
-    n, d_trunc = int(n), int(d_trunc)
+    n, d_trunc = operator.index(n), operator.index(d_trunc)
     mat = [[0] * d_trunc for _ in range(d_trunc + 1)]
     for k in range(d_trunc):
         mat[k][k] = n
@@ -350,7 +350,7 @@ def koszul_verify(n: int, d_trunc: int) -> dict:
     ``K1`` = ker c have rank 1 if c = 0, else 0, with torsion [|c|] in K0
     when |c| > 1.
     """
-    n, d_trunc = int(n), int(d_trunc)
+    n, d_trunc = operator.index(n), operator.index(d_trunc)
     if n < 2 or d_trunc < 1:
         raise ValueError("need n >= 2 and a positive truncation degree")
     mat = koszul_matrix(n, d_trunc)

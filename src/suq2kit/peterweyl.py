@@ -7,9 +7,14 @@ the spin label; this module stores those tables as banded operators on finite
 truncations l <= lmax and provides the Haar state through the cyclic vector
 e^(0)_{0,0}.
 
-:class:`BandedOperator` is the package's one operator type, and its sparse
-storage is this module's choice; ``.matrix`` stays readable for applying an
-operator to a vector and for handing it to :func:`operator_norm`.
+:class:`BandedOperator` is the package's one operator type.  Every operator
+here is homogeneous: all its entries move the weights (i, j) by one pair, so
+it is stored as its spin diagonals, one coefficient array over the domain per
+spin shift.  Sums, scaling, composition and adjoints are numpy array
+arithmetic on those arrays, and :meth:`BandedOperator.norm` reads the zero
+case and the rounding-level bound off them.  scipy enters only at the scipy
+CSR export ``.matrix``, built on demand for applying an operator to a vector,
+and at the stacked SVD of :func:`operator_norm`.
 
 Index bookkeeping is done in "twice" units (integers 2l, 2i, 2j) so every
 exponent appearing in a coefficient formula is an exact integer.
@@ -17,7 +22,7 @@ exponent appearing in a coefficient formula is an exact integer.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -45,6 +50,12 @@ GENERATORS = ("alpha", "alpha*", "gamma", "gamma*")
 # ---------------------------------------------------------------------------
 # indices and spaces
 # ---------------------------------------------------------------------------
+
+# the largest spin or weight step, in grid units, that a full space's padded
+# position grid absorbs; every product of two generator or sphere tables
+# stays within it
+_PAD = 4
+
 
 class TruncatedSpace:
     """Finite slice of the Peter-Weyl basis.
@@ -119,6 +130,34 @@ class TruncatedSpace:
             within = (i2 + l2s) // 2
         pos = self.level_base[level_idx] + within
         return np.where(ok, pos, -1)
+
+    @cached_property
+    def _grid(self):
+        """Positions on the grid (l2, (l2 + i2)/2, (l2 + j2)/2), padded by _PAD
+        on every side and -1 off the space, flattened; and the flat grid
+        index of each basis vector.  Full spaces only."""
+        n = self.lmax.twice + 1 + 2 * _PAD
+        flat = (((self.l2 + _PAD) * n + (self.l2 + self.i2) // 2 + _PAD) * n
+                + (self.l2 + self.j2) // 2 + _PAD)
+        grid = np.full(n ** 3, -1, dtype=np.int32)  # half the memory of intp
+        grid[flat] = np.arange(self.dim)
+        return grid, flat
+
+    def shifted(self, source: "TruncatedSpace", shift) -> np.ndarray:
+        """Positions in this space of the basis of ``source`` shifted by
+        (dl2, di2, dj2), in twice units; -1 where the shifted vector is absent.
+
+        Within one full space a shift moves every grid index by the same
+        offset, so the positions are one gather from the padded grid.
+        """
+        dl2, di2, dj2 = shift
+        steps = (dl2, (dl2 + di2) // 2, (dl2 + dj2) // 2)
+        if (self.full and source == self and (dl2 + di2) % 2 == 0 and (dl2 + dj2) % 2 == 0
+                and max(map(abs, steps)) <= _PAD):
+            grid, flat = self._grid
+            n = self.lmax.twice + 1 + 2 * _PAD
+            return grid[flat + (steps[0] * n + steps[1]) * n + steps[2]].astype(np.intp)
+        return self.locate(source.l2 + dl2, source.i2 + di2, source.j2 + dj2)
 
     def interior_mask(self, margin) -> np.ndarray:
         """Vectors far enough below lmax that a margin-banded operator is
@@ -260,43 +299,58 @@ _GEN_RULES = {
 # ---------------------------------------------------------------------------
 
 class BandedOperator:
-    """Sparse operator with band width <= interior_margin in the spin label.
+    """Homogeneous operator between two truncated spaces, stored as its spin
+    diagonals.
 
-    Stored as a CSR matrix between two truncated spaces.  Applying it to a
-    vector supported on l <= lmax - interior_margin is truncation exact.
+    Every entry moves the weights (i, j) by the one pair ``shift`` = (di2,
+    dj2), in twice units.  ``diags`` maps each spin shift dl2 to an array over
+    the domain: its entry at a basis vector is the matrix entry at that vector
+    shifted by (dl2, di2, dj2), and it is zero where the shifted vector is
+    absent from the codomain.  The band width in the spin label is at most
+    ``interior_margin``, so applying the operator to a vector supported on
+    l <= lmax - interior_margin is truncation exact.
     """
 
-    def __init__(self, domain: TruncatedSpace, codomain: TruncatedSpace,
-                 matrix, interior_margin):
+    def __init__(self, domain: TruncatedSpace, codomain: TruncatedSpace, shift, diags: dict,
+                 interior_margin, targets=None):
         self.domain = domain
         self.codomain = codomain
-        self.matrix = sp.csr_matrix(matrix)
+        self.shift = tuple(shift)
+        self.diags = dict(sorted(diags.items()))
         self.interior_margin = HalfInt.of(interior_margin)
-        if self.matrix.shape != (codomain.dim, domain.dim):
-            raise ValueError("matrix shape does not match the spaces")
+        # codomain positions of the shifted domain basis, per dl2, as computed
+        self._targets = {} if targets is None else dict(targets)
+        if any(c.shape != (domain.dim,) for c in self.diags.values()):
+            raise ValueError("a diagonal does not match the domain")
+
+    def _target(self, dl2) -> np.ndarray:
+        """Codomain positions of the domain basis shifted by (dl2, *shift); -1
+        where the shifted vector is absent."""
+        tgt = self._targets.get(dl2)
+        if tgt is None:
+            tgt = self._targets[dl2] = self.codomain.shifted(self.domain, (dl2, *self.shift))
+        return tgt
 
     @classmethod
     def from_shift_rules(cls, domain, codomain, rules, margin, q):
         """Assemble from (shift, coefficient) rules.
 
         Each rule is ((dl2, di2, dj2), fn) with fn(q, l2, i2, j2) vectorized
-        over the twice arrays of the domain; entries whose target leaves the
-        codomain are dropped (that is the truncation).
+        over the twice arrays of the domain; all rules share one weight shift
+        (di2, dj2).  Entries whose target leaves the codomain are dropped
+        (that is the truncation), and rules with the same dl2 add up.
         """
-        rows, cols, vals = [], [], []
+        shifts = {(di2, dj2) for (_, di2, dj2), _ in rules}
+        if len(shifts) != 1:
+            raise ValueError(f"the rules must share one weight shift, got {sorted(shifts)}")
         l2, i2, j2 = domain.l2, domain.i2, domain.j2
+        diags, targets = {}, {}
         for (dl2, di2, dj2), fn in rules:
-            coeff = np.asarray(fn(q, l2, i2, j2), dtype=float)
-            tgt = codomain.locate(l2 + dl2, i2 + di2, j2 + dj2)
-            keep = (tgt >= 0) & (coeff != 0.0)
-            rows.append(tgt[keep])
-            cols.append(np.nonzero(keep)[0])
-            vals.append(coeff[keep])
-        mat = sp.coo_matrix(
-            (np.concatenate(vals) if vals else [],
-             (np.concatenate(rows) if rows else [], np.concatenate(cols) if cols else [])),
-            shape=(codomain.dim, domain.dim))
-        return cls(domain, codomain, mat.tocsr(), margin)
+            if dl2 not in targets:
+                targets[dl2] = codomain.shifted(domain, (dl2, di2, dj2))
+            coeff = np.asarray(fn(q, l2, i2, j2), dtype=float) * (targets[dl2] >= 0)
+            diags[dl2] = diags[dl2] + coeff if dl2 in diags else coeff
+        return cls(domain, codomain, shifts.pop(), diags, margin, targets)
 
     @classmethod
     def identification(cls, domain, codomain):
@@ -306,59 +360,139 @@ class BandedOperator:
         identity of a space, the bijection between the bundles k = 1 and
         k' = -1, and for (k, k') = (0, -2) the map annihilating e^(0)_{0,0}.
         """
-        rule = ((0, 0, codomain.k - domain.k), lambda q, l2, i2, j2: np.ones(l2.shape))
-        return cls.from_shift_rules(domain, codomain, (rule,), HalfInt(0), q=None)
+        shift = (0, codomain.k - domain.k)
+        tgt = (np.arange(domain.dim) if domain == codomain
+               else codomain.shifted(domain, (0, *shift)))
+        return cls(domain, codomain, shift, {0: (tgt >= 0).astype(float)}, HalfInt(0),
+                   {0: tgt})
 
     @classmethod
     def identity(cls, space):
         return cls.identification(space, space)
 
-    # sparse algebra; margins add under composition
+    # array algebra on the diagonals; margins add under composition
     def __matmul__(self, other):
-        if isinstance(other, BandedOperator):
-            if other.codomain != self.domain:
-                raise ValueError("composition domain mismatch")
-            return BandedOperator(other.domain, self.codomain,
-                                  self.matrix @ other.matrix,
-                                  self.interior_margin + other.interior_margin)
-        return NotImplemented
+        """Composition: each diagonal of ``self`` is gathered at the targets of
+        each diagonal of ``other`` and multiplied in.  Every composite
+        diagonal accumulates its terms in descending dl2 of ``self``, which is
+        ascending spin of the intermediate vector: the order of a CSR product,
+        so a composite entry is the same float as the CSR product's."""
+        if not isinstance(other, BandedOperator):
+            return NotImplemented
+        if other.codomain != self.domain:
+            raise ValueError("composition domain mismatch")
+        diags = {}
+        for d, left in reversed(self.diags.items()):
+            for e, right in other.diags.items():
+                # right is zero where its target is -1, so that gather is harmless
+                term = left[other._target(e)]
+                term *= right
+                if d + e in diags:
+                    diags[d + e] += term
+                else:
+                    diags[d + e] = term
+        shift = (self.shift[0] + other.shift[0], self.shift[1] + other.shift[1])
+        return BandedOperator(other.domain, self.codomain, shift, diags,
+                              self.interior_margin + other.interior_margin)
+
+    def _combine(self, other, op):
+        if not isinstance(other, BandedOperator):
+            return NotImplemented
+        if (self.domain, self.codomain, self.shift) != (other.domain, other.codomain, other.shift):
+            raise ValueError("only operators between the same spaces with the same "
+                             "weight shift add")
+        diags = dict(self.diags)
+        for d, c in other.diags.items():
+            diags[d] = op(diags.get(d, 0.0), c)
+        return BandedOperator(self.domain, self.codomain, self.shift, diags,
+                              max(self.interior_margin, other.interior_margin),
+                              {**other._targets, **self._targets})
 
     def __add__(self, other):
-        if isinstance(other, BandedOperator):
-            return BandedOperator(self.domain, self.codomain,
-                                  self.matrix + other.matrix,
-                                  max(self.interior_margin, other.interior_margin))
-        return NotImplemented
+        return self._combine(other, np.add)
 
     def __sub__(self, other):
-        if isinstance(other, BandedOperator):
-            return BandedOperator(self.domain, self.codomain,
-                                  self.matrix - other.matrix,
-                                  max(self.interior_margin, other.interior_margin))
-        return NotImplemented
+        return self._combine(other, np.subtract)
 
     def __rmul__(self, scalar):
-        return BandedOperator(self.domain, self.codomain, scalar * self.matrix,
-                              self.interior_margin)
+        return BandedOperator(self.domain, self.codomain, self.shift,
+                              {d: scalar * c for d, c in self.diags.items()},
+                              self.interior_margin, self._targets)
 
     def adjoint(self) -> "BandedOperator":
-        # all tables are real, so the adjoint is the transpose
-        return BandedOperator(self.codomain, self.domain, self.matrix.T.tocsr(),
-                              self.interior_margin)
+        """The transpose, as all tables are real: each diagonal is scattered
+        to its targets and becomes the diagonal of the opposite shift."""
+        diags, targets = {}, {}
+        for d, c in self.diags.items():
+            slot = self._target(d) + 1  # slot 0 takes the absent targets and is dropped
+            diag = np.zeros(self.codomain.dim + 1)
+            diag[slot] = c
+            back = np.full(self.codomain.dim + 1, -1, dtype=np.intp)
+            back[slot] = np.arange(self.domain.dim)
+            diags[-d], targets[-d] = diag[1:], back[1:]
+        return BandedOperator(self.codomain, self.domain, (-self.shift[0], -self.shift[1]),
+                              diags, self.interior_margin, targets)
+
+    # -- scipy exports and norms ---------------------------------------------
 
     def restrict_cols(self, mask: np.ndarray) -> sp.csr_matrix:
-        return self.matrix[:, mask]
+        """The columns of the domain vectors in ``mask`` as a scipy CSR matrix."""
+        src = np.nonzero(mask)[0]
+        empty = np.zeros(0, dtype=np.intp)
+        rows, cols, vals = [empty], [empty], [np.zeros(0)]
+        for d, c in self.diags.items():
+            coeff = c[src]
+            keep = np.nonzero(coeff)[0]
+            rows.append(self._target(d)[src[keep]])
+            cols.append(keep)
+            vals.append(coeff[keep])
+        mat = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                            shape=(self.codomain.dim, src.size))
+        return mat.tocsr()
+
+    @property
+    def matrix(self) -> sp.csr_matrix:
+        """The operator as a scipy CSR matrix, built on each access."""
+        return self.restrict_cols(np.ones(self.domain.dim, dtype=bool))
+
+    def norm(self, cols=None) -> float:
+        """Operator norm, of the columns of the domain vectors in the mask
+        ``cols`` when given.
+
+        The zero case and the rigorous bound are read off the diagonals by
+        the rule of :func:`_norm_without_svd`; only a norm that rule leaves
+        open goes to the stacked SVD of :func:`operator_norm`, on the CSR
+        export of those columns.
+        """
+        if cols is None:
+            cols = np.ones(self.domain.dim, dtype=bool)
+        weights = [np.abs(c) * cols for c in self.diags.values()]
+
+        def one_and_inf():
+            # a column sums in ascending dl2 and a row in descending dl2, each
+            # the order of its entries in the CSR export; an absent target
+            # has weight 0 and lands in slot 0, which is dropped
+            col_sums = sum(weights)
+            row_sums = np.zeros(self.codomain.dim + 1)
+            for d, w in zip(reversed(self.diags), reversed(weights)):
+                row_sums[self._target(d) + 1] += w
+            return float(col_sums.max()), float(row_sums[1:].max())
+
+        settled = _norm_without_svd(any(w.any() for w in weights), one_and_inf)
+        if settled is not None:
+            return settled
+        return operator_norm(self.restrict_cols(cols))
 
     def interior_residual_norm(self, margin=None) -> float:
         """Operator norm restricted to interior columns."""
         m = self.interior_margin if margin is None else HalfInt.of(margin)
-        return operator_norm(self.restrict_cols(self.domain.interior_mask(m)))
+        return self.norm(self.domain.interior_mask(m))
 
 
 def block_matrix(blocks):
-    """One sparse matrix from a grid of the matrices of operators (as from
-    ``.matrix`` or :meth:`BandedOperator.restrict_cols`), for the norm of a
-    block operator on a direct sum of spaces."""
+    """One scipy sparse matrix from a grid of the matrices of operators (as
+    from ``.matrix`` or :meth:`BandedOperator.restrict_cols`), for the norm of
+    a block operator on a direct sum of spaces."""
     return sp.bmat(blocks, format="csr")
 
 
@@ -407,8 +541,24 @@ def block_stack(mat):
     return stack, np.column_stack((height, width))
 
 
+def _norm_without_svd(nonzero: bool, one_and_inf):
+    """The norm when it is settled without an SVD, else None.
+
+    An operator with no nonzero entry has norm 0.  Otherwise
+    ``one_and_inf()`` gives its (norm_1, norm_inf); when the rigorous upper
+    bound sqrt(norm_1 * norm_inf) is below 1e-13, that bound is returned in
+    place of the norm: it is at rounding level and certifies any realistic
+    threshold of a ``max`` check.
+    """
+    if not nonzero:
+        return 0.0
+    norm_1, norm_inf = one_and_inf()
+    upper = float(np.sqrt(norm_1 * norm_inf))
+    return upper if upper < 1e-13 else None
+
+
 def operator_norm(mat, exact_dim: int = 1200) -> float:
-    """Largest singular value of a sparse matrix, exact, from its blocks.
+    """Largest singular value of a scipy sparse matrix, exact, from its blocks.
 
     Every operator here is homogeneous for the torus weights, so it is a
     direct sum of small maps between weight sectors: the blocks of
@@ -418,19 +568,17 @@ def operator_norm(mat, exact_dim: int = 1200) -> float:
     caps the blocks that SVD runs on: a block whose smaller side exceeds it
     raises ValueError naming its shape.
 
-    An empty matrix, or one whose stored entries are all zero, has norm 0.
-    When the rigorous upper bound sqrt(norm_1 * norm_inf) is below 1e-13,
-    that bound is returned in place of the norm: it is at rounding level and
-    certifies any realistic threshold of a ``max`` check.
+    The zero case and the rounding-level bound follow the rule of
+    :func:`_norm_without_svd`, as in :meth:`BandedOperator.norm`, which
+    hands a matrix here only when that rule leaves the norm open.
     """
     mat = sp.csr_matrix(mat)
     if not mat.has_canonical_format:
         mat = mat.copy()  # spla.norm sorts the indices of its argument in place
-    if min(mat.shape) == 0 or not mat.data.any():
-        return 0.0
-    upper = float(np.sqrt(spla.norm(mat, 1) * spla.norm(mat, np.inf)))
-    if upper < 1e-13:
-        return upper
+    settled = _norm_without_svd(mat.data.any(),
+                                lambda: (spla.norm(mat, 1), spla.norm(mat, np.inf)))
+    if settled is not None:
+        return settled
     stack, shapes = block_stack(mat)
     big = shapes.min(axis=1) > exact_dim
     if big.any():

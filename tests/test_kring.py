@@ -162,6 +162,33 @@ def test_exact_layer_reads_ints_bools_and_numpy_integers():
     assert all(type(x) is int for m in (u, d, v) for row in m for x in row)
 
 
+@pytest.mark.parametrize("call", [
+    # int() would certify n = 3, return d_3 = 8 and fuse labels 2 and 1
+    lambda: koszul_verify(3.7, 10),
+    lambda: koszul_verify(3, 10.0),
+    lambda: koszul_matrix(2.5, 4),
+    lambda: koszul_matrix(2, 4.2),
+    lambda: dim_classical(3.9, 2),
+    lambda: dim_classical(3, 2.0),
+    lambda: dim_quantum(0.5, 1.5),
+    lambda: fuse(2.5, 1),
+    lambda: fuse(2, "1"),
+])
+def test_exact_layer_rejects_non_integral_arguments(call):
+    with pytest.raises(TypeError):
+        call()
+
+
+def test_exact_layer_reads_numpy_integer_arguments():
+    n, d, k = np.int64(3), np.int32(10), np.int16(2)
+    cert = koszul_verify(n, d)
+    assert cert["pass"] and type(cert["n"]) is int and type(cert["degree"]) is int
+    assert koszul_matrix(n, d) == koszul_matrix(3, 10)
+    assert dim_classical(n, k) == dim_classical(3, 2) == 8
+    assert dim_quantum(0.5, k) == dim_quantum(0.5, 2)
+    assert fuse(k, np.uint8(1)) == fuse(2, 1) == {1: 1, 3: 1}
+
+
 def test_int_det_known_values():
     assert int_det([[2, 0], [0, 3]]) == 6
     assert int_det([[0, 1], [1, 0]]) == -1

@@ -6,9 +6,10 @@ import scipy.sparse as sp
 
 from suq2kit.kring import dim_quantum
 from suq2kit.qarith import HalfInt
-from suq2kit.peterweyl import (BandedOperator, block_stack, bundle_space, full_space,
-                               generator_op, haar_state, operator_norm, reg_a_minus,
-                               reg_a_plus, reg_c_minus, reg_c_plus, _masked_sqrt_ratio)
+from suq2kit.peterweyl import (_GEN_RULES, BandedOperator, block_stack, bundle_space,
+                               full_space, generator_op, haar_state, operator_norm,
+                               reg_a_minus, reg_a_plus, reg_c_minus, reg_c_plus,
+                               _masked_sqrt_ratio)
 
 Q_GRID = (0.3, -0.3, 0.5, -0.5, 0.9, -0.9)
 H = HalfInt
@@ -131,6 +132,29 @@ def test_comodule_grading_is_structural():
     dom = bundle_space(1, 9)
     op = generator_op("gamma", -0.5, dom)
     assert op.codomain.k == 0
+
+
+def test_sums_need_the_same_spaces_and_weight_shift():
+    from suq2kit.podles import podles_op
+
+    # the bundles +1 and -1 have the same dimension, 110, at this cutoff
+    plus = podles_op("A", 0.5, bundle_space(1, 20))
+    minus = podles_op("A", 0.5, bundle_space(-1, 20))
+    assert plus.domain.dim == minus.domain.dim == 110
+    space = full_space(6)
+    alpha = generator_op("alpha", 0.5, space)
+    wider = BandedOperator.from_shift_rules(space, full_space(8), _GEN_RULES["alpha"], 1, q=0.5)
+    for x, y in ((plus, minus), (minus, plus), (alpha, wider),
+                 (alpha, generator_op("gamma", 0.5, space)),
+                 (alpha, BandedOperator.identity(space))):
+        with pytest.raises(ValueError):
+            x + y
+        with pytest.raises(ValueError):
+            x - y
+    assert (plus - plus).domain == plus.domain
+    with pytest.raises(ValueError, match="one weight shift"):
+        BandedOperator.from_shift_rules(space, space, _GEN_RULES["alpha"] + _GEN_RULES["gamma"],
+                                        1, q=0.5)
 
 
 def test_banded_margin_and_truncation_exactness():

@@ -144,8 +144,9 @@ def test_fit_geometric_needs_points():
 # ---------------------------------------------------------------------------
 
 def test_commutator_tail_past_the_old_dense_limit_is_the_dense_norm(monkeypatch):
-    # at lmax 40 the bundles have dimension 1640, which used to go to ARPACK
-    import suq2kit.podles as po
+    # at lmax 40 the bundles have dimension 1640, which used to go to ARPACK;
+    # BandedOperator.norm hands its SVD path to peterweyl's operator_norm
+    import suq2kit.peterweyl as pw
 
     seen = []
 
@@ -154,7 +155,7 @@ def test_commutator_tail_past_the_old_dense_limit_is_the_dense_norm(monkeypatch)
         seen.append((mat, value))
         return value
 
-    monkeypatch.setattr(po, "operator_norm", recording_norm)
+    monkeypatch.setattr(pw, "operator_norm", recording_norm)
     mod = FredholmModule.standard(-0.5, 40)
     assert mod.plus_space.dim == 1640
     for x in ("A", "B"):
@@ -176,9 +177,9 @@ def test_podles_suite_builds_each_table_once(monkeypatch):
 
     monkeypatch.setattr(BandedOperator, "from_shift_rules", classmethod(counting))
     run_suite(SuiteConfig(suite="podles", q=-0.5, lmax=H(8)))
-    # A, B, gamma, gamma*, alpha* on the full space, the identity in the
-    # sphere relations, gamma* and gamma in haar_state
-    assert len(calls) == 8
+    # A, B, gamma, gamma*, alpha* on the full space, gamma* and gamma in
+    # haar_state; the identity in the sphere relations needs no rules
+    assert len(calls) == 7
 
 
 def _tail_assembled_per_cutoff(mod, x, l_from):
