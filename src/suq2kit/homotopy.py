@@ -27,8 +27,9 @@ from __future__ import annotations
 import numpy as np
 
 from .qarith import HalfInt, guarded_sqrt_array, m_array, qpow, strict_q
-from .peterweyl import (BandedOperator, block_matrix, bundle_space, operator_norm, _band,
-                        _iratio, _spin_dens, _src_ok, _masked_sqrt_ratio)
+from .peterweyl import (BandedOperator, block_entries, bundle_space, operator_norm, _band,
+                        _iratio, _spin_dens, _src_ok, _masked_sqrt_ratio,
+                        _pair_norm_without_svd)
 
 __all__ = [
     "build_omega",
@@ -476,6 +477,17 @@ def _omega_matrices_on_minus2(q, lmax):
     return minus2, out_omega0, out_omega1
 
 
+def _grid_norm(grid, cols=None) -> float:
+    """Norm of a grid of operators as one block operator, of the columns of
+    the domain vectors in the mask ``cols`` when given.  The zero case and
+    the bound are settled on the entries, so an all-zero grid, an empty
+    pair, never reaches :func:`operator_norm`; the stacked SVD takes the
+    weight sectors of the columns as its blocks."""
+    pair, sectors = block_entries(grid, cols)
+    settled = _pair_norm_without_svd(pair)
+    return operator_norm(pair, blocks=sectors) if settled is None else settled
+
+
 def rotation_homotopy_check(q, t_grid_size: int = 11, lmax=30, l_from=15) -> dict:
     """Certify the explicit rotation homotopy used for q < 0.
 
@@ -528,16 +540,13 @@ def rotation_homotopy_check(q, t_grid_size: int = 11, lmax=30, l_from=15) -> dic
                 if t == t_mid:
                     # swap . even - diag(b, b) . swap, restricted to the tail columns
                     commutator = [[r, u - b], [p - b, r]]
-                    assembled = operator_norm(block_matrix(
-                        [[y.restrict_cols(cols) for y in row] for row in commutator]))
+                    assembled = _grid_norm(commutator, cols)
                     assembly_gap = max(assembly_gap,
                                        abs(assembled - np.linalg.norm(s1, 2) * delta_tail))
                 if t == 0.0:
-                    dev = block_matrix([[(p - a).matrix, r.matrix], [r.matrix, (u - b).matrix]])
-                    endpoint0 = max(endpoint0, operator_norm(dev))
+                    endpoint0 = max(endpoint0, _grid_norm([[p - a, r], [r, u - b]]))
                 if t == 1.0:
-                    dev = block_matrix([[(p - b).matrix, r.matrix], [r.matrix, (u - a).matrix]])
-                    endpoint1 = max(endpoint1, operator_norm(dev))
+                    endpoint1 = max(endpoint1, _grid_norm([[p - b, r], [r, u - a]]))
     return {
         "max_tail": worst_tail,
         "max_tail_excess": max(worst_gap, 0.0),

@@ -11,10 +11,14 @@ e^(0)_{0,0}.
 here is homogeneous: all its entries move the weights (i, j) by one pair, so
 it is stored as its spin diagonals, one coefficient array over the domain per
 spin shift.  Sums, scaling, composition and adjoints are numpy array
-arithmetic on those arrays, and :meth:`BandedOperator.norm` reads the zero
-case and the rounding-level bound off them.  scipy enters only at the scipy
-CSR export ``.matrix``, built on demand for applying an operator to a vector,
-and at the stacked SVD of :func:`operator_norm`.
+arithmetic on those arrays, an operator applies to a coefficient vector with
+``@``, and :meth:`BandedOperator.norm` reads the zero case and the
+rounding-level bound off them.  An SVD the bound leaves open gets the
+operator's nonzero entries as a numpy COO pair labelled by weight sector, the
+blocks of the stacked SVD of :func:`operator_norm`.  The package runs on
+numpy alone: scipy is imported only by the scipy CSR exports ``.matrix`` and
+:meth:`BandedOperator.restrict_cols`, and it is needed only for them and for
+:func:`operator_norm` of a scipy matrix.
 
 Index bookkeeping is done in "twice" units (integers 2l, 2i, 2j) so every
 exponent appearing in a coefficient formula is an exact integer.
@@ -25,8 +29,6 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .qarith import HalfInt, guarded_sqrt_array, qpow, strict_q
 
@@ -39,7 +41,7 @@ __all__ = [
     "haar_state",
     "relation_residuals",
     "operator_norm",
-    "block_matrix",
+    "block_entries",
     "block_stack",
     "GENERATORS",
 ]
@@ -51,10 +53,13 @@ GENERATORS = ("alpha", "alpha*", "gamma", "gamma*")
 # indices and spaces
 # ---------------------------------------------------------------------------
 
-# the largest spin or weight step, in grid units, that a full space's padded
+# the largest spin or weight step, in grid units, that a space's padded
 # position grid absorbs; every product of two generator or sphere tables
 # stays within it
 _PAD = 4
+
+# a weight sector (i2, j2) packed into one integer, j2 in the low 32 bits
+_SECTOR_BASE = 2 ** 32
 
 
 class TruncatedSpace:
@@ -132,31 +137,46 @@ class TruncatedSpace:
         return np.where(ok, pos, -1)
 
     @cached_property
-    def _grid(self):
-        """Positions on the grid (l2, (l2 + i2)/2, (l2 + j2)/2), padded by _PAD
-        on every side and -1 off the space, flattened; and the flat grid
-        index of each basis vector.  Full spaces only."""
+    def _flat(self) -> np.ndarray:
+        """Index of each basis vector on the grid (l2, (l2 + i2)/2, (l2 + j2)/2),
+        or (l2, (l2 + i2)/2) on a bundle, whose j2 is fixed; padded by _PAD
+        on every side and flattened."""
         n = self.lmax.twice + 1 + 2 * _PAD
-        flat = (((self.l2 + _PAD) * n + (self.l2 + self.i2) // 2 + _PAD) * n
-                + (self.l2 + self.j2) // 2 + _PAD)
-        grid = np.full(n ** 3, -1, dtype=np.int32)  # half the memory of intp
-        grid[flat] = np.arange(self.dim)
-        return grid, flat
+        flat = (self.l2 + _PAD) * n + (self.l2 + self.i2) // 2 + _PAD
+        return flat * n + (self.l2 + self.j2) // 2 + _PAD if self.full else flat
+
+    @cached_property
+    def _grid(self) -> np.ndarray:
+        """Positions on that grid, -1 off the space."""
+        n = self.lmax.twice + 1 + 2 * _PAD
+        grid = np.full(n ** (3 if self.full else 2), -1, dtype=np.int32)  # half of intp
+        grid[self._flat] = np.arange(self.dim)
+        return grid
+
+    @cached_property
+    def _sectors(self) -> np.ndarray:
+        """The weight sector (i2, j2) of each basis vector, packed."""
+        return self.i2 * _SECTOR_BASE + self.j2
 
     def shifted(self, source: "TruncatedSpace", shift) -> np.ndarray:
         """Positions in this space of the basis of ``source`` shifted by
         (dl2, di2, dj2), in twice units; -1 where the shifted vector is absent.
 
-        Within one full space a shift moves every grid index by the same
-        offset, so the positions are one gather from the padded grid.
+        Between spaces on one grid, the same full space or two bundles at one
+        lmax whose windings differ by dj2, a shift moves every grid index by
+        the same offset, so the positions are one gather from the padded grid.
         """
         dl2, di2, dj2 = shift
-        steps = (dl2, (dl2 + di2) // 2, (dl2 + dj2) // 2)
-        if (self.full and source == self and (dl2 + di2) % 2 == 0 and (dl2 + dj2) % 2 == 0
+        steps = (dl2, (dl2 + di2) // 2, (dl2 + dj2) // 2)[:3 if self.full else 2]
+        one_grid = (source == self if self.full
+                    else not source.full and source.lmax == self.lmax and source.k + dj2 == self.k)
+        if (one_grid and (dl2 + di2) % 2 == 0 and (dl2 + dj2) % 2 == 0
                 and max(map(abs, steps)) <= _PAD):
-            grid, flat = self._grid
             n = self.lmax.twice + 1 + 2 * _PAD
-            return grid[flat + (steps[0] * n + steps[1]) * n + steps[2]].astype(np.intp)
+            offset = 0
+            for step in steps:
+                offset = offset * n + step
+            return self._grid[source._flat + offset].astype(np.intp)
         return self.locate(source.l2 + dl2, source.i2 + di2, source.j2 + dj2)
 
     def interior_mask(self, margin) -> np.ndarray:
@@ -376,7 +396,12 @@ class BandedOperator:
         each diagonal of ``other`` and multiplied in.  Every composite
         diagonal accumulates its terms in descending dl2 of ``self``, which is
         ascending spin of the intermediate vector: the order of a CSR product,
-        so a composite entry is the same float as the CSR product's."""
+        so a composite entry is the same float as the CSR product's.
+
+        A numpy vector over the domain is mapped to one over the codomain.
+        """
+        if isinstance(other, np.ndarray):
+            return self._apply(other)
         if not isinstance(other, BandedOperator):
             return NotImplemented
         if other.codomain != self.domain:
@@ -408,6 +433,18 @@ class BandedOperator:
                               max(self.interior_margin, other.interior_margin),
                               {**other._targets, **self._targets})
 
+    def _apply(self, vec: np.ndarray) -> np.ndarray:
+        """The image of a coefficient vector over the domain.  A row sums in
+        descending dl2, which is ascending column: the order of a CSR
+        matrix-vector product.  Absent targets land in slot 0, which is
+        dropped."""
+        if vec.shape != (self.domain.dim,):
+            raise ValueError(f"a vector of shape {vec.shape} on a {self.domain.dim}-dim domain")
+        out = np.zeros(self.codomain.dim + 1, dtype=np.result_type(vec, float))
+        for d, c in reversed(self.diags.items()):
+            out[self._target(d) + 1] += c * vec
+        return out[1:]
+
     def __add__(self, other):
         return self._combine(other, np.add)
 
@@ -433,25 +470,37 @@ class BandedOperator:
         return BandedOperator(self.codomain, self.domain, (-self.shift[0], -self.shift[1]),
                               diags, self.interior_margin, targets)
 
-    # -- scipy exports and norms ---------------------------------------------
+    # -- entries, scipy exports and norms ------------------------------------
 
-    def restrict_cols(self, mask: np.ndarray) -> sp.csr_matrix:
-        """The columns of the domain vectors in ``mask`` as a scipy CSR matrix."""
-        src = np.nonzero(mask)[0]
+    def entries(self, cols=None):
+        """The nonzero entries of the columns of the domain vectors in the mask
+        ``cols`` (of every column when None), in ascending dl2: a COO pair
+        (values, (rows, columns)) with the columns numbered among those
+        kept, and the weight sector (i2, j2) of each entry's column, packed
+        into one integer.  The sectors are the blocks of the operator's
+        direct sum."""
+        src = np.arange(self.domain.dim) if cols is None else np.nonzero(cols)[0]
         empty = np.zeros(0, dtype=np.intp)
-        rows, cols, vals = [empty], [empty], [np.zeros(0)]
+        rows, kept, vals = [empty], [empty], [np.zeros(0)]
         for d, c in self.diags.items():
             coeff = c[src]
             keep = np.nonzero(coeff)[0]
             rows.append(self._target(d)[src[keep]])
-            cols.append(keep)
+            kept.append(keep)
             vals.append(coeff[keep])
-        mat = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                            shape=(self.codomain.dim, src.size))
-        return mat.tocsr()
+        kept = np.concatenate(kept)
+        return ((np.concatenate(vals), (np.concatenate(rows), kept)),
+                self.domain._sectors[src[kept]])
+
+    def restrict_cols(self, mask: np.ndarray):
+        """The columns of the domain vectors in ``mask`` as a scipy CSR matrix."""
+        import scipy.sparse as sp  # the package runs without scipy up to this export
+
+        pair, _ = self.entries(mask)
+        return sp.coo_matrix(pair, shape=(self.codomain.dim, np.count_nonzero(mask))).tocsr()
 
     @property
-    def matrix(self) -> sp.csr_matrix:
+    def matrix(self):
         """The operator as a scipy CSR matrix, built on each access."""
         return self.restrict_cols(np.ones(self.domain.dim, dtype=bool))
 
@@ -461,8 +510,8 @@ class BandedOperator:
 
         The zero case and the rigorous bound are read off the diagonals by
         the rule of :func:`_norm_without_svd`; only a norm that rule leaves
-        open goes to the stacked SVD of :func:`operator_norm`, on the CSR
-        export of those columns.
+        open goes to the stacked SVD of :func:`operator_norm`, on the
+        :meth:`entries` of those columns with their weight sectors as blocks.
         """
         if cols is None:
             cols = np.ones(self.domain.dim, dtype=bool)
@@ -481,7 +530,8 @@ class BandedOperator:
         settled = _norm_without_svd(any(w.any() for w in weights), one_and_inf)
         if settled is not None:
             return settled
-        return operator_norm(self.restrict_cols(cols))
+        pair, sectors = self.entries(cols)
+        return operator_norm(pair, blocks=sectors)
 
     def interior_residual_norm(self, margin=None) -> float:
         """Operator norm restricted to interior columns."""
@@ -489,55 +539,74 @@ class BandedOperator:
         return self.norm(self.domain.interior_mask(m))
 
 
-def block_matrix(blocks):
-    """One scipy sparse matrix from a grid of the matrices of operators (as
-    from ``.matrix`` or :meth:`BandedOperator.restrict_cols`), for the norm of
-    a block operator on a direct sum of spaces."""
-    return sp.bmat(blocks, format="csr")
+def block_entries(grid, cols=None):
+    """The entries of a grid of operators as one block operator, from the
+    direct sum of the domains along a row to the direct sum of the
+    codomains down a column: a COO pair and the weight sector of each
+    entry's column, as from :meth:`BandedOperator.entries`.  ``cols``
+    restricts every block to the columns of the domain vectors in the mask.
 
-
-def block_stack(mat):
-    """The direct-sum blocks of a sparse matrix, zero padded into one stack.
-
-    A block is a connected component of the bipartite graph joining row r to
-    column c wherever entry (r, c) is nonzero; stored zeros are skipped, and
-    the caller's matrix is left as it is.  A wide block is stored transposed,
-    so every block in the stack is tall.  Returns the stack, of shape
-    (blocks, rows, cols) with rows >= cols, and the (rows, cols) shape of
-    each block in the matrix.  The singular values of the matrix are those
-    of the stacked blocks together with zeros.
+    All operators must share one weight shift, so a row of the sum lies in
+    one sector too and the sectors stay the blocks of its direct sum.
     """
-    # imported here so that runs with no operator norm (the integer suites)
-    # pay neither its import time nor its ~1 MB
-    from scipy.sparse.csgraph import connected_components
+    if len({op.shift for row in grid for op in row}) != 1:
+        raise ValueError("the operators of a block grid must share one weight shift")
+    vals, rows, kept, sectors = [], [], [], []
+    row_offset = 0
+    for row in grid:
+        col_offset = 0
+        for op in row:
+            (v, (r, c)), s = op.entries(cols)
+            vals.append(v)
+            rows.append(r + row_offset)
+            kept.append(c + col_offset)
+            sectors.append(s)
+            col_offset += op.domain.dim if cols is None else np.count_nonzero(cols)
+        row_offset += row[0].codomain.dim
+    pair = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(kept)))
+    return pair, np.concatenate(sectors)
 
-    coo = sp.coo_matrix(mat)
-    nonzero = coo.data != 0
-    rows, cols, vals = coo.row[nonzero], coo.col[nonzero], coo.data[nonzero]
-    row_ids, row_of = np.unique(rows, return_inverse=True)
-    col_ids, col_of = np.unique(cols, return_inverse=True)
-    n_rows = row_ids.size
-    n_nodes = n_rows + col_ids.size
-    graph = sp.coo_matrix((np.ones(vals.size), (row_of, n_rows + col_of)),
-                          shape=(n_nodes, n_nodes))
-    n_blocks, label = connected_components(graph, directed=False)
 
-    def local_positions(labels):
-        # position of each node among the nodes of its block, in index order
-        order = np.argsort(labels, kind="stable")
-        sizes = np.bincount(labels, minlength=n_blocks)
+def block_stack(pair, blocks):
+    """The blocks of a matrix, zero padded into one stack.
+
+    ``pair`` is the COO pair (values, (rows, cols)) of the matrix and
+    ``blocks`` labels each entry with its block; every row and every column
+    must lie in one block.  Stored zeros are skipped, and a row or column
+    with no nonzero entry belongs to no block.  A wide block is stored
+    transposed, so every block in the stack is tall.  Returns the stack, of
+    shape (blocks, rows, cols) with rows >= cols, and the (rows, cols) shape
+    of each block in the matrix.  The singular values of the matrix are
+    those of the stacked blocks together with zeros.
+    """
+    vals, (rows, cols) = pair
+    vals, rows, cols, blocks = map(np.asarray, (vals, rows, cols, blocks))
+    nonzero = vals != 0
+    vals, rows, cols = vals[nonzero], rows[nonzero], cols[nonzero]
+    block_ids, block = np.unique(blocks[nonzero], return_inverse=True)
+    n_blocks = block_ids.size
+
+    def local_positions(nodes):
+        # position of each row (or column) among those of its block, in index
+        # order, and the number of them in each block
+        ids, node_of = np.unique(nodes, return_inverse=True)
+        label = np.empty(ids.size, dtype=np.intp)
+        label[node_of] = block
+        if (label[node_of] != block).any():
+            raise ValueError("a row or column lies in two blocks")
+        order = np.argsort(label, kind="stable")
+        sizes = np.bincount(label, minlength=n_blocks)
         pos = np.empty_like(order)
         pos[order] = np.arange(order.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        return pos, sizes
+        return pos[node_of], sizes
 
-    row_pos, height = local_positions(label[:n_rows])
-    col_pos, width = local_positions(label[n_rows:])
-    block = label[row_of]
+    row_pos, height = local_positions(rows)
+    col_pos, width = local_positions(cols)
     wide = (width > height)[block]
     tall = (np.maximum(height, width).max(initial=0), np.minimum(height, width).max(initial=0))
     stack = np.zeros((n_blocks, *tall), dtype=vals.dtype)
-    np.add.at(stack, (block, np.where(wide, col_pos[col_of], row_pos[row_of]),
-                      np.where(wide, row_pos[row_of], col_pos[col_of])), vals)
+    np.add.at(stack, (block, np.where(wide, col_pos, row_pos), np.where(wide, row_pos, col_pos)),
+              vals)
     return stack, np.column_stack((height, width))
 
 
@@ -557,29 +626,52 @@ def _norm_without_svd(nonzero: bool, one_and_inf):
     return upper if upper < 1e-13 else None
 
 
-def operator_norm(mat, exact_dim: int = 1200) -> float:
-    """Largest singular value of a scipy sparse matrix, exact, from its blocks.
+def _one_and_inf(pair):
+    """(norm_1, norm_inf) of a COO pair: its largest absolute column and row
+    sums, each summed in the order of the entries."""
+    vals, (rows, cols) = pair
+    weights = np.abs(vals)
+    return float(np.bincount(cols, weights).max()), float(np.bincount(rows, weights).max())
 
-    Every operator here is homogeneous for the torus weights, so it is a
-    direct sum of small maps between weight sectors: the blocks of
-    :func:`block_stack`.  The norm of a direct sum is the largest norm of
-    its blocks, and zero padding adds only zero singular values, so one
-    stacked dense SVD of the blocks gives the norm exactly.  ``exact_dim``
-    caps the blocks that SVD runs on: a block whose smaller side exceeds it
-    raises ValueError naming its shape.
+
+def _pair_norm_without_svd(pair):
+    """The norm of a COO pair when :func:`_norm_without_svd` settles it, else
+    None.  A caller settles a pair here before :func:`operator_norm` when
+    the pair may be empty, which is no scipy matrix: it has no shape."""
+    return _norm_without_svd(pair[0].any(), lambda: _one_and_inf(pair))
+
+
+def operator_norm(mat, exact_dim: int = 1200, blocks=None) -> float:
+    """Largest singular value of a matrix, exact, from its blocks.
+
+    ``mat`` is a COO pair (values, (rows, cols)) of numpy arrays or a scipy
+    sparse matrix.  The norm of a direct sum is the largest norm of its
+    blocks, and zero padding adds only zero singular values, so one stacked
+    dense SVD of the blocks of :func:`block_stack` gives the norm exactly.
+    ``blocks`` labels each entry of a pair with its block: every operator
+    here is homogeneous for the torus weights, and
+    :meth:`BandedOperator.norm` passes the weight sector of each entry's
+    column.  Without labels the whole matrix is one block, a dense SVD: the
+    oracle for a scipy matrix.  ``exact_dim`` caps the blocks that SVD runs
+    on: a block whose smaller side exceeds it raises ValueError naming its
+    shape.
 
     The zero case and the rounding-level bound follow the rule of
     :func:`_norm_without_svd`, as in :meth:`BandedOperator.norm`, which
     hands a matrix here only when that rule leaves the norm open.
     """
-    mat = sp.csr_matrix(mat)
-    if not mat.has_canonical_format:
-        mat = mat.copy()  # spla.norm sorts the indices of its argument in place
-    settled = _norm_without_svd(mat.data.any(),
-                                lambda: (spla.norm(mat, 1), spla.norm(mat, np.inf)))
+    if not isinstance(mat, tuple):
+        mat = mat.tocoo(copy=True)  # a copy: the caller's matrix is left as it is
+        mat.sum_duplicates()
+        mat = (mat.data, (mat.row, mat.col))
+    vals, (rows, cols) = mat
+    pair = (np.asarray(vals), (np.asarray(rows), np.asarray(cols)))
+    settled = _pair_norm_without_svd(pair)
     if settled is not None:
         return settled
-    stack, shapes = block_stack(mat)
+    if blocks is None:
+        blocks = np.zeros(pair[0].size, dtype=np.intp)
+    stack, shapes = block_stack(pair, blocks)
     big = shapes.min(axis=1) > exact_dim
     if big.any():
         raise ValueError(f"a {tuple(shapes[big][0].tolist())} block exceeds exact_dim={exact_dim}")
@@ -626,7 +718,7 @@ def haar_state(word, q) -> float:
     vec = np.zeros(space.dim)
     vec[0] = 1.0
     for g in reversed(word):
-        vec = generator_op(g, q, space).matrix @ vec
+        vec = generator_op(g, q, space) @ vec
     return float(vec[0])
 
 

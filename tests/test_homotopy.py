@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from suq2kit.qarith import HalfInt, m_array, strict_q
 from suq2kit.homotopy import (build_omega, decay_verdict, degenerate_module_check,
@@ -9,7 +10,8 @@ from suq2kit.homotopy import (build_omega, decay_verdict, degenerate_module_chec
                               verify_lemma3)
 import suq2kit.homotopy as ho
 import suq2kit.podles as po
-from suq2kit.peterweyl import (BandedOperator, bundle_space, operator_norm,
+from suq2kit.peterweyl import (BandedOperator, block_entries, block_stack, bundle_space,
+                               operator_norm,
                                reg_a_minus, reg_a_plus, reg_c_minus, reg_c_plus,
                                relation_residuals)
 
@@ -403,6 +405,32 @@ def test_rotation_homotopy():
     assert out["endpoint_t1_deviation"] == 0.0
     assert out["max_tail_excess"] < 1e-10
     assert out["factorized_vs_assembled"] < 1e-10
+
+
+def test_rotation_block_grid_norm_is_the_dense_norm(monkeypatch):
+    minus2, om0, om1 = ho._omega_matrices_on_minus2(-0.5, 8)
+    a, b = om0["gamma"], om1["gamma"]
+    c, s = np.cos(np.pi / 5), np.sin(np.pi / 5)
+    p, u, r = c * c * a + s * s * b, s * s * a + c * c * b, c * s * (b - a)
+    grid = [[r, u - b], [p - b, r]]
+    for cols in (None, minus2.tail_mask(4)):
+        blocks = [[y.matrix if cols is None else y.restrict_cols(cols) for y in row]
+                  for row in grid]
+        dense = sp.bmat(blocks).toarray()
+        pair, sectors = block_entries(grid, cols)
+        assert len(block_stack(pair, sectors)[1]) > 1
+        want = np.linalg.svd(dense, compute_uv=False)[0]
+        assert ho._grid_norm(grid, cols) == pytest.approx(want, rel=1e-14, abs=0)
+    # an all-zero grid is settled before operator_norm, which an empty pair
+    # would reach without a shape
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the zero grid reached operator_norm")
+
+    monkeypatch.setattr(ho, "operator_norm", no_svd)
+    zero = 0.0 * r
+    assert ho._grid_norm([[p - p, zero], [zero, u - u]]) == 0.0
+    with pytest.raises(ValueError, match="weight shift"):
+        block_entries([[a, BandedOperator.identity(minus2)]])
 
 
 def test_rotation_rejects_positive_q():

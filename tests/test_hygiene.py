@@ -1,8 +1,9 @@
 """Source hygiene: no module of the package imports a name it never uses,
 no named function takes a parameter its body never reads, no lambda only
 forwards its parameters to one call, no power of q has an exponent array,
-only peterweyl imports scipy, no norm of one operator goes through its scipy
-matrix, and every exported name has a caller outside the tests."""
+only peterweyl imports scipy and only inside a function body, no norm of one
+operator goes through its scipy matrix, and every exported name has a caller
+outside the tests."""
 
 import ast
 import re
@@ -136,17 +137,20 @@ def test_scan_flags_array_powers_of_q():
     assert array_powers_of_q(source) == ["q ** l2", "qp.q ** ((i2 + j2) // 2)"]
 
 
-def scipy_imports(source: str) -> list:
-    """Each module name from scipy that an import statement reads, in any
+def _scipy_modules(node) -> list:
+    """The scipy module names one import statement reads, in any
     ``import scipy...`` or ``from scipy... import`` form."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            found += [a.name for a in node.names if a.name.split(".")[0] == "scipy"]
-        elif (isinstance(node, ast.ImportFrom) and node.level == 0
-              and node.module.split(".")[0] == "scipy"):
-            found.append(node.module)
-    return found
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names if a.name.split(".")[0] == "scipy"]
+    if (isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module.split(".")[0] == "scipy"):
+        return [node.module]
+    return []
+
+
+def scipy_imports(source: str) -> list:
+    """Each module name from scipy that an import statement reads."""
+    return [name for node in ast.walk(ast.parse(source)) for name in _scipy_modules(node)]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -164,6 +168,40 @@ def test_scan_flags_scipy_imports():
               "import scipyx\nfrom .scipy import x\nfrom numpy import scipy\n")
     assert scipy_imports(source) == ["scipy", "scipy.sparse", "scipy", "scipy.sparse.csgraph",
                                      "scipy.sparse.linalg"]
+
+
+def module_level_scipy_imports(source: str) -> list:
+    """Each scipy module name imported outside every function body, so that
+    importing the module imports it: at the top level, under a condition
+    or in a class body."""
+    found = []
+
+    def visit(node):
+        found.extend(_scipy_modules(node))
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_scipy_is_imported_only_inside_functions(path):
+    # `import suq2kit` and every suite run on numpy alone; scipy loads only
+    # when a caller asks for a scipy export
+    assert module_level_scipy_imports(path.read_text()) == []
+
+
+def test_scan_flags_module_level_scipy_imports():
+    source = ("import scipy.sparse as sp\nimport numpy\n"
+              "def f():\n    import scipy.sparse.linalg\n    from scipy import linalg\n"
+              "class K:\n    from scipy.sparse import csr_matrix\n"
+              "    def m(self):\n        import scipy\n"
+              "if flag:\n    import scipy.special\n"
+              "async def g():\n    import scipy.stats\n")
+    assert module_level_scipy_imports(source) == ["scipy.sparse", "scipy.sparse",
+                                                   "scipy.special"]
 
 
 def matrix_level_norms(source: str) -> list:

@@ -4,16 +4,17 @@ The oracle assembles the CSR matrix of each table from its shift rules by
 COO, locating every target with ``TruncatedSpace.locate``, and carries out
 sums, scaling, products and transposes in scipy.  Sums, scaling, adjoints
 and the 0/1 maps must match it exactly, products to 2 ulp per entry, and
-``BandedOperator.norm`` must equal ``operator_norm`` of the exported matrix
-on each of its three paths.
+``BandedOperator.norm`` must equal ``operator_norm`` of the exported matrix,
+with the weight sectors of its columns as blocks, on each of its three
+paths, and one dense SVD on the SVD path.
 """
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from suq2kit.peterweyl import (_GEN_RULES, BandedOperator, bundle_space, full_space,
-                               generator_op, operator_norm)
+from suq2kit.peterweyl import (_GEN_RULES, BandedOperator, block_stack, bundle_space,
+                               full_space, generator_op, operator_norm)
 from suq2kit.podles import _SPHERE_RULES, FredholmModule, podles_op
 from suq2kit.qarith import HalfInt
 
@@ -184,10 +185,19 @@ def test_cross_space_chains_match_the_oracle(q):
 # norms: the diagonals' zero case and bound against operator_norm
 # ---------------------------------------------------------------------------
 
+def sector_norm(op, cols=None):
+    """operator_norm of the exported columns, with the weight sector of each
+    column as its block; without labels operator_norm is one dense SVD."""
+    mat = (op.matrix if cols is None else op.restrict_cols(cols)).tocoo()
+    src = np.arange(op.domain.dim) if cols is None else np.nonzero(cols)[0]
+    weights = np.column_stack((op.domain.i2, op.domain.j2))[src[mat.col]]
+    _, sectors = np.unique(weights, axis=0, return_inverse=True)
+    return operator_norm((mat.data, (mat.row, mat.col)), blocks=sectors)
+
+
 def assert_norms_agree(op, cols=None):
     value = op.norm(cols)
-    mat = op.matrix if cols is None else op.restrict_cols(cols)
-    assert value == pytest.approx(operator_norm(mat), rel=1e-15, abs=0)
+    assert value == pytest.approx(sector_norm(op, cols), rel=1e-15, abs=0)
     return value
 
 
@@ -225,9 +235,9 @@ def test_norm_hands_only_the_svd_path_to_operator_norm(monkeypatch):
 
     handed = []
 
-    def recording(mat, exact_dim=1200):
-        handed.append(mat.shape)
-        return operator_norm(mat, exact_dim)
+    def recording(mat, exact_dim=1200, blocks=None):
+        handed.append(mat)
+        return operator_norm(mat, exact_dim, blocks)
 
     monkeypatch.setattr(pw, "operator_norm", recording)
     space = full_space(6)
@@ -238,4 +248,39 @@ def test_norm_hands_only_the_svd_path_to_operator_norm(monkeypatch):
     assert handed == []
     assert al.norm() > 0.5
     assert al.norm(space.tail_mask(2)) > 0.5
-    assert handed == [(space.dim, space.dim), (space.dim, int(space.tail_mask(2).sum()))]
+    # the two pairs handed over are the whole matrix and its tail columns
+    assert len(handed) == 2
+    for (vals, (rows, cols)), mat in zip(handed, (al.matrix, al.restrict_cols(space.tail_mask(2)))):
+        dense = np.zeros(mat.shape)
+        dense[rows, cols] = vals
+        assert (dense == mat.toarray()).all()
+
+
+# ---------------------------------------------------------------------------
+# the sector-labelled stack against one dense SVD
+# ---------------------------------------------------------------------------
+
+def dense_norm(mat):
+    return np.linalg.svd(mat.toarray(), compute_uv=False)[0]
+
+
+@pytest.mark.parametrize("q", Q)
+def test_sector_stack_norms_are_the_dense_norms(q):
+    full = full_space(10)
+    mod = FredholmModule.standard(q, 10)
+    al, gas = generator_op("alpha", q, full), generator_op("gamma*", q, full)
+    a, b = podles_op("A", q, full), podles_op("B", q, full)
+    tail = mod.F @ podles_op("B", q, mod.plus_space) - podles_op("B", q, mod.minus_space) @ mod.F
+    ops = (al, gas @ al, a, b @ b.adjoint(), generator_op("gamma", q, mod.plus_space),
+           podles_op("A", q, mod.minus_space), tail)
+    for op in ops:
+        for cols in (None, op.domain.tail_mask(3)):
+            mat = op.matrix if cols is None else op.restrict_cols(cols)
+            # several weight sectors, each a block of the stack
+            pair, sectors = op.entries(cols)
+            assert len(block_stack(pair, sectors)[1]) > 1
+            value = op.norm(cols)
+            assert value > 1e-13
+            assert value == pytest.approx(dense_norm(mat), rel=1e-14, abs=0)
+            # a scipy matrix without labels is one block: the dense SVD
+            assert operator_norm(mat) == pytest.approx(dense_norm(mat), rel=1e-14, abs=0)

@@ -1,15 +1,18 @@
 """Regular representation tables, banded operators, Haar state."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from suq2kit.kring import dim_quantum
 from suq2kit.qarith import HalfInt
-from suq2kit.peterweyl import (_GEN_RULES, BandedOperator, block_stack, bundle_space,
-                               full_space, generator_op, haar_state, operator_norm,
-                               reg_a_minus, reg_a_plus, reg_c_minus, reg_c_plus,
-                               _masked_sqrt_ratio)
+from suq2kit.peterweyl import (_GEN_RULES, BandedOperator, TruncatedSpace, block_stack,
+                               bundle_space, full_space, generator_op, haar_state,
+                               operator_norm, reg_a_minus, reg_a_plus, reg_c_minus,
+                               reg_c_plus, _masked_sqrt_ratio)
+from suq2kit.suites import SuiteConfig, run_suite
 
 Q_GRID = (0.3, -0.3, 0.5, -0.5, 0.9, -0.9)
 H = HalfInt
@@ -38,6 +41,31 @@ def test_locate_rejects_foreign_indices():
     space = bundle_space(1, 7)
     assert space.locate(np.array([4]), np.array([0]), np.array([-1]))[0] == -1
     assert space.locate([1], [1], [-1])[0] == -1  # wrong bundle
+
+
+def test_shifted_positions_are_the_located_ones():
+    # one gather from the padded grid between a full space and itself or
+    # between bundles at one lmax, locate otherwise; the same integers
+    spaces = (full_space(7), full_space(8), bundle_space(-2, 8), bundle_space(-1, 8),
+              bundle_space(0, 8), bundle_space(0, 6))
+    steps = (-5, -2, -1, 0, 1, 4)  # 4 is the grid's padding
+    for target, source in itertools.product(spaces, repeat=2):
+        for shift in itertools.product(steps, repeat=3):
+            dl2, di2, dj2 = shift
+            want = target.locate(source.l2 + dl2, source.i2 + di2, source.j2 + dj2)
+            assert (target.shifted(source, shift) == want).all(), (target, source, shift)
+
+
+def test_operator_suites_find_every_target_on_the_grid(monkeypatch):
+    # the generator, sphere and coefficient tables on bundles and the bundle
+    # identifications all shift within one grid
+    def no_locate(*args):
+        raise AssertionError("a target was located")
+
+    monkeypatch.setattr(TruncatedSpace, "locate", no_locate)
+    for suite, q in (("relations", 0.9), ("podles", 0.9), ("lemma1", 0.9),
+                     ("fredholm", -0.5), ("rotation", -0.5)):
+        assert run_suite(SuiteConfig(suite=suite, q=q, lmax=H(16))).checks
 
 
 # ---------------------------------------------------------------------------
@@ -178,17 +206,28 @@ def _random_homogeneous(domain, codomain, di2, dj2, seed):
     rng = np.random.default_rng(seed)
     rules = tuple(((dl2, di2, dj2), lambda q, l2, i2, j2: rng.normal(size=l2.shape))
                   for dl2 in (-2, 0, 2))
-    return BandedOperator.from_shift_rules(domain, codomain, rules, 1, q=0.5).matrix
+    return BandedOperator.from_shift_rules(domain, codomain, rules, 1, q=0.5)
+
+
+def _sector_labels(space, index):
+    # one label per weight sector (i2, j2) of the basis vectors at index
+    weights = np.column_stack((space.i2, space.j2))[index]
+    return np.unique(weights, axis=0, return_inverse=True)[1]
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_operator_norm_of_homogeneous_matrices_is_the_dense_norm(seed):
     square = _random_homogeneous(full_space(12), full_space(12), 2, 0, seed)
     wide = _random_homogeneous(bundle_space(2, 14), bundle_space(0, 14), -2, -2, seed)
-    for mat in (square, wide, wide.T.tocsr()):
-        assert mat.shape[0] != mat.shape[1] or mat is square
-        assert len(block_stack(mat)[1]) > 1
-        assert operator_norm(mat) == pytest.approx(_dense_norm(mat), rel=1e-14, abs=0)
+    # each case with the space its columns index; a column's weight sector is its block
+    for mat, columns in ((square.matrix, square.domain), (wide.matrix, wide.domain),
+                         (wide.matrix.T, wide.codomain)):
+        mat = mat.tocoo()
+        assert mat.shape[0] != mat.shape[1] or columns.full
+        pair, blocks = (mat.data, (mat.row, mat.col)), _sector_labels(columns, mat.col)
+        assert len(block_stack(pair, blocks)[1]) > 1
+        assert operator_norm(pair, blocks=blocks) == pytest.approx(_dense_norm(mat),
+                                                                    rel=1e-14, abs=0)
 
 
 def test_operator_norm_with_empty_rows_and_columns():
@@ -202,12 +241,13 @@ def test_operator_norm_with_empty_rows_and_columns():
 
 def test_operator_norm_of_one_dense_component():
     dense = np.random.default_rng(6).normal(size=(20, 15))
-    mat = sp.csr_matrix(dense)
-    stack, shapes = block_stack(mat)
+    mat = sp.coo_matrix(dense)
+    one = np.zeros(mat.nnz, dtype=int)
+    stack, shapes = block_stack((mat.data, (mat.row, mat.col)), one)
     assert stack.shape == (1, 20, 15) and shapes.tolist() == [[20, 15]]
     assert operator_norm(mat) == pytest.approx(_dense_norm(mat), rel=1e-14, abs=0)
     # a wide block is stored tall
-    assert block_stack(mat.T)[0].shape == (1, 20, 15)
+    assert block_stack((mat.data, (mat.col, mat.row)), one)[0].shape == (1, 20, 15)
 
 
 def test_operator_norm_skips_stored_zeros_and_leaves_the_matrix():
@@ -218,7 +258,11 @@ def test_operator_norm_skips_stored_zeros_and_leaves_the_matrix():
     mat = sp.csr_matrix((data, indices, indptr), shape=(3, 3))
     before = (mat.data.copy(), mat.indices.copy(), mat.indptr.copy())
     assert mat.nnz == 5
-    assert block_stack(mat)[1].tolist() == [[1, 1], [2, 2]]
+    # labelled with the block of its column, the stored zero's row 0 lies in
+    # the other block; skipped, it joins nothing
+    coo = mat.tocoo()
+    labels = (coo.col > 0).astype(int)
+    assert block_stack((coo.data, (coo.row, coo.col)), labels)[1].tolist() == [[1, 1], [2, 2]]
     assert operator_norm(mat) == pytest.approx(_dense_norm(mat), rel=1e-14, abs=0)
     assert mat.nnz == 5
     for now, then in zip((mat.data, mat.indices, mat.indptr), before):
@@ -235,7 +279,7 @@ def test_operator_norm_of_stored_zeros_takes_the_zero_path(monkeypatch):
     mat = sp.csr_matrix((np.zeros(3), np.array([0, 2, 1]), np.array([0, 2, 2, 3])),
                         shape=(3, 3))
     assert mat.nnz == 3
-    monkeypatch.setattr(pw.spla, "norm", no_bound)
+    monkeypatch.setattr(pw, "_one_and_inf", no_bound)
     assert operator_norm(mat) == 0.0
 
 
@@ -256,10 +300,15 @@ def test_identification_is_the_spin_preserving_zero_one_map():
 
 def test_operator_norm_rejects_a_block_above_exact_dim():
     block = sp.csr_matrix(np.arange(1.0, 10.0).reshape(3, 3))
-    mat = sp.block_diag([block, sp.identity(2)]).tocsr()
+    mat = sp.block_diag([block, sp.identity(2)]).tocoo()
+    pair, labels = (mat.data, (mat.row, mat.col)), (mat.row >= 3).astype(int)
     with pytest.raises(ValueError, match=r"\(3, 3\)"):
-        operator_norm(mat, exact_dim=2)
-    assert operator_norm(mat, exact_dim=3) == pytest.approx(_dense_norm(mat), rel=1e-14)
+        operator_norm(pair, exact_dim=2, blocks=labels)
+    assert operator_norm(pair, exact_dim=3, blocks=labels) == pytest.approx(_dense_norm(mat),
+                                                                            rel=1e-14)
+    # without labels the whole matrix is one block
+    with pytest.raises(ValueError, match=r"\(5, 5\)"):
+        operator_norm(mat, exact_dim=4)
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +354,18 @@ def test_haar_state_cutoff_is_exact():
 def test_haar_state_guards():
     with pytest.raises(ValueError):
         haar_state(("beta",), 0.5)
+
+
+def test_operator_applies_to_a_vector_as_its_matrix():
+    rng = np.random.default_rng(12)
+    full, plus = full_space(8), bundle_space(1, 9)
+    ops = [generator_op(g, -0.7, space) for g in ("alpha", "gamma*") for space in (full, plus)]
+    ops.append(ops[0].adjoint() @ ops[0] - 0.3 * BandedOperator.identity(full))
+    for op in ops:
+        vec = rng.normal(size=op.domain.dim)
+        assert ((op @ vec) == op.matrix @ vec).all()
+    with pytest.raises(ValueError, match="domain"):
+        ops[0] @ np.zeros(full.dim + 1)
 
 
 # ---------------------------------------------------------------------------

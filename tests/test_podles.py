@@ -150,9 +150,12 @@ def test_commutator_tail_past_the_old_dense_limit_is_the_dense_norm(monkeypatch)
 
     seen = []
 
-    def recording_norm(mat, exact_dim=1200):
-        value = operator_norm(mat, exact_dim)
-        seen.append((mat, value))
+    def recording_norm(mat, exact_dim=1200, blocks=None):
+        value = operator_norm(mat, exact_dim, blocks)
+        vals, (rows, cols) = mat
+        dense = np.zeros((rows.max() + 1, cols.max() + 1))
+        dense[rows, cols] = vals
+        seen.append((dense, value))
         return value
 
     monkeypatch.setattr(pw, "operator_norm", recording_norm)
@@ -161,8 +164,8 @@ def test_commutator_tail_past_the_old_dense_limit_is_the_dense_norm(monkeypatch)
     for x in ("A", "B"):
         commutator_tail(mod, x, 15)
     assert len(seen) == 2
-    for mat, value in seen:
-        assert value == pytest.approx(np.linalg.norm(mat.toarray(), 2), rel=1e-14, abs=0)
+    for dense, value in seen:
+        assert value == pytest.approx(np.linalg.norm(dense, 2), rel=1e-14, abs=0)
 
 
 def test_podles_suite_builds_each_table_once(monkeypatch):
@@ -182,13 +185,23 @@ def test_podles_suite_builds_each_table_once(monkeypatch):
     assert len(calls) == 7
 
 
+def _sector_norm(mat, domain):
+    # operator_norm with the weight sectors of the columns as blocks, the
+    # stacked SVD that BandedOperator.norm hands over; without labels
+    # operator_norm is one dense SVD
+    coo = mat.tocoo()
+    _, sectors = np.unique(np.column_stack((domain.i2, domain.j2))[coo.col], axis=0,
+                           return_inverse=True)
+    return operator_norm((coo.data, (coo.row, coo.col)), blocks=sectors)
+
+
 def _tail_assembled_per_cutoff(mod, x, l_from):
     # every cutoff rebuilds the sector matrices and the commutator
     plus = podles_op(x, mod.q, mod.plus_space).matrix
     minus = podles_op(x, mod.q, mod.minus_space).matrix
     f = mod.F.matrix
     cols = sp.diags(mod.plus_space.tail_mask(l_from).astype(float))
-    return operator_norm((f @ plus - minus @ f) @ cols)
+    return _sector_norm((f @ plus - minus @ f) @ cols, mod.plus_space)
 
 
 def test_commutator_tails_equal_one_tail_at_a_time():
