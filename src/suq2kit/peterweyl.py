@@ -11,14 +11,12 @@ e^(0)_{0,0}.
 here is homogeneous: all its entries move the weights (i, j) by one pair, so
 it is stored as its spin diagonals, one coefficient array over the domain per
 spin shift.  Sums, scaling, composition and adjoints are numpy array
-arithmetic on those arrays, an operator applies to a coefficient vector with
-``@``, and :meth:`BandedOperator.norm` reads the zero case and the
-rounding-level bound off them.  An SVD the bound leaves open gets the
-operator's nonzero entries as a numpy COO pair labelled by weight sector, the
-blocks of the stacked SVD of :func:`operator_norm`.  The package runs on
-numpy alone: scipy is imported only by the scipy CSR exports ``.matrix`` and
-:meth:`BandedOperator.restrict_cols`, and it is needed only for them and for
-:func:`operator_norm` of a scipy matrix.
+arithmetic on those arrays, and an operator applies to a coefficient vector
+with ``@``.  Every norm, of one operator or of a grid of them read as one
+block operator, is decided by :func:`block_norm`: it reads the zero case and
+the rounding-level bound off the diagonals and hands only an open norm to
+:func:`operator_norm`, the exact stacked SVD over the weight sectors.  The
+package runs on numpy alone and exports no scipy matrix.
 
 Index bookkeeping is done in "twice" units (integers 2l, 2i, 2j) so every
 exponent appearing in a coefficient formula is an exact integer.
@@ -26,6 +24,7 @@ exponent appearing in a coefficient formula is an exact integer.
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -41,6 +40,7 @@ __all__ = [
     "haar_state",
     "relation_residuals",
     "operator_norm",
+    "block_norm",
     "block_entries",
     "block_stack",
     "GENERATORS",
@@ -73,7 +73,7 @@ class TruncatedSpace:
 
     def __init__(self, lmax, k: int = 0, full: bool = False):
         self.lmax = HalfInt.of(lmax)
-        self.k = int(k)
+        self.k = operator.index(k)  # a float winding raises TypeError, not truncates
         self.full = bool(full)
         if not full and self.lmax.twice < abs(self.k):
             raise ValueError(f"lmax={self.lmax} below the bottom spin |k|/2 of bundle k={self.k}")
@@ -332,14 +332,14 @@ class BandedOperator:
     """
 
     def __init__(self, domain: TruncatedSpace, codomain: TruncatedSpace, shift, diags: dict,
-                 interior_margin, targets=None):
+                 interior_margin):
         self.domain = domain
         self.codomain = codomain
         self.shift = tuple(shift)
         self.diags = dict(sorted(diags.items()))
         self.interior_margin = HalfInt.of(interior_margin)
-        # codomain positions of the shifted domain basis, per dl2, as computed
-        self._targets = {} if targets is None else dict(targets)
+        # codomain positions of the shifted domain basis, per dl2, filled by _target
+        self._targets = {}
         if any(c.shape != (domain.dim,) for c in self.diags.values()):
             raise ValueError("a diagonal does not match the domain")
 
@@ -358,19 +358,20 @@ class BandedOperator:
         Each rule is ((dl2, di2, dj2), fn) with fn(q, l2, i2, j2) vectorized
         over the twice arrays of the domain; all rules share one weight shift
         (di2, dj2).  Entries whose target leaves the codomain are dropped
-        (that is the truncation), and rules with the same dl2 add up.
+        (that is the truncation), and rules with the same dl2 add up.  The
+        targets are the operator's own, so they are located once.
         """
         shifts = {(di2, dj2) for (_, di2, dj2), _ in rules}
         if len(shifts) != 1:
             raise ValueError(f"the rules must share one weight shift, got {sorted(shifts)}")
+        op = cls(domain, codomain, shifts.pop(), {}, margin)
         l2, i2, j2 = domain.l2, domain.i2, domain.j2
-        diags, targets = {}, {}
-        for (dl2, di2, dj2), fn in rules:
-            if dl2 not in targets:
-                targets[dl2] = codomain.shifted(domain, (dl2, di2, dj2))
-            coeff = np.asarray(fn(q, l2, i2, j2), dtype=float) * (targets[dl2] >= 0)
+        diags = {}
+        for (dl2, _, _), fn in rules:
+            coeff = np.asarray(fn(q, l2, i2, j2), dtype=float) * (op._target(dl2) >= 0)
             diags[dl2] = diags[dl2] + coeff if dl2 in diags else coeff
-        return cls(domain, codomain, shifts.pop(), diags, margin, targets)
+        op.diags = dict(sorted(diags.items()))
+        return op
 
     @classmethod
     def identification(cls, domain, codomain):
@@ -380,11 +381,9 @@ class BandedOperator:
         identity of a space, the bijection between the bundles k = 1 and
         k' = -1, and for (k, k') = (0, -2) the map annihilating e^(0)_{0,0}.
         """
-        shift = (0, codomain.k - domain.k)
-        tgt = (np.arange(domain.dim) if domain == codomain
-               else codomain.shifted(domain, (0, *shift)))
-        return cls(domain, codomain, shift, {0: (tgt >= 0).astype(float)}, HalfInt(0),
-                   {0: tgt})
+        op = cls(domain, codomain, (0, codomain.k - domain.k), {}, HalfInt(0))
+        op.diags = {0: (op._target(0) >= 0).astype(float)}
+        return op
 
     @classmethod
     def identity(cls, space):
@@ -430,8 +429,7 @@ class BandedOperator:
         for d, c in other.diags.items():
             diags[d] = op(diags.get(d, 0.0), c)
         return BandedOperator(self.domain, self.codomain, self.shift, diags,
-                              max(self.interior_margin, other.interior_margin),
-                              {**other._targets, **self._targets})
+                              max(self.interior_margin, other.interior_margin))
 
     def _apply(self, vec: np.ndarray) -> np.ndarray:
         """The image of a coefficient vector over the domain.  A row sums in
@@ -454,23 +452,25 @@ class BandedOperator:
     def __rmul__(self, scalar):
         return BandedOperator(self.domain, self.codomain, self.shift,
                               {d: scalar * c for d, c in self.diags.items()},
-                              self.interior_margin, self._targets)
+                              self.interior_margin)
 
     def adjoint(self) -> "BandedOperator":
         """The transpose, as all tables are real: each diagonal is scattered
         to its targets and becomes the diagonal of the opposite shift."""
-        diags, targets = {}, {}
+        diags = {}
         for d, c in self.diags.items():
-            slot = self._target(d) + 1  # slot 0 takes the absent targets and is dropped
             diag = np.zeros(self.codomain.dim + 1)
-            diag[slot] = c
-            back = np.full(self.codomain.dim + 1, -1, dtype=np.intp)
-            back[slot] = np.arange(self.domain.dim)
-            diags[-d], targets[-d] = diag[1:], back[1:]
+            diag[self._target(d) + 1] = c  # slot 0 takes the absent targets and is dropped
+            diags[-d] = diag[1:]
         return BandedOperator(self.codomain, self.domain, (-self.shift[0], -self.shift[1]),
-                              diags, self.interior_margin, targets)
+                              diags, self.interior_margin)
 
-    # -- entries, scipy exports and norms ------------------------------------
+    @property
+    def shape(self) -> tuple:
+        """(codomain.dim, domain.dim), the shape of the operator's matrix."""
+        return self.codomain.dim, self.domain.dim
+
+    # -- entries and norms ----------------------------------------------------
 
     def entries(self, cols=None):
         """The nonzero entries of the columns of the domain vectors in the mask
@@ -492,51 +492,51 @@ class BandedOperator:
         return ((np.concatenate(vals), (np.concatenate(rows), kept)),
                 self.domain._sectors[src[kept]])
 
-    def restrict_cols(self, mask: np.ndarray):
-        """The columns of the domain vectors in ``mask`` as a scipy CSR matrix."""
-        import scipy.sparse as sp  # the package runs without scipy up to this export
-
-        pair, _ = self.entries(mask)
-        return sp.coo_matrix(pair, shape=(self.codomain.dim, np.count_nonzero(mask))).tocsr()
-
-    @property
-    def matrix(self):
-        """The operator as a scipy CSR matrix, built on each access."""
-        return self.restrict_cols(np.ones(self.domain.dim, dtype=bool))
-
     def norm(self, cols=None) -> float:
         """Operator norm, of the columns of the domain vectors in the mask
-        ``cols`` when given.
-
-        The zero case and the rigorous bound are read off the diagonals by
-        the rule of :func:`_norm_without_svd`; only a norm that rule leaves
-        open goes to the stacked SVD of :func:`operator_norm`, on the
-        :meth:`entries` of those columns with their weight sectors as blocks.
-        """
-        if cols is None:
-            cols = np.ones(self.domain.dim, dtype=bool)
-        weights = [np.abs(c) * cols for c in self.diags.values()]
-
-        def one_and_inf():
-            # a column sums in ascending dl2 and a row in descending dl2, each
-            # the order of its entries in the CSR export; an absent target
-            # has weight 0 and lands in slot 0, which is dropped
-            col_sums = sum(weights)
-            row_sums = np.zeros(self.codomain.dim + 1)
-            for d, w in zip(reversed(self.diags), reversed(weights)):
-                row_sums[self._target(d) + 1] += w
-            return float(col_sums.max()), float(row_sums[1:].max())
-
-        settled = _norm_without_svd(any(w.any() for w in weights), one_and_inf)
-        if settled is not None:
-            return settled
-        pair, sectors = self.entries(cols)
-        return operator_norm(pair, blocks=sectors)
+        ``cols`` when given: the one-block grid of :func:`block_norm`."""
+        return block_norm([[self]], cols)
 
     def interior_residual_norm(self, margin=None) -> float:
         """Operator norm restricted to interior columns."""
         m = self.interior_margin if margin is None else HalfInt.of(margin)
         return self.norm(self.domain.interior_mask(m))
+
+
+def block_norm(grid, cols=None) -> float:
+    """Operator norm of a grid of operators read as one block operator, as
+    in :func:`block_entries`, of the columns of the domain vectors in the
+    mask ``cols`` when given (of every column of every block when None).
+
+    This is where every norm is decided.  A grid with no nonzero entry has
+    norm 0.  Otherwise, when the rigorous upper bound sqrt(norm_1 *
+    norm_inf) is below 1e-13, that bound is returned in place of the norm:
+    it is at rounding level and certifies any realistic threshold of a
+    ``max`` check.  Both are read off the diagonals and hold for any grid;
+    only a norm left open goes to the stacked SVD of :func:`operator_norm`,
+    on the entries of the grid with their weight sectors as blocks, which
+    :func:`block_entries` gives for a grid of one weight shift.
+    """
+    weights = [[[np.abs(c) if cols is None else np.abs(c) * cols for c in op.diags.values()]
+                for op in row] for row in grid]
+    if not any(w.any() for row in weights for block in row for w in block):
+        return 0.0
+    # a column sums in ascending dl2 and a row in descending dl2 within a
+    # block, then on across the blocks of its grid column or grid row; an
+    # absent target has weight 0 and lands in slot 0, which is dropped
+    norm_1 = max(sum(w for block in column for w in block).max() for column in zip(*weights))
+    norm_inf = 0.0
+    for row, row_weights in zip(grid, weights):
+        sums = np.zeros(row[0].codomain.dim + 1)
+        for op, block in zip(row, row_weights):
+            for d, w in zip(reversed(op.diags), reversed(block)):
+                sums[op._target(d) + 1] += w
+        norm_inf = max(norm_inf, sums[1:].max())
+    upper = float(np.sqrt(norm_1 * norm_inf))
+    if upper < 1e-13:
+        return upper
+    pair, sectors = block_entries(grid, cols)
+    return operator_norm(pair, blocks=sectors)
 
 
 def block_entries(grid, cols=None):
@@ -610,55 +610,20 @@ def block_stack(pair, blocks):
     return stack, np.column_stack((height, width))
 
 
-def _norm_without_svd(nonzero: bool, one_and_inf):
-    """The norm when it is settled without an SVD, else None.
-
-    An operator with no nonzero entry has norm 0.  Otherwise
-    ``one_and_inf()`` gives its (norm_1, norm_inf); when the rigorous upper
-    bound sqrt(norm_1 * norm_inf) is below 1e-13, that bound is returned in
-    place of the norm: it is at rounding level and certifies any realistic
-    threshold of a ``max`` check.
-    """
-    if not nonzero:
-        return 0.0
-    norm_1, norm_inf = one_and_inf()
-    upper = float(np.sqrt(norm_1 * norm_inf))
-    return upper if upper < 1e-13 else None
-
-
-def _one_and_inf(pair):
-    """(norm_1, norm_inf) of a COO pair: its largest absolute column and row
-    sums, each summed in the order of the entries."""
-    vals, (rows, cols) = pair
-    weights = np.abs(vals)
-    return float(np.bincount(cols, weights).max()), float(np.bincount(rows, weights).max())
-
-
-def _pair_norm_without_svd(pair):
-    """The norm of a COO pair when :func:`_norm_without_svd` settles it, else
-    None.  A caller settles a pair here before :func:`operator_norm` when
-    the pair may be empty, which is no scipy matrix: it has no shape."""
-    return _norm_without_svd(pair[0].any(), lambda: _one_and_inf(pair))
-
-
 def operator_norm(mat, exact_dim: int = 1200, blocks=None) -> float:
-    """Largest singular value of a matrix, exact, from its blocks.
+    """Largest singular value of a matrix, exact, from its blocks; 0 for a
+    matrix with no nonzero entry.
 
-    ``mat`` is a COO pair (values, (rows, cols)) of numpy arrays or a scipy
-    sparse matrix.  The norm of a direct sum is the largest norm of its
-    blocks, and zero padding adds only zero singular values, so one stacked
-    dense SVD of the blocks of :func:`block_stack` gives the norm exactly.
-    ``blocks`` labels each entry of a pair with its block: every operator
-    here is homogeneous for the torus weights, and
-    :meth:`BandedOperator.norm` passes the weight sector of each entry's
-    column.  Without labels the whole matrix is one block, a dense SVD: the
-    oracle for a scipy matrix.  ``exact_dim`` caps the blocks that SVD runs
-    on: a block whose smaller side exceeds it raises ValueError naming its
-    shape.
-
-    The zero case and the rounding-level bound follow the rule of
-    :func:`_norm_without_svd`, as in :meth:`BandedOperator.norm`, which
-    hands a matrix here only when that rule leaves the norm open.
+    ``mat`` is a COO pair (values, (rows, cols)) of numpy arrays, or any
+    matrix with a ``tocoo`` method.  The norm of a direct sum is the largest
+    norm of its blocks, and zero padding adds only zero singular values, so
+    one stacked dense SVD of the blocks of :func:`block_stack` gives the
+    norm exactly.  ``blocks`` labels each entry of a pair with its block:
+    every operator here is homogeneous for the torus weights, and
+    :func:`block_norm` passes the weight sector of each entry's column.
+    Without labels the whole matrix is one block, a dense SVD.
+    ``exact_dim`` caps the blocks that SVD runs on: a block whose smaller
+    side exceeds it raises ValueError naming its shape.
     """
     if not isinstance(mat, tuple):
         mat = mat.tocoo(copy=True)  # a copy: the caller's matrix is left as it is
@@ -666,9 +631,8 @@ def operator_norm(mat, exact_dim: int = 1200, blocks=None) -> float:
         mat = (mat.data, (mat.row, mat.col))
     vals, (rows, cols) = mat
     pair = (np.asarray(vals), (np.asarray(rows), np.asarray(cols)))
-    settled = _pair_norm_without_svd(pair)
-    if settled is not None:
-        return settled
+    if not pair[0].any():
+        return 0.0
     if blocks is None:
         blocks = np.zeros(pair[0].size, dtype=np.intp)
     stack, shapes = block_stack(pair, blocks)

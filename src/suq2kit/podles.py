@@ -34,9 +34,10 @@ __all__ = [
     "fit_geometric",
 ]
 
-# Re-exported, not called here: the norms below are BandedOperator.norm,
-# whose SVD path is this entry point.  The benchmark's tracer wraps the norm
-# layer wherever a module binds it, and its harness test reads this binding.
+# Re-exported, not called here: the norms below are decided by
+# peterweyl.block_norm, whose SVD path is this entry point.  The benchmark's
+# tracer wraps the norm layer wherever a module binds it, and its harness
+# test reads this binding.
 operator_norm = peterweyl.operator_norm
 
 

@@ -9,11 +9,13 @@ from suq2kit.homotopy import (build_omega, decay_verdict, degenerate_module_chec
                               rotation_homotopy_check, verify_lemma1, verify_lemma2,
                               verify_lemma3)
 import suq2kit.homotopy as ho
+import suq2kit.peterweyl as pw
 import suq2kit.podles as po
-from suq2kit.peterweyl import (BandedOperator, block_entries, block_stack, bundle_space,
-                               operator_norm,
-                               reg_a_minus, reg_a_plus, reg_c_minus, reg_c_plus,
-                               relation_residuals)
+from suq2kit.peterweyl import (BandedOperator, block_entries, block_norm, block_stack,
+                               operator_norm, reg_a_minus, reg_a_plus, reg_c_minus,
+                               reg_c_plus, relation_residuals)
+
+from csr_export import csr
 
 H = HalfInt
 FAMILIES = [(fam, k) for fam in "abcd" for k in (1, 0, -1)]
@@ -38,25 +40,22 @@ def m_entry(q, t, l):
 # ---------------------------------------------------------------------------
 
 # independent route: the same entries as sums of products of the regular
-# representation tables
-def t_coeff_composite(family: str, k: int, q, t: float, l, i, j) -> float:
+# representation tables, at index arrays in twice units
+def t_coeff_composite(family: str, k: int, q, t: float, l2, i2, j2):
     qq = strict_q(q)
     s = abs(qq) ** t
-    l2 = HalfInt.of(l).twice
-    i2 = HalfInt.of(i).twice
-    j2 = HalfInt.of(j).twice
 
     def ap(a, b, c):
-        return float(reg_a_plus(qq, a, b, c))
+        return reg_a_plus(qq, a, b, c)
 
     def am(a, b, c):
-        return float(reg_a_minus(qq, a, b, c))
+        return reg_a_minus(qq, a, b, c)
 
     def cp(a, b, c):
-        return float(reg_c_plus(qq, a, b, c))
+        return reg_c_plus(qq, a, b, c)
 
     def cm(a, b, c):
-        return float(reg_c_minus(qq, a, b, c))
+        return reg_c_minus(qq, a, b, c)
 
     if family == "a":
         if k == 1:
@@ -109,14 +108,15 @@ def t_coeff_composite(family: str, k: int, q, t: float, l, i, j) -> float:
 @pytest.mark.parametrize("q", (0.5, -0.7, 0.9, -0.3))
 @pytest.mark.parametrize("t", (0.0, 0.33, 1.0))
 def test_closed_forms_match_composite_products(q, t):
-    for l2 in range(0, 9):
-        for i2 in range(-l2, l2 + 1, 2):
-            for j2 in range(-l2, l2 + 1, 2):
-                for fam, k in FAMILIES:
-                    closed = t_entry(fam, k, q, t, l2, i2, j2)
-                    product = t_coeff_composite(fam, k, q, t, H(l2), H(i2), H(j2))
-                    assert closed == pytest.approx(product, abs=2e-15), \
-                        (fam, k, q, t, l2, i2, j2)
+    # every (l2, i2, j2) with spin up to 4 at once
+    l2, i2, j2 = np.array([(l2, i2, j2) for l2 in range(0, 9)
+                           for i2 in range(-l2, l2 + 1, 2) for j2 in range(-l2, l2 + 1, 2)]).T
+    assert l2.size == 285
+    for fam, k in FAMILIES:
+        closed = ho._T_CORES[(fam, k)](q, abs(q) ** t, l2, i2, j2)
+        gap = np.abs(closed - t_coeff_composite(fam, k, q, t, l2, i2, j2))
+        worst = int(np.argmax(gap))  # the first NaN, if any
+        assert gap[worst] <= 2e-15, (fam, k, q, t, l2[worst], i2[worst], j2[worst], gap[worst])
 
 
 def test_t_coeff_boundary_and_parity():
@@ -232,10 +232,10 @@ def test_omega_zero_fixes_cyclic_vector():
     om = build_omega(0.5, 0.0, 8)
     e0 = np.zeros(om["alpha"].domain.dim)
     e0[0] = 1.0
-    out = om["alpha"].matrix @ e0
+    out = csr(om["alpha"]) @ e0
     assert out[0] == pytest.approx(1.0, abs=1e-14)
     assert np.max(np.abs(out[1:])) < 1e-14
-    assert np.max(np.abs(om["gamma"].matrix @ e0)) < 1e-14
+    assert np.max(np.abs(csr(om["gamma"]) @ e0)) < 1e-14
 
 
 def test_omega_zero_preserves_complement_of_cyclic_vector():
@@ -243,16 +243,17 @@ def test_omega_zero_preserves_complement_of_cyclic_vector():
     for q in (0.5, -0.7):
         om = build_omega(q, 0.0, 10)
         for op in om.values():
-            col0 = op.matrix[:, 0].toarray().ravel()
-            row0 = op.matrix[0, :].toarray().ravel()
+            mat = csr(op)
+            col0 = mat[:, 0].toarray().ravel()
+            row0 = mat[0, :].toarray().ravel()
             assert np.max(np.abs(col0[1:])) < 1e-15
             assert np.max(np.abs(row0[1:])) < 1e-15
 
 
 def test_omega_adjoint_pairs():
     om = build_omega(-0.7, 0.3, 25)
-    assert operator_norm(om["alpha*"].matrix - om["alpha"].matrix.T) < 1e-11
-    assert operator_norm(om["gamma*"].matrix - om["gamma"].matrix.T) < 1e-11
+    assert operator_norm(csr(om["alpha*"]) - csr(om["alpha"]).T) < 1e-11
+    assert operator_norm(csr(om["gamma*"]) - csr(om["gamma"]).T) < 1e-11
 
 
 @pytest.mark.parametrize("q", (0.5, -0.9))
@@ -280,9 +281,9 @@ def test_omega_is_diagonal_conjugation_of_unrescaled_action():
                    (lambda qq, l2, i2, j2, _k=k: ho._T_CORES[("a", _k)](qq, s, l2, i2, j2)))
                   for k in (1, 0, -1))
     pi_t = BandedOperator.from_shift_rules(space, space, rules, HalfInt(1), q=q)
-    conj = g @ pi_t.matrix.toarray() @ ginv
+    conj = g @ csr(pi_t).toarray() @ ginv
     interior = space.interior_mask(HalfInt(2))
-    diff = (om["alpha"].matrix.toarray() - conj)[:, interior]
+    diff = (csr(om["alpha"]).toarray() - conj)[:, interior]
     assert np.max(np.abs(diff)) < 1e-12
 
 
@@ -339,6 +340,12 @@ def test_lemma2_input_validation():
         verify_lemma2(0.5, [10, 10], 3)
     with pytest.raises(ValueError):
         verify_lemma2(0.5, [0, 5], 3)
+    # a float spin raises instead of truncating to the spin below it
+    with pytest.raises(TypeError):
+        verify_lemma2(0.5, [10.5, 20.9], 3)
+    with pytest.raises(TypeError):
+        verify_lemma2(0.5, [10, 20.0], 3)
+    assert verify_lemma2(0.5, np.array([10, 20]), 3) == verify_lemma2(0.5, [10, 20], 3)
 
 
 @pytest.mark.parametrize("q", (0.5, -0.5))
@@ -414,21 +421,19 @@ def test_rotation_block_grid_norm_is_the_dense_norm(monkeypatch):
     p, u, r = c * c * a + s * s * b, s * s * a + c * c * b, c * s * (b - a)
     grid = [[r, u - b], [p - b, r]]
     for cols in (None, minus2.tail_mask(4)):
-        blocks = [[y.matrix if cols is None else y.restrict_cols(cols) for y in row]
-                  for row in grid]
-        dense = sp.bmat(blocks).toarray()
+        dense = sp.bmat([[csr(y, cols) for y in row] for row in grid]).toarray()
         pair, sectors = block_entries(grid, cols)
         assert len(block_stack(pair, sectors)[1]) > 1
         want = np.linalg.svd(dense, compute_uv=False)[0]
-        assert ho._grid_norm(grid, cols) == pytest.approx(want, rel=1e-14, abs=0)
+        assert block_norm(grid, cols) == pytest.approx(want, rel=1e-14, abs=0)
     # an all-zero grid is settled before operator_norm, which an empty pair
     # would reach without a shape
     def no_svd(*args, **kwargs):
         raise AssertionError("the zero grid reached operator_norm")
 
-    monkeypatch.setattr(ho, "operator_norm", no_svd)
+    monkeypatch.setattr(pw, "operator_norm", no_svd)
     zero = 0.0 * r
-    assert ho._grid_norm([[p - p, zero], [zero, u - u]]) == 0.0
+    assert block_norm([[p - p, zero], [zero, u - u]]) == 0.0
     with pytest.raises(ValueError, match="weight shift"):
         block_entries([[a, BandedOperator.identity(minus2)]])
 

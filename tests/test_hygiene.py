@@ -1,9 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
 no named function takes a parameter its body never reads, no lambda only
 forwards its parameters to one call, no power of q has an exponent array,
-only peterweyl imports scipy and only inside a function body, no norm of one
-operator goes through its scipy matrix, and every exported name has a caller
-outside the tests."""
+nothing under src/ imports scipy, no norm of one operator goes through a
+scipy matrix, and every exported name has a caller outside the tests."""
 
 import ast
 import re
@@ -149,25 +148,39 @@ def _scipy_modules(node) -> list:
 
 
 def scipy_imports(source: str) -> list:
-    """Each module name from scipy that an import statement reads."""
+    """Each scipy module name an import statement reads, wherever the
+    statement stands."""
     return [name for node in ast.walk(ast.parse(source)) for name in _scipy_modules(node)]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")), ids=lambda p: p.name)
+def test_no_scipy_import(path):
+    # the package runs on numpy alone and exports no scipy matrix; scipy is a
+    # dependency of the tests and the benchmark only
+    assert scipy_imports(path.read_text()) == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_only_peterweyl_imports_scipy(path):
-    # the sparse storage of an operator is peterweyl's choice; every other
-    # module goes through BandedOperator
+    # implied by test_no_scipy_import, which also covers peterweyl
     if path.name != "peterweyl.py":
         assert scipy_imports(path.read_text()) == []
 
 
 def test_scan_flags_scipy_imports():
+    # at the top level, inside a function, a class body, a condition or an
+    # async function alike
     source = ("import scipy\nimport scipy.sparse as sp, numpy\nfrom scipy import linalg\n"
               "from scipy.sparse.csgraph import connected_components\n"
               "def f():\n    import scipy.sparse.linalg\n"
+              "class K:\n    from scipy.sparse import csr_matrix\n"
+              "    def m(self):\n        import scipy.io\n"
+              "if flag:\n    import scipy.special\n"
+              "async def g():\n    import scipy.stats\n"
               "import scipyx\nfrom .scipy import x\nfrom numpy import scipy\n")
-    assert scipy_imports(source) == ["scipy", "scipy.sparse", "scipy", "scipy.sparse.csgraph",
-                                     "scipy.sparse.linalg"]
+    assert sorted(scipy_imports(source)) == [
+        "scipy", "scipy", "scipy.io", "scipy.sparse", "scipy.sparse", "scipy.sparse.csgraph",
+        "scipy.sparse.linalg", "scipy.special", "scipy.stats"]
 
 
 def module_level_scipy_imports(source: str) -> list:
@@ -188,8 +201,7 @@ def module_level_scipy_imports(source: str) -> list:
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_scipy_is_imported_only_inside_functions(path):
-    # `import suq2kit` and every suite run on numpy alone; scipy loads only
-    # when a caller asks for a scipy export
+    # implied by test_no_scipy_import: `import suq2kit` loads no scipy
     assert module_level_scipy_imports(path.read_text()) == []
 
 
@@ -207,9 +219,8 @@ def test_scan_flags_module_level_scipy_imports():
 def matrix_level_norms(source: str) -> list:
     """Each call ``operator_norm(<expr>.matrix, ...)`` or
     ``operator_norm(<expr>.restrict_cols(...), ...)`` with an <expr> other
-    than ``self``: the norm of one operator, which ``BandedOperator.norm``
-    settles on its diagonals.  Only that method, on ``self``, exports to
-    scipy, and only for the SVD."""
+    than ``self``: the norm of one operator through a scipy export, where
+    ``block_norm`` decides it on the operator's diagonals."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if not (isinstance(node, ast.Call) and node.args):

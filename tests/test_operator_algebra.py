@@ -3,10 +3,11 @@
 The oracle assembles the CSR matrix of each table from its shift rules by
 COO, locating every target with ``TruncatedSpace.locate``, and carries out
 sums, scaling, products and transposes in scipy.  Sums, scaling, adjoints
-and the 0/1 maps must match it exactly, products to 2 ulp per entry, and
+and the 0/1 maps must match it exactly, products to 2 ulp per entry.
 ``BandedOperator.norm`` must equal ``operator_norm`` of the exported matrix,
-with the weight sectors of its columns as blocks, on each of its three
-paths, and one dense SVD on the SVD path.
+with the weight sectors of its columns as blocks, on its zero and SVD
+paths, and one dense SVD on the SVD path; on its bound path it must equal
+sqrt(norm_1 * norm_inf) of the exported matrix, which bounds the dense SVD.
 """
 
 import numpy as np
@@ -17,6 +18,8 @@ from suq2kit.peterweyl import (_GEN_RULES, BandedOperator, block_stack, bundle_s
                                full_space, generator_op, operator_norm)
 from suq2kit.podles import _SPHERE_RULES, FredholmModule, podles_op
 from suq2kit.qarith import HalfInt
+
+from csr_export import csr
 
 Q = (0.5, -0.9)
 
@@ -47,12 +50,12 @@ def sphere(name, q, space):
 
 
 def assert_exact(op, mat):
-    assert op.matrix.shape == mat.shape
-    assert (op.matrix != mat).nnz == 0
+    assert op.shape == mat.shape
+    assert (csr(op) != mat).nnz == 0
 
 
 def assert_within_2ulp(op, mat):
-    got, want = op.matrix.toarray(), mat.toarray()
+    got, want = csr(op).toarray(), mat.toarray()
     assert got.shape == want.shape
     scale = np.maximum(np.abs(got), np.abs(want))
     assert (np.abs(got - want) <= 2 * np.spacing(scale)).all()
@@ -131,7 +134,7 @@ def test_products_on_a_full_space_match_the_oracle(q, lmax2):
     assert_within_2ulp(b @ b.adjoint(), m_b @ m_b.T)
     # a residual cancels to rounding level, where 2 ulp of the products is
     # no bound on the difference; given the products, the difference is exact
-    assert_exact(left - q * right, left.matrix - q * right.matrix)
+    assert_exact(left - q * right, csr(left) - q * csr(right))
 
 
 @pytest.mark.parametrize("q", Q)
@@ -144,12 +147,12 @@ def test_products_truncate_where_the_intermediate_vector_is_absent(q):
     m_al = oracle(small, small, _GEN_RULES["alpha"], q)
     m_als = oracle(small, small, _GEN_RULES["alpha*"], q)
     assert_within_2ulp(prod, m_als @ m_al)
-    wide = (generator_op("alpha*", q, big) @ generator_op("alpha", q, big)).matrix
+    wide = csr(generator_op("alpha*", q, big) @ generator_op("alpha", q, big))
     pos = big.locate(small.l2, small.i2, small.j2)
     restricted = wide[pos][:, pos].toarray()
     top = small.l2 == small.lmax.twice
-    assert not np.allclose(prod.matrix.toarray()[:, top], restricted[:, top])
-    assert np.array_equal(prod.matrix.toarray()[:, ~top][~top], restricted[:, ~top][~top])
+    assert not np.allclose(csr(prod).toarray()[:, top], restricted[:, top])
+    assert np.array_equal(csr(prod).toarray()[:, ~top][~top], restricted[:, ~top][~top])
 
 
 @pytest.mark.parametrize("q", Q)
@@ -188,7 +191,7 @@ def test_cross_space_chains_match_the_oracle(q):
 def sector_norm(op, cols=None):
     """operator_norm of the exported columns, with the weight sector of each
     column as its block; without labels operator_norm is one dense SVD."""
-    mat = (op.matrix if cols is None else op.restrict_cols(cols)).tocoo()
+    mat = csr(op, cols).tocoo()
     src = np.arange(op.domain.dim) if cols is None else np.nonzero(cols)[0]
     weights = np.column_stack((op.domain.i2, op.domain.j2))[src[mat.col]]
     _, sectors = np.unique(weights, axis=0, return_inverse=True)
@@ -198,6 +201,17 @@ def sector_norm(op, cols=None):
 def assert_norms_agree(op, cols=None):
     value = op.norm(cols)
     assert value == pytest.approx(sector_norm(op, cols), rel=1e-15, abs=0)
+    return value
+
+
+def assert_bound_agrees(op, cols):
+    """On the bound path the norm is sqrt(norm_1 * norm_inf) of the exported
+    columns, and the dense SVD does not exceed it."""
+    value = op.norm(cols)
+    mat = abs(csr(op, cols))
+    bound = np.sqrt(mat.sum(axis=0).max() * mat.sum(axis=1).max())
+    assert value == pytest.approx(bound, rel=1e-15, abs=0)
+    assert dense_norm(mat) <= value
     return value
 
 
@@ -217,10 +231,10 @@ def test_norm_equals_operator_norm_on_each_path(q):
     one_plus = BandedOperator.identity(mod.plus_space)
     assert assert_norms_agree(mod.F.adjoint() @ mod.F - one_plus) == 0.0
     # bound path: relation residuals at rounding level on the interior
-    bounded = [assert_norms_agree(al @ ga - q * (ga @ al), interior),
-               assert_norms_agree(als @ al + gas @ ga - one, interior),
-               assert_norms_agree(a @ b - q**2 * (b @ a), interior),
-               assert_norms_agree(b.adjoint() @ b - a @ (one - q**2 * a), interior)]
+    bounded = [assert_bound_agrees(al @ ga - q * (ga @ al), interior),
+               assert_bound_agrees(als @ al + gas @ ga - one, interior),
+               assert_bound_agrees(a @ b - q**2 * (b @ a), interior),
+               assert_bound_agrees(b.adjoint() @ b - a @ (one - q**2 * a), interior)]
     assert all(0.0 < v < 1e-13 for v in bounded)
     # stacked SVD path, whole and restricted to columns
     for op in (al, gas, a, b, al @ ga, b @ b.adjoint(), als @ al + gas @ ga - one):
@@ -250,7 +264,7 @@ def test_norm_hands_only_the_svd_path_to_operator_norm(monkeypatch):
     assert al.norm(space.tail_mask(2)) > 0.5
     # the two pairs handed over are the whole matrix and its tail columns
     assert len(handed) == 2
-    for (vals, (rows, cols)), mat in zip(handed, (al.matrix, al.restrict_cols(space.tail_mask(2)))):
+    for (vals, (rows, cols)), mat in zip(handed, (csr(al), csr(al, space.tail_mask(2)))):
         dense = np.zeros(mat.shape)
         dense[rows, cols] = vals
         assert (dense == mat.toarray()).all()
@@ -275,7 +289,7 @@ def test_sector_stack_norms_are_the_dense_norms(q):
            podles_op("A", q, mod.minus_space), tail)
     for op in ops:
         for cols in (None, op.domain.tail_mask(3)):
-            mat = op.matrix if cols is None else op.restrict_cols(cols)
+            mat = csr(op, cols)
             # several weight sectors, each a block of the stack
             pair, sectors = op.entries(cols)
             assert len(block_stack(pair, sectors)[1]) > 1

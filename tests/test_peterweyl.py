@@ -14,6 +14,8 @@ from suq2kit.peterweyl import (_GEN_RULES, BandedOperator, TruncatedSpace, block
                                reg_c_plus, _masked_sqrt_ratio)
 from suq2kit.suites import SuiteConfig, run_suite
 
+from csr_export import csr
+
 Q_GRID = (0.3, -0.3, 0.5, -0.5, 0.9, -0.9)
 H = HalfInt
 
@@ -30,6 +32,15 @@ def test_bundle_dimension_counts():
     assert bundle_space(1, 5).dim == 2 + 4 + 6
     # the full space runs over all half-integer spins
     assert full_space(4).dim == 1 + 4 + 9 + 16 + 25
+
+
+def test_winding_must_be_an_integer():
+    # a float winding raises instead of truncating to the winding below it
+    assert TruncatedSpace(4, k=np.int64(1)).k == 1
+    with pytest.raises(TypeError):
+        TruncatedSpace(4, k=1.7)
+    with pytest.raises(TypeError):
+        TruncatedSpace(4, k=1.0)
 
 
 def test_space_locate_round_trip():
@@ -106,7 +117,7 @@ def test_gamma_on_cyclic_vector():
     space = full_space(4)
     vec = np.zeros(space.dim)
     vec[0] = 1.0
-    out = generator_op("gamma", q, space).matrix @ vec
+    out = csr(generator_op("gamma", q, space)) @ vec
     pos = space.locate([1], [1], [-1])[0]
     assert out[pos] == pytest.approx(-0.894427190999916, abs=1e-12)
     assert np.count_nonzero(out) == 1
@@ -135,14 +146,14 @@ def test_adjoint_tables_are_transposes(q):
     # the shifted-argument adjoint tables against the plain ones
     space = full_space(10)
     for x, xs in (("alpha", "alpha*"), ("gamma", "gamma*")):
-        direct = generator_op(x, q, space).matrix
-        star = generator_op(xs, q, space).matrix
+        direct = csr(generator_op(x, q, space))
+        star = csr(generator_op(xs, q, space))
         assert operator_norm(star - direct.T) < 1e-12
 
 
 def shift_set(op):
     """Set of (dl2, di2, dj2) shifts present in the stored entries of op."""
-    coo = op.matrix.tocoo()
+    coo = csr(op).tocoo()
     out = set()
     d, c = op.codomain, op.domain
     for r, s in zip(coo.row, coo.col):
@@ -220,8 +231,8 @@ def test_operator_norm_of_homogeneous_matrices_is_the_dense_norm(seed):
     square = _random_homogeneous(full_space(12), full_space(12), 2, 0, seed)
     wide = _random_homogeneous(bundle_space(2, 14), bundle_space(0, 14), -2, -2, seed)
     # each case with the space its columns index; a column's weight sector is its block
-    for mat, columns in ((square.matrix, square.domain), (wide.matrix, wide.domain),
-                         (wide.matrix.T, wide.codomain)):
+    for mat, columns in ((csr(square), square.domain), (csr(wide), wide.domain),
+                         (csr(wide).T, wide.codomain)):
         mat = mat.tocoo()
         assert mat.shape[0] != mat.shape[1] or columns.full
         pair, blocks = (mat.data, (mat.row, mat.col)), _sector_labels(columns, mat.col)
@@ -270,16 +281,17 @@ def test_operator_norm_skips_stored_zeros_and_leaves_the_matrix():
 
 
 def test_operator_norm_of_stored_zeros_takes_the_zero_path(monkeypatch):
-    # only explicit zeros stored: the norm is 0 without computing a bound
+    # only explicit zeros stored: the norm is 0 without the stacked SVD
     import suq2kit.peterweyl as pw
 
-    def no_bound(*args, **kwargs):
-        raise AssertionError("the all-zero matrix went through the bound path")
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the all-zero matrix went through the stacked SVD")
 
     mat = sp.csr_matrix((np.zeros(3), np.array([0, 2, 1]), np.array([0, 2, 2, 3])),
                         shape=(3, 3))
     assert mat.nnz == 3
-    monkeypatch.setattr(pw, "_one_and_inf", no_bound)
+    monkeypatch.setattr(pw, "block_stack", no_svd)
+    monkeypatch.setattr(pw.np.linalg, "svd", no_svd)
     assert operator_norm(mat) == 0.0
 
 
@@ -287,7 +299,7 @@ def test_identification_is_the_spin_preserving_zero_one_map():
     for dom, cod in ((bundle_space(1, 9), bundle_space(-1, 9)),
                      (bundle_space(0, 8), bundle_space(-2, 8)),
                      (full_space(6), full_space(6))):
-        mat = BandedOperator.identification(dom, cod).matrix
+        mat = csr(BandedOperator.identification(dom, cod))
         rows = cod.locate(dom.l2, dom.i2, dom.j2 + cod.k - dom.k)
         keep = rows >= 0
         expected = np.zeros((cod.dim, dom.dim))
@@ -295,7 +307,7 @@ def test_identification_is_the_spin_preserving_zero_one_map():
         assert mat.has_canonical_format and (mat.data == 1.0).all()
         assert (mat.toarray() == expected).all()
     space = full_space(6)
-    assert (BandedOperator.identity(space).matrix.toarray() == np.eye(space.dim)).all()
+    assert (csr(BandedOperator.identity(space)).toarray() == np.eye(space.dim)).all()
 
 
 def test_operator_norm_rejects_a_block_above_exact_dim():
@@ -347,7 +359,7 @@ def test_haar_state_cutoff_is_exact():
         vec = np.zeros(space.dim)
         vec[0] = 1.0
         for g in reversed(word):
-            vec = generator_op(g, q, space).matrix @ vec
+            vec = csr(generator_op(g, q, space)) @ vec
         assert haar_state(word, q) == vec[0]
 
 
@@ -363,7 +375,7 @@ def test_operator_applies_to_a_vector_as_its_matrix():
     ops.append(ops[0].adjoint() @ ops[0] - 0.3 * BandedOperator.identity(full))
     for op in ops:
         vec = rng.normal(size=op.domain.dim)
-        assert ((op @ vec) == op.matrix @ vec).all()
+        assert ((op @ vec) == csr(op) @ vec).all()
     with pytest.raises(ValueError, match="domain"):
         ops[0] @ np.zeros(full.dim + 1)
 

@@ -11,6 +11,8 @@ from suq2kit.podles import (FredholmModule, commutator_tail, commutator_tails,
                             fit_geometric, fredholm_index, index_pair_operator, podles_op,
                             sphere_relation_residuals)
 
+from csr_export import csr
+
 H = HalfInt
 Q_GRID = (0.3, -0.3, 0.5, -0.5, 0.9, -0.9)
 
@@ -18,7 +20,7 @@ Q_GRID = (0.3, -0.3, 0.5, -0.5, 0.9, -0.9)
 def test_a_diagonal_at_bottom():
     for q in (0.5, -0.8):
         a = podles_op("A", q, full_space(8))
-        assert a.matrix[0, 0] == pytest.approx(1.0 / (1.0 + q * q), abs=1e-14)
+        assert csr(a)[0, 0] == pytest.approx(1.0 / (1.0 + q * q), abs=1e-14)
 
 
 def test_a_lowering_vanishes_at_bottom_of_bundle():
@@ -27,9 +29,10 @@ def test_a_lowering_vanishes_at_bottom_of_bundle():
         space = bundle_space(k, 16)
         a = podles_op("A", 0.7, space)
         l0 = abs(k)
+        mat = csr(a)
         for pos in range(space.dim):
             if space.l2[pos] == l0:
-                row = a.matrix[:, pos].tocoo()
+                row = mat[:, pos].tocoo()
                 assert all(space.l2[r] >= l0 for r in row.row)
 
 
@@ -54,7 +57,7 @@ def test_relation_checker(q):
 
 def test_a_table_symmetry_is_exact():
     a = podles_op("A", -0.6, full_space(16))
-    assert operator_norm(a.matrix - a.matrix.T) < 1e-14
+    assert operator_norm(csr(a) - csr(a).T) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +97,7 @@ def test_index_antisymmetric_under_adjoint():
 
 def test_index_kernel_is_the_bottom_vector():
     op = index_pair_operator(6)
-    dense = op.matrix.toarray()
+    dense = csr(op).toarray()
     _, svals, vt = np.linalg.svd(dense)
     null = vt[np.sum(svals > 1e-8):]
     assert null.shape[0] == 1
@@ -117,7 +120,7 @@ def test_tails_decrease_and_identity_commutes():
     # the unit acts by the identity on both sectors, which F intertwines
     one = (mod.F @ BandedOperator.identity(mod.plus_space)
            - BandedOperator.identity(mod.minus_space) @ mod.F)
-    assert operator_norm(one.matrix) == 0.0
+    assert operator_norm(csr(one)) == 0.0
     with pytest.raises(ValueError):
         commutator_tail(mod, "B*", 5)
 
@@ -197,9 +200,9 @@ def _sector_norm(mat, domain):
 
 def _tail_assembled_per_cutoff(mod, x, l_from):
     # every cutoff rebuilds the sector matrices and the commutator
-    plus = podles_op(x, mod.q, mod.plus_space).matrix
-    minus = podles_op(x, mod.q, mod.minus_space).matrix
-    f = mod.F.matrix
+    plus = csr(podles_op(x, mod.q, mod.plus_space))
+    minus = csr(podles_op(x, mod.q, mod.minus_space))
+    f = csr(mod.F)
     cols = sp.diags(mod.plus_space.tail_mask(l_from).astype(float))
     return _sector_norm((f @ plus - minus @ f) @ cols, mod.plus_space)
 

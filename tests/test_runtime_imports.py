@@ -1,7 +1,7 @@
 """The package and every suite run on numpy alone.
 
-scipy is imported only inside the scipy exports ``BandedOperator.matrix``
-and ``restrict_cols``.  In a fresh interpreter, ``import suq2kit`` loads no
+Nothing under src/ imports scipy (``tests/test_hygiene.py``), and this checks
+the same at run time.  In a fresh interpreter, ``import suq2kit`` loads no
 scipy module, and running every suite after it loads no module at all: an
 import a job triggers would move its cost from start-up into the job.
 """
