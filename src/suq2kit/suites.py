@@ -10,7 +10,10 @@ controls must *exceed* 1000 * tol_identity to count as the predicted failure.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
+import functools
+import os
 import time
 from dataclasses import dataclass
 
@@ -475,8 +478,44 @@ SUITES = {
 SUITES["all"] = (_suite_all, True, max(SUITES[p][2] for p in _ALL_PARTS), ())
 
 
+# glibc's mallopt parameter numbers (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _keep_freed_heap() -> bool:
+    """Fix glibc's allocator thresholds where its dynamic rule tops out.
+
+    The mmap threshold goes to 32 MiB, DEFAULT_MMAP_THRESHOLD_MAX on 64-bit,
+    and the trim threshold to twice that, as the dynamic rule keeps them.
+    Both are set, because setting either one switches the dynamic rule off
+    for both.  Returns whether both mallopt calls succeeded; off glibc it
+    sets nothing and returns False.
+    """
+    try:
+        if not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"):
+            return False
+    except (AttributeError, ValueError, OSError):   # no confstr, or no such name
+        return False
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return (mallopt(_M_MMAP_THRESHOLD, 32 << 20) == 1
+            and mallopt(_M_TRIM_THRESHOLD, 64 << 20) == 1)
+
+
 def run_suite(config: SuiteConfig) -> VerificationReport:
-    """Dispatch a named suite; deterministic for a fixed config."""
+    """Dispatch a named suite; deterministic for a fixed config.
+
+    The first call in a process fixes glibc's allocator thresholds for the
+    whole process (mmap 32 MiB, trim 64 MiB), so that the numpy temporaries
+    a suite frees are reused, not returned to the kernel and faulted in
+    again; up to 64 MiB of freed heap stays resident until the process
+    exits.  Off glibc nothing changes, and importing the package sets
+    nothing.
+    """
+    _keep_freed_heap()
     if config.suite not in SUITES:
         raise UsageError(f"unknown suite {config.suite!r}; see the catalog")
     runner, _, min_lmax, _ = SUITES[config.suite]

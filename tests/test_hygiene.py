@@ -1,8 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
 no named function takes a parameter its body never reads, no lambda only
 forwards its parameters to one call, no power of q has an exponent array,
-nothing under src/ imports scipy, no norm of one operator goes through a
-scipy matrix, and every exported name has a caller outside the tests."""
+nothing under src/ imports scipy, and every exported name has a caller
+outside the tests."""
 
 import ast
 import re
@@ -214,48 +214,6 @@ def test_scan_flags_module_level_scipy_imports():
               "async def g():\n    import scipy.stats\n")
     assert module_level_scipy_imports(source) == ["scipy.sparse", "scipy.sparse",
                                                    "scipy.special"]
-
-
-def matrix_level_norms(source: str) -> list:
-    """Each call ``operator_norm(<expr>.matrix, ...)`` or
-    ``operator_norm(<expr>.restrict_cols(...), ...)`` with an <expr> other
-    than ``self``: the norm of one operator through a scipy export, where
-    ``block_norm`` decides it on the operator's diagonals."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if not (isinstance(node, ast.Call) and node.args):
-            continue
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        if name != "operator_norm":
-            continue
-        arg = node.args[0]
-        if isinstance(arg, ast.Call):
-            arg = arg.func if getattr(arg.func, "attr", None) == "restrict_cols" else None
-        elif getattr(arg, "attr", None) != "matrix":
-            arg = None
-        if isinstance(arg, ast.Attribute) and ast.unparse(arg.value) != "self":
-            found.append(ast.unparse(node))
-    return found
-
-
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_norms_of_one_operator_stay_on_the_operator(path):
-    assert matrix_level_norms(path.read_text()) == []
-
-
-def test_scan_flags_matrix_level_norms():
-    source = ("a = operator_norm(x.matrix)\nb = pw.operator_norm((x - y).matrix, 10)\n"
-              "c = operator_norm(op.restrict_cols(mask))\n"
-              "d = operator_norm(block_matrix([[x.matrix, y.restrict_cols(m)]]))\n"
-              "e = x.norm(mask)\nf = operator_norm(mat)\ng = operator_norm(x.matrix.T)\n"
-              "h = norm(x.matrix)\ni = operator_norm(restrict_cols(m))\n"
-              "j = operator_norm(self.restrict_cols(m))\nk = operator_norm(self.matrix)\n"
-              "m = operator_norm(self.x.matrix)\n")
-    assert matrix_level_norms(source) == ["operator_norm(x.matrix)",
-                                          "pw.operator_norm((x - y).matrix, 10)",
-                                          "operator_norm(op.restrict_cols(mask))",
-                                          "operator_norm(self.x.matrix)"]
 
 
 def _reads(tree) -> set:
