@@ -238,18 +238,28 @@ def _omega_rules(family: str, di2: int, s: float):
                  for k in (1, 0, -1))
 
 
-def build_omega(q, t: float, lmax) -> dict:
-    """omega_t as {generator name: banded image} on the winding-zero bundle."""
+def build_omega(q, ts, lmax) -> list:
+    """omega_t for each t of the sequence ts, as one {generator name: banded
+    image} dict per t on the winding-zero bundle.
+
+    Each rescaled table is evaluated once over (len(ts), dim); a row is the
+    table at one t, the same floats as an evaluation at that t alone.
+    """
     q = strict_q(q)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t!r}")
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1:
+        raise TypeError(f"ts must be a sequence of t, got shape {ts.shape}")
+    if not ((0.0 <= ts) & (ts <= 1.0)).all():
+        raise ValueError(f"every t must lie in [0, 1], got {ts.tolist()!r}")
     space = bundle_space(0, HalfInt.of(lmax).twice)
-    s = abs(q) ** t
-    ops = {}
+    s = _s_column(q, ts)
+    ops = [{} for _ in ts]
     for name, family, di2 in (("alpha", "A", 0), ("alpha*", "B", 0),
                               ("gamma", "C", 2), ("gamma*", "D", -2)):
-        ops[name] = BandedOperator.from_shift_rules(
-            space, space, _omega_rules(family, di2, s), HalfInt(2), q=q)
+        tables = [(k, _RESC_CORES[(family, k)](q, s, space.l2, space.i2)) for k in (1, 0, -1)]
+        for row, om in enumerate(ops):
+            rules = tuple(((2 * k, di2, 0), lambda *_, _c=table[row]: _c) for k, table in tables)
+            om[name] = BandedOperator.from_shift_rules(space, space, rules, HalfInt(2), q=q)
     return ops
 
 
@@ -261,6 +271,25 @@ def _t_grid(n: int):
     if n < 2:
         raise ValueError("the t grid must contain both endpoints, need >= 2 points")
     return np.linspace(0.0, 1.0, n)
+
+
+def _s_column(q: float, ts) -> np.ndarray:
+    """s = |q|^t as a column over ts, so that a family evaluates to one row
+    per t.  Each entry is the scalar power at its t: numpy's array power
+    differs from it by 1 ULP at some t."""
+    return np.array([abs(q) ** t for t in ts])[:, None]
+
+
+# The t grid is walked in blocks of at most this many points.  A block's
+# tables take as many rows as it has points, so blocks keep the memory of a
+# long --t-grid that of one block; the default grid of 11 is one block.
+_T_BLOCK = 16
+
+
+def _t_blocks(q: float, n: int):
+    """The n-point t grid in blocks: (ts, s) with s = _s_column(q, ts)."""
+    grid = _t_grid(n)
+    return ((ts, _s_column(q, ts)) for ts in np.split(grid, range(_T_BLOCK, n, _T_BLOCK)))
 
 
 def _level_arrays(levels2):
@@ -291,17 +320,13 @@ def verify_lemma1(q, lmax, t_grid_size: int = 11) -> dict:
     generator pairs, checked pointwise on the (t, l, i) grid.
     """
     q = strict_q(q)
-    grid = _t_grid(t_grid_size)
     l2, i2 = _level_arrays(range(0, HalfInt.of(lmax).twice + 1, 2))
-    out = {}
-    for name, lhs, rhs, dl2, di2 in _LEMMA1_IDENTITIES:
-        worst = 0.0
-        for t in grid:
-            s = abs(q) ** t
+    out = dict.fromkeys((name for name, *_ in _LEMMA1_IDENTITIES), 0.0)
+    for _, s in _t_blocks(q, t_grid_size):
+        for name, lhs, rhs, dl2, di2 in _LEMMA1_IDENTITIES:
             diff = (_RESC_CORES[lhs](q, s, l2, i2)
                     - _RESC_CORES[rhs](q, s, l2 + dl2, i2 + di2))
-            worst = max(worst, float(np.max(np.abs(diff))))
-        out[name] = worst
+            out[name] = max(out[name], float(np.max(np.abs(diff))))
     return out
 
 
@@ -339,7 +364,6 @@ def verify_lemma2(q, l_list, t_grid_size: int = 11) -> dict:
     (eventual decrease plus a final threshold).
     """
     q = strict_q(q)
-    grid = _t_grid(t_grid_size)
     l_list = [operator.index(l) for l in l_list]  # a float spin raises TypeError
     if any(b <= a for a, b in zip(l_list, l_list[1:])):
         raise ValueError("l_list must be strictly increasing")
@@ -350,7 +374,8 @@ def verify_lemma2(q, l_list, t_grid_size: int = 11) -> dict:
     starts = np.cumsum([0] + [2 * l + 1 for l in l_list[:-1]])
 
     def sup(vals):
-        return np.maximum.reduceat(np.abs(vals), starts)
+        # the sup over each spin's segment, then over the rows of a t block
+        return np.maximum.reduceat(np.abs(np.atleast_2d(vals)), starts, axis=-1).max(axis=0)
 
     out = {}
     for name, fam, k, kind in _LEMMA2_FAMILIES + _LEMMA2_EXTRA:
@@ -363,8 +388,7 @@ def verify_lemma2(q, l_list, t_grid_size: int = 11) -> dict:
                 worst = np.maximum(worst, sup(vals))
         else:
             resc = fam.upper()
-            for t in grid:
-                s = abs(q) ** t
+            for _, s in _t_blocks(q, t_grid_size):
                 rv = _RESC_CORES[(resc, k)](q, s, l2, i2)
                 if kind == "resc":
                     worst = np.maximum(worst, sup(rv))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import ctypes
 import dataclasses
 import functools
+import operator
 import os
 import time
 from dataclasses import dataclass
@@ -61,6 +62,12 @@ class SuiteConfig:
         # an infinite tolerance would switch off every max gate it sets
         if not (0.0 < self.tol_identity < np.inf and 0.0 < self.tol_decay < np.inf):
             raise UsageError("tolerances must be positive and finite")
+        for name in ("t_grid", "n", "d_trunc", "seed"):
+            value = getattr(self, name)
+            try:
+                setattr(self, name, operator.index(value))
+            except TypeError:
+                raise UsageError(f"{name} must be an integer, got {value!r}") from None
         if self.t_grid < 2:
             raise UsageError("the t grid must include both endpoints (>= 2 points)")
         if self.n < 2:
@@ -166,10 +173,10 @@ def _suite_lemma1(cfg: SuiteConfig, rep: VerificationReport):
         rep.add(Check(name, "adjoint pairing of the rescaled coefficient families",
                       value, cfg.tol_identity / 10))
     worst = {}
-    for t in np.linspace(0.0, 1.0, cfg.t_grid):
-        om = ho.build_omega(q, float(t), cfg.lmax)
-        for name, value in pw.relation_residuals(om, q).items():
-            worst[name] = max(worst.get(name, 0.0), value)
+    for ts, _ in ho._t_blocks(q, cfg.t_grid):
+        for om in ho.build_omega(q, ts, cfg.lmax):
+            for name, value in pw.relation_residuals(om, q).items():
+                worst[name] = max(worst.get(name, 0.0), value)
     for name, value in worst.items():
         rep.add(Check(f"omega_t image: {name}",
                       "the interpolated action is a *-homomorphism",

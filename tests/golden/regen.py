@@ -28,8 +28,9 @@ _IDENTITY3 = [[[float(i == j), 0.0] for j in range(3)] for i in range(3)]
 def _jobs() -> list:
     """The benchmark's 41 jobs at seed 0, widened: the Koszul resolution over
     n in {2, 3, 8, 20} and D in {1, 25, 80, 120}, the parameter-matrix suite
-    at three seeds and with a supplied matrix, and every suite through
-    ``all`` at six q."""
+    at three seeds and with a supplied matrix, every suite through ``all``
+    at six q, and the t-grid suites at grid sizes other than the default 11,
+    among them 17, which is more than one block of the grid walk."""
     jobs = [{"suite": s, "q": -0.5, "lmax": str(l)}
             for l in (10, 20, 30) for s in ("relations", "podles", "fredholm", "rotation")]
     jobs += [{"suite": s, "q": 0.9, "lmax": str(l)}
@@ -39,6 +40,9 @@ def _jobs() -> list:
     jobs += [{"suite": "fusion"}] + [{"suite": "foq", "seed": s} for s in (0, 1, 2)]
     jobs += [{"suite": "foq", "qmatrix": _IDENTITY3}]
     jobs += [{"suite": "all", "q": q, "lmax": "12"} for q in (0.1, -0.1, 0.5, -0.5, 0.9, -0.9)]
+    jobs += [{"suite": s, "q": q, "lmax": "12", "t_grid": g}
+             for s in ("lemma1", "lemma2") for q in (-0.5, 0.9) for g in (2, 17)]
+    jobs += [{"suite": "rotation", "q": -0.5, "lmax": "12", "t_grid": 3}]
     return jobs
 
 
@@ -46,13 +50,15 @@ JOBS = _jobs()
 
 
 def label(job: dict) -> str:
-    return job["suite"] + "".join(f" {key}={job[key]}" for key in ("q", "lmax", "n", "D", "seed")
+    keys = ("q", "lmax", "t_grid", "n", "D", "seed")
+    return job["suite"] + "".join(f" {key}={job[key]}" for key in keys
                                   if key in job) + (" qmatrix" if "qmatrix" in job else "")
 
 
 def config(job: dict) -> SuiteConfig:
     return SuiteConfig(suite=job["suite"], q=job.get("q"),
-                       lmax=HalfInt.parse(job.get("lmax", "20")), n=job.get("n", 3),
+                       lmax=HalfInt.parse(job.get("lmax", "20")),
+                       t_grid=job.get("t_grid", 11), n=job.get("n", 3),
                        d_trunc=job.get("D", 10), seed=job.get("seed", 0),
                        qmatrix=job.get("qmatrix"))
 

@@ -79,7 +79,7 @@ def test_c03_adjoint_identities_and_homomorphism():
     for q in Q_GRID:
         worst_id = max(worst_id, max(ho.verify_lemma1(q, 30, 11).values()))
         for t in np.linspace(0.0, 1.0, 11):
-            om = ho.build_omega(q, float(t), 30)
+            om = ho.build_omega(q, [float(t)], 30)[0]
             worst_rel = max(worst_rel, max(pw.relation_residuals(om, q).values()))
     assert worst_id < 1e-11
     assert worst_rel < 1e-10

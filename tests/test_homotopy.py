@@ -1,10 +1,13 @@
 """Coefficient homotopy: closed forms, rescalings, lemma verifiers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from suq2kit.qarith import HalfInt, m_array, strict_q
+from suq2kit.suites import SuiteConfig, run_suite
 from suq2kit.homotopy import (build_omega, decay_verdict, degenerate_module_check,
                               rotation_homotopy_check, verify_lemma1, verify_lemma2,
                               verify_lemma3)
@@ -229,7 +232,7 @@ def test_every_family_is_total(q, t):
 # ---------------------------------------------------------------------------
 
 def test_omega_zero_fixes_cyclic_vector():
-    om = build_omega(0.5, 0.0, 8)
+    om = build_omega(0.5, [0.0], 8)[0]
     e0 = np.zeros(om["alpha"].domain.dim)
     e0[0] = 1.0
     out = csr(om["alpha"]) @ e0
@@ -241,7 +244,7 @@ def test_omega_zero_fixes_cyclic_vector():
 def test_omega_zero_preserves_complement_of_cyclic_vector():
     # no transitions into or out of the bottom vector at t = 0
     for q in (0.5, -0.7):
-        om = build_omega(q, 0.0, 10)
+        om = build_omega(q, [0.0], 10)[0]
         for op in om.values():
             mat = csr(op)
             col0 = mat[:, 0].toarray().ravel()
@@ -251,7 +254,7 @@ def test_omega_zero_preserves_complement_of_cyclic_vector():
 
 
 def test_omega_adjoint_pairs():
-    om = build_omega(-0.7, 0.3, 25)
+    om = build_omega(-0.7, [0.3], 25)[0]
     assert operator_norm(csr(om["alpha*"]) - csr(om["alpha"]).T) < 1e-11
     assert operator_norm(csr(om["gamma*"]) - csr(om["gamma"]).T) < 1e-11
 
@@ -259,7 +262,7 @@ def test_omega_adjoint_pairs():
 @pytest.mark.parametrize("q", (0.5, -0.9))
 @pytest.mark.parametrize("t", (0.0, 0.5, 1.0))
 def test_omega_satisfies_defining_relations(q, t):
-    om = build_omega(q, t, 12)
+    om = build_omega(q, [t], 12)[0]
     assert max(relation_residuals(om, q).values()) < 1e-10
 
 
@@ -267,7 +270,7 @@ def test_omega_is_diagonal_conjugation_of_unrescaled_action():
     # for t > 0 the rescaling is conjugation by the diagonal built from the
     # interpolation scalar, which is where the algebra relations come from
     q, t, lmax = -0.6, 0.4, 10
-    om = build_omega(q, t, lmax)
+    om = build_omega(q, [t], lmax)[0]
     space = om["alpha"].domain
     gvals = np.ones(space.dim)
     for pos in range(space.dim):
@@ -346,6 +349,132 @@ def test_lemma2_input_validation():
     with pytest.raises(TypeError):
         verify_lemma2(0.5, [10, 20.0], 3)
     assert verify_lemma2(0.5, np.array([10, 20]), 3) == verify_lemma2(0.5, [10, 20], 3)
+
+
+# ---------------------------------------------------------------------------
+# the t grid as an array axis against the per-t oracle
+# ---------------------------------------------------------------------------
+#
+# The library evaluates each rescaled family once over a block of t; the
+# oracle below is the loop form, one scalar s = |q|^t at a time.  Every value
+# must agree bit for bit.  Grids of 17 and 33 points cross block boundaries.
+
+def lemma1_per_t(q, lmax, t_grid_size):
+    l2, i2 = ho._level_arrays(range(0, HalfInt.of(lmax).twice + 1, 2))
+    out = {}
+    for name, lhs, rhs, dl2, di2 in ho._LEMMA1_IDENTITIES:
+        worst = 0.0
+        for t in np.linspace(0.0, 1.0, t_grid_size):
+            s = abs(q) ** t
+            diff = (ho._RESC_CORES[lhs](q, s, l2, i2)
+                    - ho._RESC_CORES[rhs](q, s, l2 + dl2, i2 + di2))
+            worst = max(worst, float(np.max(np.abs(diff))))
+        out[name] = worst
+    return out
+
+
+def lemma2_per_t(q, l_list, t_grid_size):
+    l2, i2 = ho._level_arrays([2 * l for l in l_list])
+    starts = np.cumsum([0] + [2 * l + 1 for l in l_list[:-1]])
+
+    def sup(vals):
+        return np.maximum.reduceat(np.abs(vals), starts)
+
+    out = {}
+    for name, fam, k, kind in ho._LEMMA2_FAMILIES + ho._LEMMA2_EXTRA:
+        worst = np.zeros(len(l_list))
+        t1 = ([] if kind == "resc" else
+              [ho._T_CORES[(fam, k)](q, abs(q), l2, i2, j2) for j2 in (2, -2)])
+        if kind == "t1":
+            for vals in t1:
+                worst = np.maximum(worst, sup(vals))
+        else:
+            for t in np.linspace(0.0, 1.0, t_grid_size):
+                rv = ho._RESC_CORES[(fam.upper(), k)](q, abs(q) ** t, l2, i2)
+                if kind == "resc":
+                    worst = np.maximum(worst, sup(rv))
+                else:
+                    for tv in t1:
+                        worst = np.maximum(worst, sup(tv - rv))
+        out[name] = worst.tolist()
+    return out
+
+
+def omega_per_t(q, t, lmax):
+    space = pw.bundle_space(0, HalfInt.of(lmax).twice)
+    s = abs(q) ** t
+    return {name: BandedOperator.from_shift_rules(space, space, ho._omega_rules(family, di2, s),
+                                                  HalfInt(2), q=q)
+            for name, family, di2 in (("alpha", "A", 0), ("alpha*", "B", 0),
+                                      ("gamma", "C", 2), ("gamma*", "D", -2))}
+
+
+ORACLE_Q = (0.1, -0.1, 0.5, -0.5, 0.9, -0.9, 0.7, 0.99)
+ORACLE_GRIDS = (2, 3, 11, 17, 33)
+ORACLE_LMAX = (2, 12, 40)
+# every (q, grid) pair, the cutoff turning with them, so that each q and each
+# grid meets every cutoff: the full product would take three times as long
+ORACLE_CASES = [pytest.param(q, grid, ORACLE_LMAX[(a + b) % len(ORACLE_LMAX)],
+                             id=f"{q}-{grid}-{ORACLE_LMAX[(a + b) % len(ORACLE_LMAX)]}")
+                for a, q in enumerate(ORACLE_Q) for b, grid in enumerate(ORACLE_GRIDS)]
+
+
+def reprs(value):
+    if isinstance(value, dict):
+        return {k: reprs(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [reprs(v) for v in value]
+    return repr(value)
+
+
+@pytest.mark.parametrize("q, grid, lmax", ORACLE_CASES)
+def test_lemma1_equals_the_per_t_oracle(q, grid, lmax):
+    assert reprs(verify_lemma1(q, lmax, grid)) == reprs(lemma1_per_t(q, lmax, grid))
+
+
+@pytest.mark.parametrize("q, grid, lmax", ORACLE_CASES)
+def test_lemma2_equals_the_per_t_oracle(q, grid, lmax):
+    l_list = list(range(1, lmax + 1))
+    assert reprs(verify_lemma2(q, l_list, grid)) == reprs(lemma2_per_t(q, l_list, grid))
+
+
+@pytest.mark.parametrize("q, grid, lmax", ORACLE_CASES)
+def test_omega_equals_the_per_t_oracle(q, grid, lmax):
+    ts = np.linspace(0.0, 1.0, grid)
+    got = build_omega(q, ts, lmax)
+    assert len(got) == grid
+    for t, om in zip(ts, got):
+        want = omega_per_t(q, float(t), lmax)
+        assert om.keys() == want.keys()
+        for name, op in om.items():
+            ref = want[name]
+            assert (op.domain, op.codomain, op.shift) == (ref.domain, ref.codomain, ref.shift)
+            assert op.interior_margin == ref.interior_margin
+            assert op.diags.keys() == ref.diags.keys(), (t, name)
+            for d, diag in op.diags.items():
+                assert np.array_equal(diag, ref.diags[d]), (t, name, d)
+
+
+def test_omega_takes_a_sequence_of_t_in_the_unit_interval():
+    assert build_omega(0.5, [], 4) == []
+    with pytest.raises(TypeError):
+        build_omega(0.5, 0.5, 4)
+    with pytest.raises(ValueError):
+        build_omega(0.5, [0.0, 1.5], 4)
+
+
+def test_lemma1_suite_memory_does_not_grow_with_the_t_grid():
+    # the grid is walked in blocks, so 401 points take the memory of 17
+    def peak(t_grid):
+        tracemalloc.start()
+        try:
+            run_suite(SuiteConfig(suite="lemma1", q=0.5, lmax=HalfInt(40), t_grid=t_grid))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(17)                         # caches of the spaces and their targets
+    assert peak(401) <= 1.5 * peak(17)
 
 
 @pytest.mark.parametrize("q", (0.5, -0.5))

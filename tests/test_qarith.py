@@ -197,7 +197,7 @@ STRICT_Q_ENTRY_POINTS = {
     "haar_state": lambda q: haar_state(("gamma*", "gamma"), q),
     "podles_op": lambda q: podles_op("A", q, full_space(4)),
     "FredholmModule.standard": lambda q: FredholmModule.standard(q, 2),
-    "build_omega": lambda q: ho.build_omega(q, 0.5, 2),
+    "build_omega": lambda q: ho.build_omega(q, [0.5], 2)[0],
     "verify_lemma1": lambda q: ho.verify_lemma1(q, 2, 3),
     "verify_lemma2": lambda q: ho.verify_lemma2(q, [1, 2], 3),
     "verify_lemma3": lambda q: ho.verify_lemma3(q, 2),

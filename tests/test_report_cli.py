@@ -7,6 +7,7 @@ import shlex
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from suq2kit.cli import main
@@ -99,6 +100,14 @@ def test_run_suite_usage_errors():
         run_suite(SuiteConfig(suite="relations", q=1.5))
     with pytest.raises(UsageError):
         SuiteConfig(suite="relations", q=0.5, t_grid=1)
+    # a float count is refused when the config is made, not inside the suite
+    for field, kwargs in (("t_grid", dict(suite="lemma1", q=0.5, t_grid=3.0)),
+                          ("seed", dict(suite="foq", seed=1.5)),
+                          ("n", dict(suite="koszul", n=3.5)),
+                          ("d_trunc", dict(suite="koszul", d_trunc=4.0))):
+        with pytest.raises(UsageError, match=f"{field} must be an integer"):
+            SuiteConfig(**kwargs)
+    assert type(SuiteConfig(suite="koszul", n=np.int64(3)).n) is int
     for suite in ("koszul", "foq"):
         with pytest.raises(UsageError, match="takes no q"):
             SuiteConfig(suite=suite, q=0.5)
