@@ -29,9 +29,9 @@ import operator
 import numpy as np
 
 from . import peterweyl
-from .qarith import HalfInt, guarded_sqrt_array, m_array, qpow, strict_q
+from .qarith import HalfInt, Lattice, guarded_sqrt_array, m_array, strict_q, worst_of
 from .peterweyl import (BandedOperator, block_norm, bundle_space, _band, _iratio, _spin_dens,
-                        _src_ok, _masked_sqrt_ratio)
+                        _masked_sqrt_ratio)
 
 __all__ = [
     "build_omega",
@@ -58,109 +58,117 @@ operator_norm = peterweyl.operator_norm
 # The twelve families and the rescaled ones are total: exactly 0.0 off the
 # support and never raising there, at any integer indices, shifted or not.
 
-def _omq(q, e):
-    return 1.0 - qpow(q, e)
-
-
 def t_a1(q, s, l2, i2, j2):
-    return _band(q, _src_ok(l2, i2, j2),
-                 (l2 + j2 + 2, l2 + i2 + 2, l2 - j2 + 2, l2 - i2 + 2), (2 * l2 + 2, 2 * l2 + 6),
-                 pref=s * qpow(q, 2 * l2 + 3) - qpow(q, l2 + 3) / s, den_exp=2 * l2 + 4)
+    x = Lattice(q, l2, i2, j2)
+    return _band(x, x.src_ok, ((x.lpj, 2), (x.lpi, 2), (x.lmj, 2), (x.lmi, 2)),
+                 ((x.ll, 2), (x.ll, 6)), pref=s * x.pow(x.ll, 3) - x.pow(x.l2, 3) / s,
+                 den_exp=(x.ll, 4))
 
 
 def t_am1(q, s, l2, i2, j2):
-    mask = _src_ok(l2, i2, j2) & (np.abs(i2) != l2) & (np.abs(j2) != l2)
-    return _band(q, mask,
-                 (l2 - j2, l2 - i2, l2 + j2, l2 + i2), (2 * l2 - 2, 2 * l2 + 2),
-                 pref=s / q - qpow(q, l2 + 1) / s, den_exp=2 * l2)
+    x = Lattice(q, l2, i2, j2)
+    mask = x.src_ok & (x.lpi != 0) & (x.lmi != 0) & (x.lpj != 0) & (x.lmj != 0)
+    return _band(x, mask, ((x.lmj, 0), (x.lmi, 0), (x.lpj, 0), (x.lpi, 0)),
+                 ((x.ll, -2), (x.ll, 2)), pref=s / q - x.pow(x.l2, 1) / s, den_exp=(x.ll, 0))
 
 
 def t_a0(q, s, l2, i2, j2):
-    mask = _src_ok(l2, i2, j2)
-    d1, d12 = _spin_dens(q, l2, mask)
-    grp1 = ((s * qpow(q, (2 * l2 - i2 - j2) // 2) * _omq(q, l2 + j2 + 2)
-             + qpow(q, (2 * l2 - i2 + j2) // 2 + 2) / s * _omq(q, l2 - j2 + 2))
-            * _omq(q, l2 + i2 + 2) / d12)
-    grp2 = ((s * qpow(q, (2 * l2 + i2 + j2) // 2) * _omq(q, l2 - j2)
-             + qpow(q, (2 * l2 + i2 - j2) // 2 + 2) / s * _omq(q, l2 + j2))
-            * _iratio(q, l2 - i2, l2) / d1)
+    x = Lattice(q, l2, i2, j2)
+    mask = x.src_ok
+    d1, d12 = _spin_dens(x, mask)
+    grp1 = ((s * x.pow((x.lmi + x.lmj) // 2) * x.omq(x.lpj, 2)
+             + x.pow((x.lmi + x.lpj) // 2, 2) / s * x.omq(x.lmj, 2))
+            * x.omq(x.lpi, 2) / d12)
+    grp2 = ((s * x.pow((x.lpi + x.lpj) // 2) * x.omq(x.lmj)
+             + x.pow((x.lpi + x.lmj) // 2, 2) / s * x.omq(x.lpj))
+            * _iratio(x, (x.lmi, 0)) / d1)
     return np.where(mask, grp1 + grp2, 0.0)
 
 
 def t_b1(q, s, l2, i2, j2):
-    return _band(q, _src_ok(l2, i2, j2),
-                 (l2 - j2 + 2, l2 - i2 + 2, l2 + j2 + 2, l2 + i2 + 2), (2 * l2 + 2, 2 * l2 + 6),
-                 pref=q / s - s * qpow(q, l2 + 1), den_exp=2 * l2 + 4)
+    x = Lattice(q, l2, i2, j2)
+    return _band(x, x.src_ok, ((x.lmj, 2), (x.lmi, 2), (x.lpj, 2), (x.lpi, 2)),
+                 ((x.ll, 2), (x.ll, 6)), pref=q / s - s * x.pow(x.l2, 1), den_exp=(x.ll, 4))
 
 
 def t_bm1(q, s, l2, i2, j2):
-    mask = _src_ok(l2, i2, j2) & (np.abs(i2) != l2) & (np.abs(j2) != l2)
-    return _band(q, mask,
-                 (l2 + j2, l2 + i2, l2 - j2, l2 - i2), (2 * l2 - 2, 2 * l2 + 2),
-                 pref=qpow(q, 2 * l2 + 1) / s - s * qpow(q, l2 - 1), den_exp=2 * l2)
+    x = Lattice(q, l2, i2, j2)
+    mask = x.src_ok & (x.lpi != 0) & (x.lmi != 0) & (x.lpj != 0) & (x.lmj != 0)
+    return _band(x, mask, ((x.lpj, 0), (x.lpi, 0), (x.lmj, 0), (x.lmi, 0)),
+                 ((x.ll, -2), (x.ll, 2)), pref=x.pow(x.ll, 1) / s - s * x.pow(x.l2, -1),
+                 den_exp=(x.ll, 0))
 
 
 def t_b0(q, s, l2, i2, j2):
-    mask = _src_ok(l2, i2, j2)
-    d1, d12 = _spin_dens(q, l2, mask)
-    grp1 = ((qpow(q, (2 * l2 + i2 + j2) // 2 + 2) / s * _omq(q, l2 - j2 + 2)
-             + s * qpow(q, (2 * l2 + i2 - j2) // 2) * _omq(q, l2 + j2 + 2))
-            * _omq(q, l2 - i2 + 2) / d12)
-    grp2 = ((qpow(q, (2 * l2 - i2 - j2) // 2 + 2) / s * _omq(q, l2 + j2)
-             + s * qpow(q, (2 * l2 - i2 + j2) // 2) * _omq(q, l2 - j2))
-            * _iratio(q, l2 + i2, l2) / d1)
+    x = Lattice(q, l2, i2, j2)
+    mask = x.src_ok
+    d1, d12 = _spin_dens(x, mask)
+    grp1 = ((x.pow((x.lpi + x.lpj) // 2, 2) / s * x.omq(x.lmj, 2)
+             + s * x.pow((x.lpi + x.lmj) // 2) * x.omq(x.lpj, 2))
+            * x.omq(x.lmi, 2) / d12)
+    grp2 = ((x.pow((x.lmi + x.lmj) // 2, 2) / s * x.omq(x.lpj)
+             + s * x.pow((x.lmi + x.lpj) // 2) * x.omq(x.lmj))
+            * _iratio(x, (x.lpi, 0)) / d1)
     return np.where(mask, grp1 + grp2, 0.0)
 
 
 def t_c1(q, s, l2, i2, j2):
-    return _band(q, _src_ok(l2, i2, j2),
-                 (l2 + j2 + 2, l2 + i2 + 2, l2 - j2 + 2, l2 + i2 + 4), (2 * l2 + 2, 2 * l2 + 6),
-                 pref=qpow(q, (l2 - i2) // 2 + 1) / s - s * qpow(q, (3 * l2 - i2) // 2 + 1),
-                 den_exp=2 * l2 + 4)
+    x = Lattice(q, l2, i2, j2)
+    h = x.lmi // 2
+    return _band(x, x.src_ok, ((x.lpj, 2), (x.lpi, 2), (x.lmj, 2), (x.lpi, 4)),
+                 ((x.ll, 2), (x.ll, 6)), pref=x.pow(h, 1) / s - s * x.pow(x.l2 + h, 1),
+                 den_exp=(x.ll, 4))
 
 
 def t_cm1(q, s, l2, i2, j2):
-    mask = _src_ok(l2, i2, j2) & (np.abs(j2) != l2) & (i2 <= l2 - 4)
-    return _band(q, mask,
-                 (l2 - j2, l2 - i2, l2 + j2, l2 - i2 - 2), (2 * l2 - 2, 2 * l2 + 2),
-                 pref=s * qpow(q, (l2 + i2) // 2 - 1) - qpow(q, (3 * l2 + i2) // 2 + 1) / s,
-                 den_exp=2 * l2)
+    x = Lattice(q, l2, i2, j2)
+    mask = x.src_ok & (x.lpj != 0) & (x.lmj != 0) & (x.lmi >= 4)
+    h = x.lpi // 2
+    return _band(x, mask, ((x.lmj, 0), (x.lmi, 0), (x.lpj, 0), (x.lmi, -2)),
+                 ((x.ll, -2), (x.ll, 2)), pref=s * x.pow(h, -1) - x.pow(x.l2 + h, 1) / s,
+                 den_exp=(x.ll, 0))
 
 
 def t_c0(q, s, l2, i2, j2):
-    mask = _src_ok(l2, i2, j2) & (i2 <= l2 - 2)
-    rad = _masked_sqrt_ratio(q, (l2 + i2 + 2, l2 - i2), (), mask)
-    d1, d12 = _spin_dens(q, l2, mask)
-    grp1 = ((s * qpow(q, (3 * l2 - j2) // 2 + 1) * _omq(q, l2 + j2 + 2)
-             + qpow(q, (3 * l2 + j2) // 2 + 3) / s * _omq(q, l2 - j2 + 2)) / d12)
-    grp2 = ((s * qpow(q, (l2 + j2) // 2 - 1) * _iratio(q, l2 - j2, l2)
-             + qpow(q, (l2 - j2) // 2 + 1) / s * _iratio(q, l2 + j2, l2)) / d1)
+    x = Lattice(q, l2, i2, j2)
+    mask = x.src_ok & (x.lmi >= 2)
+    rad = _masked_sqrt_ratio(x, ((x.lpi, 2), (x.lmi, 0)), (), mask)
+    d1, d12 = _spin_dens(x, mask)
+    hp, hm = x.lpj // 2, x.lmj // 2
+    grp1 = ((s * x.pow(x.l2 + hm, 1) * x.omq(x.lpj, 2)
+             + x.pow(x.l2 + hp, 3) / s * x.omq(x.lmj, 2)) / d12)
+    grp2 = ((s * x.pow(hp, -1) * _iratio(x, (x.lmj, 0))
+             + x.pow(hm, 1) / s * _iratio(x, (x.lpj, 0))) / d1)
     return np.where(mask, rad * (grp1 - grp2), 0.0)
 
 
 def t_d1(q, s, l2, i2, j2):
-    return _band(q, _src_ok(l2, i2, j2),
-                 (l2 - j2 + 2, l2 - i2 + 2, l2 + j2 + 2, l2 - i2 + 4), (2 * l2 + 2, 2 * l2 + 6),
-                 pref=qpow(q, (l2 + i2) // 2 + 1) / s - s * qpow(q, (3 * l2 + i2) // 2 + 1),
-                 den_exp=2 * l2 + 4)
+    x = Lattice(q, l2, i2, j2)
+    h = x.lpi // 2
+    return _band(x, x.src_ok, ((x.lmj, 2), (x.lmi, 2), (x.lpj, 2), (x.lmi, 4)),
+                 ((x.ll, 2), (x.ll, 6)), pref=x.pow(h, 1) / s - s * x.pow(x.l2 + h, 1),
+                 den_exp=(x.ll, 4))
 
 
 def t_dm1(q, s, l2, i2, j2):
-    mask = _src_ok(l2, i2, j2) & (np.abs(j2) != l2) & (i2 >= -l2 + 4)
-    return _band(q, mask,
-                 (l2 + j2, l2 + i2, l2 - j2, l2 + i2 - 2), (2 * l2 - 2, 2 * l2 + 2),
-                 pref=s * qpow(q, (l2 - i2) // 2 - 1) - qpow(q, (3 * l2 - i2) // 2 + 1) / s,
-                 den_exp=2 * l2)
+    x = Lattice(q, l2, i2, j2)
+    mask = x.src_ok & (x.lpj != 0) & (x.lmj != 0) & (x.lpi >= 4)
+    h = x.lmi // 2
+    return _band(x, mask, ((x.lpj, 0), (x.lpi, 0), (x.lmj, 0), (x.lpi, -2)),
+                 ((x.ll, -2), (x.ll, 2)), pref=s * x.pow(h, -1) - x.pow(x.l2 + h, 1) / s,
+                 den_exp=(x.ll, 0))
 
 
 def t_d0(q, s, l2, i2, j2):
-    mask = _src_ok(l2, i2, j2) & (i2 >= -l2 + 2)
-    rad = _masked_sqrt_ratio(q, (l2 + i2, l2 - i2 + 2), (), mask)
-    d1, d12 = _spin_dens(q, l2, mask)
-    grp1 = ((qpow(q, (3 * l2 - j2) // 2 + 1) / s * _iratio(q, l2 + j2, l2)
-             + s * qpow(q, (3 * l2 + j2) // 2 - 1) * _iratio(q, l2 - j2, l2)) / d1)
-    grp2 = ((qpow(q, (l2 + j2) // 2 + 1) / s * _omq(q, l2 - j2 + 2)
-             + s * qpow(q, (l2 - j2) // 2 - 1) * _omq(q, l2 + j2 + 2)) / d12)
+    x = Lattice(q, l2, i2, j2)
+    mask = x.src_ok & (x.lpi >= 2)
+    rad = _masked_sqrt_ratio(x, ((x.lpi, 0), (x.lmi, 2)), (), mask)
+    d1, d12 = _spin_dens(x, mask)
+    hp, hm = x.lpj // 2, x.lmj // 2
+    grp1 = ((x.pow(x.l2 + hm, 1) / s * _iratio(x, (x.lpj, 0))
+             + s * x.pow(x.l2 + hp, -1) * _iratio(x, (x.lmj, 0))) / d1)
+    grp2 = ((x.pow(hp, 1) / s * x.omq(x.lmj, 2)
+             + s * x.pow(hm, -1) * x.omq(x.lpj, 2)) / d12)
     return np.where(mask, rad * (grp1 - grp2), 0.0)
 
 
@@ -181,21 +189,23 @@ _T_CORES = {
 #     m(t, l+1)^(-1/2) = sqrt(s^2 - q^(2l+4)) / (|q| sqrt(1 - s^2 q^(2l)))
 # while every x_1 prefactor carries the factor (1 - s^2 q^(2l)).
 
-def _plus_scale(q, s, l2, mask):
+def _plus_scale(q, s, x, mask):
     """sqrt(1 - s^2 q^(2l)) * sqrt(s^2 - q^(2l+4)) / (s |q|), zero off the mask."""
-    rad = np.where(mask, (1.0 - s**2 * qpow(q, l2)) * (s**2 - qpow(q, l2 + 4)), 0.0)
+    rad = np.where(mask, (1.0 - s**2 * x.pow(x.l2)) * (s**2 - x.pow(x.l2, 4)), 0.0)
     return guarded_sqrt_array(rad) / (s * abs(q))
 
 
-def _resc_plus(num_exps, pref):
-    """X_1 from the two numerator exponents of its radical and its prefactor,
-    both functions of the twice arrays; the four families differ only there."""
+def _resc_plus(num, pref):
+    """X_1 from the two numerator factors of its radical and its prefactor,
+    both read from the lattice of the (l2, i2) arrays at j2 = 0; the four
+    families differ only there."""
     def fn(q, s, l2, i2):
-        mask = (l2 >= 0) & (np.abs(i2) <= l2)
-        rad = _masked_sqrt_ratio(q, num_exps(l2, i2), (2 * l2 + 2, 2 * l2 + 6), mask)
-        den = np.where(mask, _omq(q, 2 * l2 + 4), 1.0)
-        r = _omq(q, l2 + 2) * rad / den
-        return np.where(mask, pref(q, l2, i2) * _plus_scale(q, s, l2, mask) * r, 0.0)
+        x = Lattice(q, l2, i2, 0)
+        mask = x.src_ok
+        rad = _masked_sqrt_ratio(x, num(x), ((x.ll, 2), (x.ll, 6)), mask)
+        den = np.where(mask, x.omq(x.ll, 4), 1.0)
+        r = x.omq(x.l2, 2) * rad / den
+        return np.where(mask, pref(q, x) * _plus_scale(q, s, x, mask) * r, 0.0)
     return fn
 
 
@@ -209,20 +219,20 @@ def _resc_minus(core):
 
 
 _RESC_CORES = {
-    ("A", 1): _resc_plus(lambda l2, i2: (l2 + i2 + 2, l2 - i2 + 2),
-                         lambda q, l2, i2: -qpow(q, l2 + 3)),
+    ("A", 1): _resc_plus(lambda x: ((x.lpi, 2), (x.lmi, 2)),
+                         lambda q, x: -x.pow(x.l2, 3)),
     ("A", 0): lambda q, s, l2, i2: t_a0(q, s, l2, i2, 0),
     ("A", -1): _resc_minus(t_am1),
-    ("B", 1): _resc_plus(lambda l2, i2: (l2 + i2 + 2, l2 - i2 + 2),
-                         lambda q, l2, i2: q),
+    ("B", 1): _resc_plus(lambda x: ((x.lpi, 2), (x.lmi, 2)),
+                         lambda q, x: q),
     ("B", 0): lambda q, s, l2, i2: t_b0(q, s, l2, i2, 0),
     ("B", -1): _resc_minus(t_bm1),
-    ("C", 1): _resc_plus(lambda l2, i2: (l2 + i2 + 2, l2 + i2 + 4),
-                         lambda q, l2, i2: qpow(q, (l2 - i2) // 2 + 1)),
+    ("C", 1): _resc_plus(lambda x: ((x.lpi, 2), (x.lpi, 4)),
+                         lambda q, x: x.pow(x.lmi // 2, 1)),
     ("C", 0): lambda q, s, l2, i2: t_c0(q, s, l2, i2, 0),
     ("C", -1): _resc_minus(t_cm1),
-    ("D", 1): _resc_plus(lambda l2, i2: (l2 - i2 + 2, l2 - i2 + 4),
-                         lambda q, l2, i2: qpow(q, (l2 + i2) // 2 + 1)),
+    ("D", 1): _resc_plus(lambda x: ((x.lmi, 2), (x.lmi, 4)),
+                         lambda q, x: x.pow(x.lpi // 2, 1)),
     ("D", 0): lambda q, s, l2, i2: t_d0(q, s, l2, i2, 0),
     ("D", -1): _resc_minus(t_dm1),
 }
@@ -326,7 +336,7 @@ def verify_lemma1(q, lmax, t_grid_size: int = 11) -> dict:
         for name, lhs, rhs, dl2, di2 in _LEMMA1_IDENTITIES:
             diff = (_RESC_CORES[lhs](q, s, l2, i2)
                     - _RESC_CORES[rhs](q, s, l2 + dl2, i2 + di2))
-            out[name] = max(out[name], float(np.max(np.abs(diff))))
+            out[name] = worst_of(out[name], float(np.max(np.abs(diff))))
     return out
 
 
@@ -443,7 +453,7 @@ def verify_lemma3(q, lmax, signed: bool = True) -> dict:
             worst = 0.0
             for j2 in (2, -2):
                 tv = _T_CORES[(fam, k)](q, s1, l2, i2, j2)
-                worst = max(worst, float(np.max(np.abs(rv - factor * tv))))
+                worst = worst_of(worst, float(np.max(np.abs(rv - factor * tv))))
             label = f"{resc}_{k}(0,l,i) = " + (f"sgn(q) {fam}_{k}(1,l,i,j1)" if k == 0
                                                else f"{fam}_{k}(1,l,i,j1)")
             out[label] = worst
@@ -475,13 +485,13 @@ def degenerate_module_check(q, lmax) -> dict:
         for k in (1, 0, -1):
             plus = _T_CORES[(fam, k)](q, abs(q), l2, i2, 1)
             minus = _T_CORES[(fam, k)](q, abs(q), l2, i2, -1)
-            sym = max(sym, float(np.max(np.abs(plus - minus))))
+            sym = worst_of(sym, float(np.max(np.abs(plus - minus))))
 
     # (ii): unsigned endpoint matching over spins >= 1
     unsigned = verify_lemma3(q, HalfInt(lmax2), signed=False)
     return {
         "column_symmetry_residual": sym,
-        "endpoint_unsigned_residual": max(unsigned.values()),
+        "endpoint_unsigned_residual": worst_of(*unsigned.values()),
     }
 
 
@@ -551,9 +561,9 @@ def rotation_homotopy_check(q, t_grid_size: int = 11, lmax=30, l_from=15) -> dic
             else:
                 c, s = np.cos(np.pi * t / 2.0), np.sin(np.pi * t / 2.0)
             s1, s2 = rotation_factors(c, s)
-            tail = max(np.linalg.norm(s1, 2), np.linalg.norm(s2, 2)) * delta_tail
-            worst_tail = max(worst_tail, tail)
-            worst_gap = max(worst_gap, tail - delta_tail)
+            tail = worst_of(np.linalg.norm(s1, 2), np.linalg.norm(s2, 2)) * delta_tail
+            worst_tail = worst_of(worst_tail, tail)
+            worst_gap = worst_of(worst_gap, tail - delta_tail)
             if t in (0.0, 1.0, t_mid):
                 # the even part [[p, r], [r, u]] written block by block
                 p, u, r = c * c * a + s * s * b, s * s * a + c * c * b, c * s * (b - a)
@@ -561,15 +571,15 @@ def rotation_homotopy_check(q, t_grid_size: int = 11, lmax=30, l_from=15) -> dic
                     # swap . even - diag(b, b) . swap, restricted to the tail columns
                     commutator = [[r, u - b], [p - b, r]]
                     assembled = block_norm(commutator, cols)
-                    assembly_gap = max(assembly_gap,
+                    assembly_gap = worst_of(assembly_gap,
                                        abs(assembled - np.linalg.norm(s1, 2) * delta_tail))
                 if t == 0.0:
-                    endpoint0 = max(endpoint0, block_norm([[p - a, r], [r, u - b]]))
+                    endpoint0 = worst_of(endpoint0, block_norm([[p - a, r], [r, u - b]]))
                 if t == 1.0:
-                    endpoint1 = max(endpoint1, block_norm([[p - b, r], [r, u - a]]))
+                    endpoint1 = worst_of(endpoint1, block_norm([[p - b, r], [r, u - a]]))
     return {
         "max_tail": worst_tail,
-        "max_tail_excess": max(worst_gap, 0.0),
+        "max_tail_excess": worst_of(worst_gap, 0.0),
         "factorized_vs_assembled": assembly_gap,
         "endpoint_t0_deviation": endpoint0,
         "endpoint_t1_deviation": endpoint1,

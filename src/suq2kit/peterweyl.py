@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .qarith import HalfInt, guarded_sqrt_array, qpow, strict_q
+from .qarith import HalfInt, Lattice, guarded_sqrt_array, strict_q
 
 __all__ = [
     "TruncatedSpace",
@@ -220,75 +220,92 @@ def bundle_space(k: int, lmax2: int) -> TruncatedSpace:
 # 0/0, so masking is the unique continuous completion.  Every table here, in
 # podles and in homotopy is total: at any integer indices it is exactly 0.0
 # off its support and never raises there, so callers shift without clipping.
+#
+# Every table reads its factors q^n and 1 - q^n through the
+# ``qarith.Lattice`` of its call: each printed exponent is spelled as a
+# lattice coordinate (l2, 2 l2, l2 +- i2, l2 +- j2, or a half-sum of them)
+# plus a small constant, and each factor is one gather.  Products keep their
+# printed order, so every value is the float the printed form gives.
 
-def _src_ok(l2, i2, j2):
-    return (l2 >= 0) & (np.abs(i2) <= l2) & (np.abs(j2) <= l2)
+def _masked_sqrt_ratio(x, num, den, mask):
+    """sqrt(prod(1-q^n) / prod(1-q^d)) with zeros where mask is false.
+
+    x is the :class:`~suq2kit.qarith.Lattice` (or any q-factor reader) of
+    the table call, and each n and d is a (coordinate, constant) pair that
+    it reads; the factors multiply in the order given.
+    """
+    val = x.omq(*num[0])
+    for e in num[1:]:
+        val = val * x.omq(*e)
+    if not den:
+        return guarded_sqrt_array(np.where(mask, val, 0.0))
+    d = x.omq(*den[0])
+    for e in den[1:]:
+        d = d * x.omq(*e)
+    return guarded_sqrt_array(_masked_quotient(val, d, mask))
 
 
-def _masked_sqrt_ratio(q, num_exps, den_exps, mask):
-    """sqrt(prod(1-q^n) / prod(1-q^d)) with zeros where mask is false."""
-    num = np.ones(np.broadcast(*num_exps).shape)
-    for e in num_exps:
-        num = num * (1.0 - qpow(q, e))
-    den = np.ones_like(num)
-    for e in den_exps:
-        den = den * (1.0 - qpow(q, e))
-    inner = np.where(mask, num / np.where(mask, den, 1.0), 0.0)
-    return guarded_sqrt_array(inner)
+def _masked_quotient(num, den, mask):
+    """num / den where mask holds and 0.0 elsewhere, where nothing divides."""
+    return np.divide(num, den, out=np.zeros(np.broadcast(num, den, mask).shape), where=mask)
 
 
-def _iratio(q, num_exp, l2):
+def _iratio(x, num):
     """(1 - q^num) / (1 - q^(2*l2)) with its removable limit 1/2 at l2 = 0.
 
     The l2 = 0 branch is only ever multiplied by factors that vanish there,
     so any finite completion gives the same product; 1/(1 + q^l2) is the
     continuous one.
     """
-    safe = np.where(l2 > 0, 1.0 - qpow(q, 2 * l2), 1.0)
-    return np.where(l2 > 0, (1.0 - qpow(q, num_exp)) / safe,
-                    1.0 / (1.0 + qpow(q, l2)))
+    limit = np.asarray(1.0 / (1.0 + x.pow(x.l2)))
+    return np.divide(x.omq(*num), x.omq(x.ll), out=limit, where=x.l2 > 0)
 
 
-def _spin_dens(q, l2, mask):
+def _spin_dens(x, mask):
     """1 - q^(2l+2) and (1 - q^(2l+2))(1 - q^(2l+4)) where mask holds and 1
     elsewhere: the denominators of the diagonal tables, which vanish at the
     absent spins l2 = -1 and -2."""
-    d1 = 1.0 - qpow(q, 2 * l2 + 2)
-    return np.where(mask, d1, 1.0), np.where(mask, d1 * (1.0 - qpow(q, 2 * l2 + 4)), 1.0)
+    d1 = x.omq(x.ll, 2)
+    return np.where(mask, d1, 1.0), np.where(mask, d1 * x.omq(x.ll, 4), 1.0)
 
 
-def _band(q, mask, num_exps, den_exps, pref=1.0, den_exp=None):
+def _band(x, mask, num, den, pref=1.0, den_exp=None):
     """One off-diagonal table entry: pref * sqrt(prod(1-q^n) / prod(1-q^d)),
     divided by 1 - q^den_exp when given, and zero where mask is false.
 
-    Each table passes its printed exponents and prefactor; the product is
-    formed before the division so every table keeps its printed arithmetic.
+    Each table passes its printed exponents as (coordinate, constant) pairs
+    of its lattice x, and its prefactor; the product is formed before the
+    division so every table keeps its printed arithmetic.
     """
-    val = pref * _masked_sqrt_ratio(q, num_exps, den_exps, mask)
-    if den_exp is not None:
-        val = val / np.where(mask, 1.0 - qpow(q, den_exp), 1.0)
-    return np.where(mask, val, 0.0)
+    val = pref * _masked_sqrt_ratio(x, num, den, mask)
+    if den_exp is None:
+        return np.where(mask, val, 0.0)
+    return _masked_quotient(val, x.omq(*den_exp), mask)
 
 
 def reg_a_plus(q, l2, i2, j2):
-    return _band(q, _src_ok(l2, i2, j2), (l2 - j2 + 2, l2 - i2 + 2),
-                 (2 * l2 + 2, 2 * l2 + 4), pref=qpow(q, (2 * l2 + i2 + j2) // 2 + 1))
+    x = Lattice(q, l2, i2, j2)
+    return _band(x, x.src_ok, ((x.lmj, 2), (x.lmi, 2)), ((x.ll, 2), (x.ll, 4)),
+                 pref=x.pow((x.lpi + x.lpj) // 2, 1))
 
 
 def reg_a_minus(q, l2, i2, j2):
-    mask = _src_ok(l2, i2, j2) & (i2 != -l2) & (j2 != -l2)
-    return _band(q, mask, (l2 + j2, l2 + i2), (2 * l2, 2 * l2 + 2))
+    x = Lattice(q, l2, i2, j2)
+    mask = x.src_ok & (x.lpi != 0) & (x.lpj != 0)
+    return _band(x, mask, ((x.lpj, 0), (x.lpi, 0)), ((x.ll, 0), (x.ll, 2)))
 
 
 def reg_c_plus(q, l2, i2, j2):
-    return _band(q, _src_ok(l2, i2, j2), (l2 - j2 + 2, l2 + i2 + 2),
-                 (2 * l2 + 2, 2 * l2 + 4), pref=-qpow(q, (l2 + j2) // 2))
+    x = Lattice(q, l2, i2, j2)
+    return _band(x, x.src_ok, ((x.lmj, 2), (x.lpi, 2)), ((x.ll, 2), (x.ll, 4)),
+                 pref=-x.pow(x.lpj // 2))
 
 
 def reg_c_minus(q, l2, i2, j2):
-    mask = _src_ok(l2, i2, j2) & (i2 != l2) & (j2 != -l2)
-    return _band(q, mask, (l2 + j2, l2 - i2), (2 * l2, 2 * l2 + 2),
-                 pref=qpow(q, (l2 + i2) // 2))
+    x = Lattice(q, l2, i2, j2)
+    mask = x.src_ok & (x.lmi != 0) & (x.lpj != 0)
+    return _band(x, mask, ((x.lpj, 0), (x.lmi, 0)), ((x.ll, 0), (x.ll, 2)),
+                 pref=x.pow(x.lpi // 2))
 
 
 # shifts in twice units: (dl2, di2, dj2) and the coefficient evaluated at the
@@ -512,8 +529,10 @@ def block_norm(grid, cols=None) -> float:
     norm 0.  Otherwise, when the rigorous upper bound sqrt(norm_1 *
     norm_inf) is below 1e-13, that bound is returned in place of the norm:
     it is at rounding level and certifies any realistic threshold of a
-    ``max`` check.  Both are read off the diagonals and hold for any grid;
-    only a norm left open goes to the stacked SVD of :func:`operator_norm`,
+    ``max`` check.  A NaN entry anywhere in the grid, in a kept column or
+    not, makes that bound NaN, and NaN is returned before any SVD.  All of
+    this is read off the diagonals and holds for any grid; only a norm left
+    open goes to the stacked SVD of :func:`operator_norm`,
     on the entries of the grid with their weight sectors as blocks, which
     :func:`block_entries` gives for a grid of one weight shift.
     """
@@ -523,17 +542,18 @@ def block_norm(grid, cols=None) -> float:
         return 0.0
     # a column sums in ascending dl2 and a row in descending dl2 within a
     # block, then on across the blocks of its grid column or grid row; an
-    # absent target has weight 0 and lands in slot 0, which is dropped
-    norm_1 = max(sum(w for block in column for w in block).max() for column in zip(*weights))
-    norm_inf = 0.0
+    # absent target has weight 0 and lands in slot 0, which is dropped.
+    # np.max keeps a NaN weight, so the bound is NaN when an entry is.
+    norm_1 = np.max([sum(w for block in column for w in block).max() for column in zip(*weights)])
+    row_maxima = []
     for row, row_weights in zip(grid, weights):
         sums = np.zeros(row[0].codomain.dim + 1)
         for op, block in zip(row, row_weights):
             for d, w in zip(reversed(op.diags), reversed(block)):
                 sums[op._target(d) + 1] += w
-        norm_inf = max(norm_inf, sums[1:].max())
-    upper = float(np.sqrt(norm_1 * norm_inf))
-    if upper < 1e-13:
+        row_maxima.append(sums[1:].max())
+    upper = float(np.sqrt(norm_1 * np.max(row_maxima)))
+    if upper < 1e-13 or np.isnan(upper):
         return upper
     pair, sectors = block_entries(grid, cols)
     return operator_norm(pair, blocks=sectors)

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import peterweyl
-from .qarith import HalfInt, qpow, strict_q
+from .qarith import HalfInt, Lattice, strict_q
 from .peterweyl import (BandedOperator, TruncatedSpace, bundle_space,
-                        _band, _iratio, _spin_dens, _src_ok, _masked_sqrt_ratio)
+                        _band, _iratio, _spin_dens, _masked_sqrt_ratio)
 
 __all__ = [
     "FredholmModule",
@@ -46,44 +46,51 @@ operator_norm = peterweyl.operator_norm
 # ---------------------------------------------------------------------------
 
 def sphere_a_minus(q, l2, i2, j2):
-    mask = _src_ok(l2, i2, j2) & (np.abs(i2) != l2) & (np.abs(j2) != l2)
-    return _band(q, mask, (l2 - j2, l2 + i2, l2 + j2, l2 - i2), (2 * l2 - 2, 2 * l2 + 2),
-                 pref=-qpow(q, (2 * l2 + i2 + j2) // 2 - 1), den_exp=2 * l2)
+    x = Lattice(q, l2, i2, j2)
+    mask = x.src_ok & (x.lpi != 0) & (x.lmi != 0) & (x.lpj != 0) & (x.lmj != 0)
+    return _band(x, mask, ((x.lmj, 0), (x.lpi, 0), (x.lpj, 0), (x.lmi, 0)),
+                 ((x.ll, -2), (x.ll, 2)), pref=-x.pow((x.lpi + x.lpj) // 2, -1),
+                 den_exp=(x.ll, 0))
 
 
 def sphere_a_diag(q, l2, i2, j2):
-    mask = _src_ok(l2, i2, j2)
-    d1, d12 = _spin_dens(q, l2, mask)
-    t1 = qpow(q, l2 + j2) * (1.0 - qpow(q, l2 - j2 + 2)) * (1.0 - qpow(q, l2 + i2 + 2)) / d12
-    t2 = qpow(q, l2 + i2) * (1.0 - qpow(q, l2 + j2)) * _iratio(q, l2 - i2, l2) / d1
+    x = Lattice(q, l2, i2, j2)
+    mask = x.src_ok
+    d1, d12 = _spin_dens(x, mask)
+    t1 = x.pow(x.lpj) * x.omq(x.lmj, 2) * x.omq(x.lpi, 2) / d12
+    t2 = x.pow(x.lpi) * x.omq(x.lpj) * _iratio(x, (x.lmi, 0)) / d1
     return np.where(mask, t1 + t2, 0.0)
 
 
 def sphere_a_plus(q, l2, i2, j2):
-    return _band(q, _src_ok(l2, i2, j2),
-                 (l2 + j2 + 2, l2 - i2 + 2, l2 - j2 + 2, l2 + i2 + 2), (2 * l2 + 2, 2 * l2 + 6),
-                 pref=-qpow(q, (2 * l2 + i2 + j2) // 2 + 1), den_exp=2 * l2 + 4)
+    x = Lattice(q, l2, i2, j2)
+    return _band(x, x.src_ok, ((x.lpj, 2), (x.lmi, 2), (x.lmj, 2), (x.lpi, 2)),
+                 ((x.ll, 2), (x.ll, 6)), pref=-x.pow((x.lpi + x.lpj) // 2, 1),
+                 den_exp=(x.ll, 4))
 
 
 def sphere_b_minus(q, l2, i2, j2):
-    mask = _src_ok(l2, i2, j2) & (np.abs(j2) != l2) & (i2 <= l2 - 4)
-    return _band(q, mask, (l2 - j2, l2 - i2 - 2, l2 + j2, l2 - i2), (2 * l2 - 2, 2 * l2 + 2),
-                 pref=qpow(q, (3 * l2 + 2 * i2 + j2) // 2), den_exp=2 * l2)
+    x = Lattice(q, l2, i2, j2)
+    mask = x.src_ok & (x.lpj != 0) & (x.lmj != 0) & (x.lmi >= 4)
+    return _band(x, mask, ((x.lmj, 0), (x.lmi, -2), (x.lpj, 0), (x.lmi, 0)),
+                 ((x.ll, -2), (x.ll, 2)), pref=x.pow(x.lpi + x.lpj // 2),
+                 den_exp=(x.ll, 0))
 
 
 def sphere_b_diag(q, l2, i2, j2):
-    mask = _src_ok(l2, i2, j2) & (i2 <= l2 - 2)
-    rad = _masked_sqrt_ratio(q, (l2 + i2 + 2, l2 - i2), (), mask)
-    d1, d12 = _spin_dens(q, l2, mask)
-    t1 = qpow(q, (l2 + i2) // 2) * _iratio(q, l2 + j2, l2) / d1
-    t2 = qpow(q, (3 * l2 + i2 + 2 * j2) // 2 + 2) * (1.0 - qpow(q, l2 - j2 + 2)) / d12
+    x = Lattice(q, l2, i2, j2)
+    mask = x.src_ok & (x.lmi >= 2)
+    rad = _masked_sqrt_ratio(x, ((x.lpi, 2), (x.lmi, 0)), (), mask)
+    d1, d12 = _spin_dens(x, mask)
+    t1 = x.pow(x.lpi // 2) * _iratio(x, (x.lpj, 0)) / d1
+    t2 = x.pow(x.lpj + x.lpi // 2, 2) * x.omq(x.lmj, 2) / d12
     return np.where(mask, rad * (t1 - t2), 0.0)
 
 
 def sphere_b_plus(q, l2, i2, j2):
-    return _band(q, _src_ok(l2, i2, j2),
-                 (l2 + j2 + 2, l2 + i2 + 4, l2 - j2 + 2, l2 + i2 + 2), (2 * l2 + 2, 2 * l2 + 6),
-                 pref=-qpow(q, (l2 + j2) // 2), den_exp=2 * l2 + 4)
+    x = Lattice(q, l2, i2, j2)
+    return _band(x, x.src_ok, ((x.lpj, 2), (x.lpi, 4), (x.lmj, 2), (x.lpi, 2)),
+                 ((x.ll, 2), (x.ll, 6)), pref=-x.pow(x.lpj // 2), den_exp=(x.ll, 4))
 
 
 _SPHERE_RULES = {

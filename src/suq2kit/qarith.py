@@ -9,6 +9,13 @@ passes it through :func:`strict_q`, which rejects it unless it is finite with
 monoidal equivalence can solve to.  Spins are stored as twice
 their value in a plain integer (:class:`HalfInt`), and the handful of scalar
 functions that appear in every coefficient formula live here.
+
+Every coefficient table reads its powers q^n and factors 1 - q^n through
+one reader: :class:`Lattice` forms the lattice coordinates of a table call
+once (2 l2 and l2 +- i2, l2 +- j2 in twice units) and its
+:class:`QReader` holds q^n and 1 - q^n over their range, so each factor of
+a table is one gather.  :func:`worst_of` is the max that the worst-case
+folds of the checks use, because it keeps a NaN.
 """
 
 from __future__ import annotations
@@ -23,9 +30,11 @@ __all__ = [
     "HalfInt",
     "strict_q",
     "qnumber",
-    "qpow",
+    "QReader",
+    "Lattice",
     "m_array",
     "guarded_sqrt_array",
+    "worst_of",
 ]
 
 
@@ -119,23 +128,78 @@ def qnumber(q, a: int) -> float:
     return (x**a - x**(-a)) / (x - 1.0 / x)
 
 
-def qpow(q: float, e):
-    """q**e for an integer exponent array, read from a table of q^n.
+# the largest |c| a table adds to a lattice coordinate
+_PAD = 8
 
-    The table is numpy's own float64 power of q over the range of ``e``, so
-    every value equals the array power ``q ** e`` bit for bit; a 0-d ``e``
-    gets the array value too, where numpy's scalar power can differ by 1 ULP.
-    The lookup exists because numpy's array power is about ten times slower
-    for a negative base than for a positive one, as it sends each element
-    through libm's pow; the table needs one pow per distinct exponent.
+
+class QReader:
+    """q^n and 1 - q^n, read at integer coordinates x plus a constant c.
+
+    Built from the range [lo, hi] of the lattice coordinates of one table
+    call, it holds numpy's float64 power q^n and 1 - q^n for n from 3/2 lo
+    to 3/2 hi (0 counting as a coordinate), widened by _PAD on each side.
+    ``pow(x, c)`` and ``omq(x, c)`` are then one gather each from a view
+    offset by c, bit for bit numpy's ``q ** (x + c)`` and ``1.0 - q ** (x +
+    c)``, with no exponent array and no reduction per factor.  x must lie
+    in that range, as a coordinate, half of one or of the sum of two, or a
+    coordinate plus half another does: outside it a read can return a
+    wrong value instead of raising, since numpy counts a negative index
+    from the end.  The lookup beats numpy's array power, which sends each
+    element through libm's pow for a negative base, ten times slower.
     """
-    e = np.asarray(e)
-    if e.dtype.kind not in "iu":
-        raise TypeError(f"qpow needs integer exponents, got dtype {e.dtype}")
-    if e.size == 0:
-        return np.power(q, e)
-    lo, hi = int(e.min()), int(e.max())
-    return np.power(q, np.arange(lo, hi + 1, dtype=float))[e - lo]
+
+    def __init__(self, q: float, lo: int, hi: int):
+        lo, hi = min(lo, 0), max(hi, 0)
+        self._lo = lo + lo // 2                      # 3/2 lo, rounded down
+        self._span = hi + hi // 2 - self._lo + 1
+        self._pow = np.power(q, np.arange(self._lo - _PAD, self._lo + self._span + _PAD,
+                                          dtype=float))
+        self._omq = 1.0 - self._pow
+
+    def _view(self, table: np.ndarray, c: int) -> np.ndarray:
+        """``table`` from exponent lo + c on, rotated so that its entry x, a
+        negative x counted from the end as numpy does, is at exponent x + c."""
+        if abs(c) > _PAD:
+            raise ValueError(f"offset {c} exceeds the reader's pad {_PAD}")
+        view = table[c + _PAD:c + _PAD + self._span]
+        return np.roll(view, self._lo) if self._lo else view
+
+    def pow(self, x, c: int = 0):
+        """q^(x + c) at the integer coordinates x."""
+        return np.take(self._view(self._pow, c), x)
+
+    def omq(self, x, c: int = 0):
+        """1 - q^(x + c) at the integer coordinates x."""
+        return np.take(self._view(self._omq, c), x)
+
+
+class Lattice:
+    """The lattice coordinates of one table call and their q-factor reader.
+
+    From the twice arrays (l2, i2, j2) it forms, once, the coordinates
+    ``l2``, ``ll`` = 2 l2, ``lpi`` = l2 + i2, ``lmi`` = l2 - i2, ``lpj`` =
+    l2 + j2 and ``lmj`` = l2 - j2, the mask ``src_ok`` of the basis vectors
+    that exist (|i2|, |j2| <= l2 is all four of lpi, lmi, lpj, lmj >= 0),
+    and the :class:`QReader` over their range, whose ``pow`` and ``omq`` it
+    exposes.  A table spells each printed exponent in these coordinates:
+    (2 l2 + i2 + j2)/2 is (lpi + lpj) // 2, (3 l2 - i2)/2 is l2 + lmi // 2.
+    """
+
+    def __init__(self, q: float, l2, i2, j2):
+        # every coordinate, l2 too, takes the shape of the three together
+        self.l2 = l2 = np.broadcast_to(l2, np.broadcast(l2, i2, j2).shape)
+        self.ll = 2 * l2
+        self.lpi, self.lmi = l2 + i2, l2 - i2
+        self.lpj, self.lmj = l2 + j2, l2 - j2
+        self.src_ok = (self.lpi >= 0) & (self.lmi >= 0) & (self.lpj >= 0) & (self.lmj >= 0)
+        if self.src_ok.all():
+            # on the support every coordinate lies in [0, 2 l2]
+            lo, hi = 0, 2 * int(np.max(l2, initial=0))
+        else:
+            coords = (l2, self.ll, self.lpi, self.lmi, self.lpj, self.lmj)
+            lo, hi = min(int(np.min(x)) for x in coords), max(int(np.max(x)) for x in coords)
+        reader = QReader(q, lo, hi)
+        self.pow, self.omq = reader.pow, reader.omq
 
 
 def m_array(q: float, s, l2, mask=True):
@@ -144,10 +208,11 @@ def m_array(q: float, s, l2, mask=True):
     (q^2 - s^2 q^(2l)) / (s^2 - q^(2l+2)); entries outside ``mask`` are 0 and
     never divide.  This is the arithmetic the coefficient tables run.
     """
+    read = QReader(q, int(np.min(l2, initial=0)), int(np.max(l2, initial=0)))
     # q^2 factored out, so that where s^2 q^(2l-2) = 1 the zero is exact and
     # not the difference of a scalar and an array power of q
-    num = np.where(mask, q**2 * (1.0 - s**2 * qpow(q, l2 - 2)), 0.0)
-    den = np.where(mask, s**2 - qpow(q, l2 + 2), 1.0)
+    num = np.where(mask, q**2 * (1.0 - s**2 * read.pow(l2, -2)), 0.0)
+    den = np.where(mask, s**2 - read.pow(l2, 2), 1.0)
     return num / den
 
 
@@ -165,3 +230,17 @@ def guarded_sqrt_array(x):
     if low < -_SQRT_TOL:
         raise ValueError(f"negative radicand {low!r} exceeds tolerance {_SQRT_TOL!r}")
     return np.sqrt(np.maximum(x, 0.0))
+
+
+def worst_of(*values):
+    """The largest of the values, or NaN as soon as one of them is NaN.
+
+    Python's max keeps a value unless a later one compares greater, so
+    max(0.0, nan) is 0.0 and a NaN residual folded into a worst case would
+    read as a pass.  On numbers this is max, ties keeping the first value.
+    """
+    out = values[0]
+    for v in values[1:]:
+        if math.isnan(v) or v > out:
+            out = v
+    return out

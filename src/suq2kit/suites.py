@@ -22,7 +22,7 @@ import numpy as np
 # numpy.random is imported here, with the package, so that no job pays it
 from numpy.random import default_rng
 
-from .qarith import HalfInt, strict_q
+from .qarith import HalfInt, strict_q, worst_of
 from . import peterweyl as pw
 from . import podles as po
 from . import homotopy as ho
@@ -176,7 +176,7 @@ def _suite_lemma1(cfg: SuiteConfig, rep: VerificationReport):
     for ts, _ in ho._t_blocks(q, cfg.t_grid):
         for om in ho.build_omega(q, ts, cfg.lmax):
             for name, value in pw.relation_residuals(om, q).items():
-                worst[name] = max(worst.get(name, 0.0), value)
+                worst[name] = worst_of(worst.get(name, 0.0), value)
     for name, value in worst.items():
         rep.add(Check(f"omega_t image: {name}",
                       "the interpolated action is a *-homomorphism",
@@ -214,7 +214,7 @@ def _suite_lemma3(cfg: SuiteConfig, rep: VerificationReport):
         rep.add(Check(name, "endpoint matching of the coefficient homotopy",
                       value, cfg.tol_identity / 100))
     if q < 0:
-        unsigned = max(ho.verify_lemma3(q, cfg.lmax, signed=False).values())
+        unsigned = worst_of(*ho.verify_lemma3(q, cfg.lmax, signed=False).values())
         rep.add(Check("negative control: unsigned diagonal endpoint identity must fail",
                       "sign factor on the diagonal families",
                       unsigned, 1000 * cfg.tol_identity, mode="min"))
@@ -249,9 +249,9 @@ def _suite_fredholm(cfg: SuiteConfig, rep: VerificationReport):
         reported = tails.pop() if extra else tails[-1]
         for c, t in zip(cutoffs, tails):
             rep.decay.append((c, f"[F, {x}] tail", t))
-        uptick = max((tails[m + 1] - tails[m] for m in range(len(tails) - 1)), default=0.0)
+        uptick = worst_of(0.0, *(tails[m + 1] - tails[m] for m in range(len(tails) - 1)))
         rep.add(Check(f"[F, {x}] tails decrease monotonically",
-                      "commutator tail compactness proxy", max(uptick, 0.0), 0.0))
+                      "commutator tail compactness proxy", uptick, 0.0))
         _add_fit_check(rep, f"[F, {x}] tail decays geometrically (fit quality)",
                        "commutator tail compactness proxy", cutoffs, tails)
         rep.add(Check(f"measured: [F, {x}] tail at cutoff {reported_at}",
@@ -370,7 +370,7 @@ def _suite_fusion(cfg: SuiteConfig, rep: VerificationReport):
             lhs = kr.dim_quantum(q, k) * kr.dim_quantum(q, m)
             rhs = sum(v * kr.dim_quantum(q, j) for j, v in fuse(k, m).items())
             # q-dimensions grow like |q|^(-k), so the residual is relative
-            worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
+            worst = worst_of(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
     rep.add(Check(f"quantum dimension is multiplicative (q = {q}, relative)",
                   "dimension homomorphism", worst, cfg.tol_identity))
 
@@ -378,7 +378,7 @@ def _suite_fusion(cfg: SuiteConfig, rep: VerificationReport):
 def _suite_foq(cfg: SuiteConfig, rep: VerificationReport):
     worst = 0.0
     for q in (0.1, -0.1, 0.5, -0.5, 0.9, -0.9, 1.0, -1.0):
-        worst = max(worst, abs(fo.solve_su2_parameter(fo.canonical_su2_qmatrix(q)) - q))
+        worst = worst_of(worst, abs(fo.solve_su2_parameter(fo.canonical_su2_qmatrix(q)) - q))
     rep.add(Check("round trip solve(canonical(q)) = q on the q grid",
                   "canonical 2x2 parameter matrix", worst, 1e-12))
     qm3 = fo.validate_q(np.eye(3))
@@ -391,7 +391,7 @@ def _suite_foq(cfg: SuiteConfig, rep: VerificationReport):
     for q in (0.1, -0.1, 0.5, -0.5, 0.9, -0.9, 1.0, -1.0):
         ent = fo.canonical_su2_qmatrix(q).entries
         a, b = ent[0, 1], ent[1, 0]
-        worst = max(worst, abs(a / b + q), abs(-q * b / a - 1.0))
+        worst = worst_of(worst, abs(a / b + q), abs(-q * b / a - 1.0))
     rep.add(Check("canonical entries satisfy the fundamental intertwining equations",
                   "canonical 2x2 parameter matrix", worst, 1e-12))
     rng = default_rng(cfg.seed)

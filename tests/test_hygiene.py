@@ -1,8 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
 no named function takes a parameter its body never reads, no lambda only
 forwards its parameters to one call, no power of q has an exponent array,
-nothing under src/ imports scipy, and every exported name has a caller
-outside the tests."""
+no table reads a power of q past the lattice reader, nothing under src/
+imports scipy, and every exported name has a caller outside the tests."""
 
 import ast
 import re
@@ -109,8 +109,8 @@ def array_powers_of_q(source: str) -> list:
     """Each ``q ** e`` or ``qp.q ** e`` whose exponent is not a literal.
 
     Such an exponent is an integer array in the table code, where the array
-    power runs libm's slow negative-base path; ``qarith.qpow`` gives the same
-    values from a lookup table.
+    power runs libm's slow negative-base path; ``qarith.QReader`` gives the
+    same values from a lookup table.
     """
     found = []
     for node in ast.walk(ast.parse(source)):
@@ -134,6 +134,31 @@ def test_scan_flags_array_powers_of_q():
     source = ("a = q ** l2\nb = -qp.q ** ((i2 + j2) // 2)\nc = q**2 - q**-2 + q ** 0.5\n"
               "d = s ** l2 + qp.abs_q ** t + x.q ** n\ne = qpow(q, l2)\n")
     assert array_powers_of_q(source) == ["q ** l2", "qp.q ** ((i2 + j2) // 2)"]
+
+
+def qpow_calls(source: str) -> list:
+    """Each call of a function named ``qpow``, bare or as an attribute.
+
+    ``qpow(q, e)`` read q^e at an exponent array e that the caller had to
+    form, and reduced e to a range, for every factor; the tables read their
+    factors by lattice coordinate through ``qarith.Lattice`` instead.
+    """
+    return [ast.unparse(node) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) == "qpow"
+                 or getattr(node.func, "attr", None) == "qpow")]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "qarith.py"],
+                         ids=lambda p: p.name)
+def test_no_qpow_calls_outside_qarith(path):
+    assert qpow_calls(path.read_text()) == []
+
+
+def test_scan_flags_qpow_calls():
+    source = ("a = qpow(q, l2 + 2)\nb = 1.0 - qarith.qpow(q, (l2 + i2) // 2)\n"
+              "c = x.pow(x.lpi, 2)\nd = qpow\ne = np.power(q, l2)\nf = myqpow(q, 2)\n")
+    assert qpow_calls(source) == ["qpow(q, l2 + 2)", "qarith.qpow(q, (l2 + i2) // 2)"]
 
 
 def _scipy_modules(node) -> list:

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from suq2kit.kring import dim_quantum
-from suq2kit.qarith import HalfInt
+from suq2kit.qarith import HalfInt, QReader
 from suq2kit.peterweyl import (_GEN_RULES, BandedOperator, TruncatedSpace, block_stack,
                                bundle_space, full_space, generator_op, haar_state,
                                operator_norm, reg_a_minus, reg_a_plus, reg_c_minus,
@@ -102,10 +102,10 @@ def test_coeff_reg_boundary_vanishing():
 def test_table_radicands_are_guarded():
     # 1 - 0.5^-2 = -3 is a genuinely negative radicand: a formula bug
     with pytest.raises(ValueError):
-        _masked_sqrt_ratio(0.5, (-2,), (), True)
-    assert _masked_sqrt_ratio(0.5, (-2,), (), False) == 0.0
+        _masked_sqrt_ratio(QReader(0.5, 0, 0), ((0, -2),), (), True)
+    assert _masked_sqrt_ratio(QReader(0.5, 0, 0), ((0, -2),), (), False) == 0.0
     # 1 - q^-1 rounds to -2^-52 just below q = 1: rounding residue, clamped
-    assert _masked_sqrt_ratio(1.0 - 2.0**-53, (-1,), (), True) == 0.0
+    assert _masked_sqrt_ratio(QReader(1.0 - 2.0**-53, 0, 0), ((0, -1),), (), True) == 0.0
 
 
 # ---------------------------------------------------------------------------

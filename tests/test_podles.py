@@ -1,5 +1,7 @@
 """Sphere operator tables, relations, index data, commutator tails."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -267,3 +269,19 @@ def test_fredholm_suite_asks_each_tail_once(monkeypatch):
             for x in ("A", "B"):
                 last = [t for c, name, t in rep.decay if name == f"[F, {x}] tail"][-1]
                 assert measured[f"measured: [F, {x}] tail at cutoff 8"] == last
+
+
+@pytest.mark.parametrize("lmax", (20, 30))
+def test_sphere_table_assembly_memory(lmax):
+    # the peak of assembling A stays at most at that of the tables that
+    # formed an exponent array per factor: 17.2 diagonal-sized float arrays
+    # (3.27 MB at dim 23,821, 10.62 MB at dim 77,531)
+    space = full_space(2 * lmax)
+    podles_op("A", 0.9, space)           # caches the space's position grid
+    tracemalloc.start()
+    try:
+        podles_op("A", 0.9, space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 17.2 * 8 * space.dim

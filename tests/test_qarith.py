@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from suq2kit.qarith import HalfInt, guarded_sqrt_array, m_array, qnumber, qpow, strict_q
+from suq2kit.qarith import (HalfInt, Lattice, QReader, guarded_sqrt_array, m_array, qnumber,
+                            strict_q, worst_of)
 from suq2kit import homotopy as ho
 from suq2kit.peterweyl import full_space, generator_op, haar_state
 from suq2kit.podles import FredholmModule, podles_op
@@ -69,27 +70,58 @@ def test_qnumber_rejects_unit_modulus():
 
 
 # ---------------------------------------------------------------------------
-# qpow
+# QReader and Lattice
 # ---------------------------------------------------------------------------
 
+def reader_over(q, *coords):
+    """The reader over the range of the given coordinate arrays."""
+    return QReader(q, min(int(np.min(x)) for x in coords), max(int(np.max(x)) for x in coords))
+
+
 @pytest.mark.parametrize("q", WIDE_Q_GRID)
-def test_qpow_is_the_array_power_bitwise(q):
-    e = np.random.default_rng(7).integers(-60, 250, size=4000)
-    square = e[:3600].reshape(60, 60)
-    for exps in (e, e[::3], e[-40:], square, square.T, np.arange(-5, 6)):
-        out = qpow(q, exps)
-        assert out.shape == exps.shape
-        assert np.array_equal(bits(out), bits(q ** exps))
+def test_reader_is_the_array_power_bitwise(q):
+    rng = np.random.default_rng(7)
+    for lo, hi in ((0, 80), (-60, 250), (-9, -1), (5, 5)):
+        x = rng.integers(lo, hi + 1, size=4000)
+        square = x[:3600].reshape(60, 60)
+        y = rng.integers(lo, hi + 1, size=4000)
+        read = reader_over(q, x, y)
+        # every exponent form a table prints: a coordinate, half of one or of
+        # a sum of two, a coordinate plus half another, plus a constant
+        for e in (x, x[::3], x[-40:], square, square.T, (x + y) // 2, x // 2, x + y // 2):
+            for c in range(-8, 9):
+                assert np.array_equal(bits(read.pow(e, c)), bits(q ** (e + c)))
+                assert np.array_equal(bits(read.omq(e, c)), bits(1.0 - q ** (e + c)))
+        assert read.pow(e, 0).shape == e.shape
 
 
-def test_qpow_of_no_exponents_is_empty():
-    out = qpow(-0.5, np.zeros((0, 3), dtype=np.int64))
+def test_reader_of_no_coordinates_is_empty():
+    out = QReader(-0.5, 0, 0).omq(np.zeros((0, 3), dtype=np.int64), 2)
     assert out.shape == (0, 3) and out.dtype == np.float64
 
 
-def test_qpow_rejects_float_exponents():
+def test_reader_rejects_float_coordinates_and_wide_offsets():
+    read = QReader(0.5, 0, 4)
     with pytest.raises(TypeError):
-        qpow(0.5, np.array([1.0, 2.0]))
+        read.pow(np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="pad"):
+        read.omq(np.array([1]), 9)
+    with pytest.raises(IndexError):
+        read.pow(np.array([7]), 8)       # above 3/2 of the range plus the pad
+
+
+def test_lattice_coordinates_and_support():
+    l2, i2, j2 = np.array([0, 2, 2, 3, -1]), np.array([0, -2, 4, 1, 1]), np.array([0, 2, 0, -3, 1])
+    x = Lattice(0.5, l2, i2, j2)
+    assert x.ll.tolist() == [0, 4, 4, 6, -2]
+    assert (x.lpi.tolist(), x.lmi.tolist()) == ([0, 0, 6, 4, 0], [0, 4, -2, 2, -2])
+    assert (x.lpj.tolist(), x.lmj.tolist()) == ([0, 4, 2, 0, 0], [0, 0, 2, 6, -2])
+    absent = (l2 < 0) | (np.abs(i2) > l2) | (np.abs(j2) > l2)
+    assert x.src_ok.tolist() == (~absent).tolist()
+    # off the support the range covers the negative coordinates too
+    assert np.array_equal(bits(x.pow(x.lmi, -2)), bits(0.5 ** (x.lmi - 2)))
+    assert np.array_equal(bits(x.omq(x.l2 + x.lmi // 2, 3)),
+                          bits(1.0 - 0.5 ** (x.l2 + x.lmi // 2 + 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -227,3 +259,17 @@ def test_precision_validation():
         SuiteConfig(suite="relations", tol_identity=math.inf)
     with pytest.raises(UsageError):
         SuiteConfig(suite="relations", tol_decay=math.inf)
+
+
+# ---------------------------------------------------------------------------
+# worst_of
+# ---------------------------------------------------------------------------
+
+def test_worst_of_is_max_that_keeps_nan():
+    assert worst_of(0.0, 2.0, 1.0) == 2.0
+    assert worst_of(3) == 3 and worst_of(0, 5, -1) == 5
+    # on ties the first value stays, as with max
+    assert math.copysign(1.0, worst_of(-0.0, 0.0)) == -1.0
+    for values in ((0.0, math.nan), (math.nan, 0.0), (1.0, math.nan, 2.0), (np.float64("nan"),)):
+        assert math.isnan(worst_of(*values))
+    assert max(0.0, math.nan) == 0.0          # what the folds used to do
