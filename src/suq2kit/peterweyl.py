@@ -12,9 +12,15 @@ here is homogeneous: all its entries move the weights (i, j) by one pair, so
 it is stored as its spin diagonals, one coefficient array over the domain per
 spin shift.  Sums, scaling, composition and adjoints are numpy array
 arithmetic on those arrays, and an operator applies to a coefficient vector
-with ``@``.  Every norm, of one operator or of a grid of them read as one
-block operator, is decided by :func:`block_norm`: it reads the zero case and
-the rounding-level bound off the diagonals and hands only an open norm to
+with ``@``.  The index maps between a diagonal and the codomain, where each
+domain vector lands and where each codomain vector comes from, are located
+once per space pair and shift: a space keeps the maps into it while some
+operator holds them, so operators on the same spaces share them.  Every
+operation reads them by gathers and none scatters through one.
+
+Every norm, of one operator or of a grid of them read as one block
+operator, is decided by :func:`block_norm`: it reads the zero case and the
+rounding-level bound off the diagonals and hands only an open norm to
 :func:`operator_norm`, the exact stacked SVD over the weight sectors.  The
 package runs on numpy alone and exports no scipy matrix.
 
@@ -25,6 +31,7 @@ exponent appearing in a coefficient formula is an exact integer.
 from __future__ import annotations
 
 import operator
+import weakref
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -75,37 +82,38 @@ class TruncatedSpace:
         self.lmax = HalfInt.of(lmax)
         self.k = operator.index(k)  # a float winding raises TypeError, not truncates
         self.full = bool(full)
-        if not full and self.lmax.twice < abs(self.k):
-            raise ValueError(f"lmax={self.lmax} below the bottom spin |k|/2 of bundle k={self.k}")
+        bottom = 0 if full else abs(self.k)
+        if self.lmax.twice < bottom:
+            raise ValueError(f"lmax={self.lmax} below the bottom spin {HalfInt(bottom)} of "
+                             + ("the full space" if full else f"bundle k={self.k}"))
+        # a plain tuple, which every position-cache lookup hashes and compares
+        self._key = (self.lmax.twice, self.k, self.full)
+        # position maps into this space, keyed by (source._key, shift); an
+        # entry lives as long as some operator holds its array
+        self._positions = weakref.WeakValueDictionary()
         self._build()
 
     def _build(self):
         lmax2 = self.lmax.twice
         if self.full:
-            levels = np.arange(0, lmax2 + 1)
+            levels = np.arange(0, lmax2 + 1, dtype=np.int64)
             sizes = (levels + 1) ** 2
         else:
-            levels = np.arange(abs(self.k), lmax2 + 1, 2)
+            levels = np.arange(abs(self.k), lmax2 + 1, 2, dtype=np.int64)
             sizes = levels + 1
         self.levels2 = levels
         self.level_base = np.concatenate(([0], np.cumsum(sizes)))
         self.dim = int(self.level_base[-1])
 
-        l_parts, i_parts, j_parts = [], [], []
-        for l2, size in zip(levels, sizes):
-            i2 = np.arange(-l2, l2 + 1, 2)
-            if self.full:
-                li = np.repeat(i2, l2 + 1)
-                lj = np.tile(i2, l2 + 1)
-            else:
-                li = i2
-                lj = np.full(l2 + 1, self.k)
-            l_parts.append(np.full(size, l2))
-            i_parts.append(li)
-            j_parts.append(lj)
-        self.l2 = np.concatenate(l_parts).astype(np.int64)
-        self.i2 = np.concatenate(i_parts).astype(np.int64)
-        self.j2 = np.concatenate(j_parts).astype(np.int64)
+        # a level lists its vectors by i2, and on a full space by j2 within i2
+        self.l2 = np.repeat(levels, sizes)
+        within = np.arange(self.dim) - np.repeat(self.level_base[:-1], sizes)
+        if self.full:
+            self.i2 = 2 * (within // (self.l2 + 1)) - self.l2
+            self.j2 = 2 * (within % (self.l2 + 1)) - self.l2
+        else:
+            self.i2 = 2 * within - self.l2
+            self.j2 = np.full(self.dim, self.k, dtype=np.int64)
 
     # -- lookup -------------------------------------------------------------
 
@@ -168,8 +176,9 @@ class TruncatedSpace:
         """
         dl2, di2, dj2 = shift
         steps = (dl2, (dl2 + di2) // 2, (dl2 + dj2) // 2)[:3 if self.full else 2]
-        one_grid = (source == self if self.full
-                    else not source.full and source.lmax == self.lmax and source.k + dj2 == self.k)
+        one_grid = (source._key == self._key if self.full
+                    else not source.full and source.lmax.twice == self.lmax.twice
+                    and source.k + dj2 == self.k)
         if (one_grid and (dl2 + di2) % 2 == 0 and (dl2 + dj2) % 2 == 0
                 and max(map(abs, steps)) <= _PAD):
             n = self.lmax.twice + 1 + 2 * _PAD
@@ -178,6 +187,19 @@ class TruncatedSpace:
                 offset = offset * n + step
             return self._grid[source._flat + offset].astype(np.intp)
         return self.locate(source.l2 + dl2, source.i2 + di2, source.j2 + dj2)
+
+    def positions(self, source: "TruncatedSpace", shift: tuple) -> np.ndarray:
+        """:meth:`shifted`, located once per (source, shift) while some
+        caller holds the array, so every operator between the same spaces
+        with the same shift reads one map.  The map is shared, so it is
+        read only; read it by indexing, as numpy's ``take`` is several
+        times slower on a read-only index."""
+        key = (source._key, shift)
+        pos = self._positions.get(key)
+        if pos is None:
+            pos = self._positions[key] = self.shifted(source, shift)
+            pos.flags.writeable = False
+        return pos
 
     def interior_mask(self, margin) -> np.ndarray:
         """Vectors far enough below lmax that a margin-banded operator is
@@ -188,12 +210,18 @@ class TruncatedSpace:
     def tail_mask(self, l_from) -> np.ndarray:
         return self.l2 >= HalfInt.of(l_from).twice
 
+    def __getstate__(self):
+        # weak references do not pickle; a copy starts with an empty cache
+        return {k: v for k, v in self.__dict__.items() if k != "_positions"}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state, _positions=weakref.WeakValueDictionary())
+
     def __eq__(self, other):
-        return (isinstance(other, TruncatedSpace)
-                and (self.lmax, self.k, self.full) == (other.lmax, other.k, other.full))
+        return isinstance(other, TruncatedSpace) and self._key == other._key
 
     def __hash__(self):
-        return hash((self.lmax, self.k, self.full))
+        return hash(self._key)
 
     def __repr__(self):
         kind = "full" if self.full else f"k={self.k}"
@@ -355,8 +383,10 @@ class BandedOperator:
         self.shift = tuple(shift)
         self.diags = dict(sorted(diags.items()))
         self.interior_margin = HalfInt.of(interior_margin)
-        # codomain positions of the shifted domain basis, per dl2, filled by _target
+        # per dl2, the position maps of _target and _source, kept from the
+        # spaces' shared caches for as long as the operator lives
         self._targets = {}
+        self._sources = {}
         if any(c.shape != (domain.dim,) for c in self.diags.values()):
             raise ValueError("a diagonal does not match the domain")
 
@@ -365,8 +395,18 @@ class BandedOperator:
         where the shifted vector is absent."""
         tgt = self._targets.get(dl2)
         if tgt is None:
-            tgt = self._targets[dl2] = self.codomain.shifted(self.domain, (dl2, *self.shift))
+            tgt = self._targets[dl2] = self.codomain.positions(self.domain, (dl2, *self.shift))
         return tgt
+
+    def _source(self, dl2) -> np.ndarray:
+        """Domain positions of the codomain basis shifted by -(dl2, *shift);
+        -1 where that vector is absent.  It inverts :meth:`_target`, so the
+        diagonal dl2 is read at a codomain row by one gather at this map."""
+        src = self._sources.get(dl2)
+        if src is None:
+            di2, dj2 = self.shift
+            src = self._sources[dl2] = self.domain.positions(self.codomain, (-dl2, -di2, -dj2))
+        return src
 
     @classmethod
     def from_shift_rules(cls, domain, codomain, rules, margin, q):
@@ -375,8 +415,9 @@ class BandedOperator:
         Each rule is ((dl2, di2, dj2), fn) with fn(q, l2, i2, j2) vectorized
         over the twice arrays of the domain; all rules share one weight shift
         (di2, dj2).  Entries whose target leaves the codomain are dropped
-        (that is the truncation), and rules with the same dl2 add up.  The
-        targets are the operator's own, so they are located once.
+        (that is the truncation), and rules with the same dl2 add up.  Each
+        rule's targets are located once, or read from a live operator on
+        the same spaces with the same shift.
         """
         shifts = {(di2, dj2) for (_, di2, dj2), _ in rules}
         if len(shifts) != 1:
@@ -451,14 +492,14 @@ class BandedOperator:
     def _apply(self, vec: np.ndarray) -> np.ndarray:
         """The image of a coefficient vector over the domain.  A row sums in
         descending dl2, which is ascending column: the order of a CSR
-        matrix-vector product.  Absent targets land in slot 0, which is
-        dropped."""
+        matrix-vector product.  A row with no entry on a diagonal adds 0.0,
+        which leaves a sum started at +0.0 as it is."""
         if vec.shape != (self.domain.dim,):
             raise ValueError(f"a vector of shape {vec.shape} on a {self.domain.dim}-dim domain")
-        out = np.zeros(self.codomain.dim + 1, dtype=np.result_type(vec, float))
+        out = np.zeros(self.codomain.dim, dtype=np.result_type(vec, float))
         for d, c in reversed(self.diags.items()):
-            out[self._target(d) + 1] += c * vec
-        return out[1:]
+            out += _gather(c * vec, self._source(d))
+        return out
 
     def __add__(self, other):
         return self._combine(other, np.add)
@@ -472,13 +513,10 @@ class BandedOperator:
                               self.interior_margin)
 
     def adjoint(self) -> "BandedOperator":
-        """The transpose, as all tables are real: each diagonal is scattered
-        to its targets and becomes the diagonal of the opposite shift."""
-        diags = {}
-        for d, c in self.diags.items():
-            diag = np.zeros(self.codomain.dim + 1)
-            diag[self._target(d) + 1] = c  # slot 0 takes the absent targets and is dropped
-            diags[-d] = diag[1:]
+        """The transpose, as all tables are real: each diagonal, gathered at
+        the sources of the codomain rows, is the diagonal of the opposite
+        shift."""
+        diags = {-d: _gather(c, self._source(d)) for d, c in self.diags.items()}
         return BandedOperator(self.codomain, self.domain, (-self.shift[0], -self.shift[1]),
                               diags, self.interior_margin)
 
@@ -525,38 +563,63 @@ def block_norm(grid, cols=None) -> float:
     in :func:`block_entries`, of the columns of the domain vectors in the
     mask ``cols`` when given (of every column of every block when None).
 
-    This is where every norm is decided.  A grid with no nonzero entry has
-    norm 0.  Otherwise, when the rigorous upper bound sqrt(norm_1 *
-    norm_inf) is below 1e-13, that bound is returned in place of the norm:
-    it is at rounding level and certifies any realistic threshold of a
-    ``max`` check.  A NaN entry anywhere in the grid, in a kept column or
-    not, makes that bound NaN, and NaN is returned before any SVD.  All of
-    this is read off the diagonals and holds for any grid; only a norm left
-    open goes to the stacked SVD of :func:`operator_norm`,
-    on the entries of the grid with their weight sectors as blocks, which
-    :func:`block_entries` gives for a grid of one weight shift.
+    This is where every norm is decided.  When the rigorous upper bound
+    sqrt(norm_1 * norm_inf) of :func:`_norm_bound` is below 1e-13, that
+    bound is returned in place of the norm: it is exactly 0 for a grid with
+    no nonzero entry, and otherwise at rounding level, where it certifies
+    any realistic threshold of a ``max`` check.  A NaN entry anywhere in
+    the grid, in a kept column or not, makes that bound NaN, and NaN is
+    returned before any SVD.  All of this is read off the diagonals and
+    holds for any grid; only a norm left open goes to the stacked SVD of
+    :func:`operator_norm`, on the entries of the grid with their weight
+    sectors as blocks, which :func:`block_entries` gives for a grid of one
+    weight shift.
     """
-    weights = [[[np.abs(c) if cols is None else np.abs(c) * cols for c in op.diags.values()]
-                for op in row] for row in grid]
-    if not any(w.any() for row in weights for block in row for w in block):
-        return 0.0
-    # a column sums in ascending dl2 and a row in descending dl2 within a
-    # block, then on across the blocks of its grid column or grid row; an
-    # absent target has weight 0 and lands in slot 0, which is dropped.
-    # np.max keeps a NaN weight, so the bound is NaN when an entry is.
-    norm_1 = np.max([sum(w for block in column for w in block).max() for column in zip(*weights)])
-    row_maxima = []
-    for row, row_weights in zip(grid, weights):
-        sums = np.zeros(row[0].codomain.dim + 1)
-        for op, block in zip(row, row_weights):
-            for d, w in zip(reversed(op.diags), reversed(block)):
-                sums[op._target(d) + 1] += w
-        row_maxima.append(sums[1:].max())
-    upper = float(np.sqrt(norm_1 * np.max(row_maxima)))
+    upper = _norm_bound(grid, cols)
     if upper < 1e-13 or np.isnan(upper):
         return upper
     pair, sectors = block_entries(grid, cols)
     return operator_norm(pair, blocks=sectors)
+
+
+def _norm_bound(grid, cols=None) -> float:
+    """sqrt(norm_1 * norm_inf) of the grid of :func:`block_norm`, an upper
+    bound of its norm.
+
+    A column sums in ascending dl2 and a row in descending dl2 within a
+    block, then on across the blocks of its grid column or grid row.  A row
+    gathers each diagonal at its sources, and a row with no entry on a
+    diagonal reads the trailing 0.0, which leaves a sum of nonnegative
+    weights started at +0.0 as it is.  np.max keeps a NaN weight, so the
+    bound is NaN when an entry is.
+    """
+    weights = [[[_weights(c, cols) for c in op.diags.values()] for op in row] for row in grid]
+    # np.max, not .max(): a column of operators with no diagonal sums to 0
+    norm_1 = np.max([np.max(sum(w for block in column for w in block))
+                     for column in zip(*weights)])
+    row_maxima = []
+    for row, row_weights in zip(grid, weights):
+        sums = np.zeros(row[0].codomain.dim)
+        for op, block in zip(row, row_weights):
+            for d, w in zip(reversed(op.diags), reversed(block)):
+                sums += w[op._source(d)]
+        row_maxima.append(sums.max())
+    return float(np.sqrt(norm_1 * np.max(row_maxima)))
+
+
+def _weights(c, cols):
+    """|c|, times the column mask ``cols`` when given, with a trailing 0.0
+    that a position map's -1 reads."""
+    w = np.zeros(c.size + 1)
+    np.abs(c, out=w[:-1])
+    if cols is not None:
+        w[:-1] *= cols
+    return w
+
+
+def _gather(values, positions):
+    """``values`` at ``positions``, and 0.0 where a position is -1."""
+    return np.append(values, 0.0)[positions]
 
 
 def block_entries(grid, cols=None):
@@ -691,7 +754,9 @@ def haar_state(word, q) -> float:
     ``word`` is a sequence over {"alpha", "alpha*", "gamma", "gamma*"}; the
     product is applied right to left to e^(0)_{0,0} and paired with it again.
     The orbit of a length-n word never leaves spin n/2, so the generator
-    operators on the cutoff n/2 compute it exactly.
+    operators on the cutoff n/2 compute it exactly.  Each generator of the
+    word is built once and lives through the word, so every position map
+    its application reads is located once.
     """
     word = tuple(word)
     for g in word:
@@ -699,10 +764,11 @@ def haar_state(word, q) -> float:
             raise ValueError(f"unknown generator {g!r} in word")
     q = strict_q(q)
     space = full_space(len(word))
+    ops = {g: generator_op(g, q, space) for g in dict.fromkeys(word)}
     vec = np.zeros(space.dim)
     vec[0] = 1.0
     for g in reversed(word):
-        vec = generator_op(g, q, space) @ vec
+        vec = ops[g] @ vec
     return float(vec[0])
 
 

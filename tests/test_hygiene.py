@@ -2,7 +2,9 @@
 no named function takes a parameter its body never reads, no lambda only
 forwards its parameters to one call, no power of q has an exponent array,
 no table reads a power of q past the lattice reader, nothing under src/
-imports scipy, and every exported name has a caller outside the tests."""
+imports scipy, the operator layer reads its position maps by gathers and
+locates them in one place, and every exported name has a caller outside
+the tests."""
 
 import ast
 import re
@@ -159,6 +161,76 @@ def test_scan_flags_qpow_calls():
     source = ("a = qpow(q, l2 + 2)\nb = 1.0 - qarith.qpow(q, (l2 + i2) // 2)\n"
               "c = x.pow(x.lpi, 2)\nd = qpow\ne = np.power(q, l2)\nf = myqpow(q, 2)\n")
     assert qpow_calls(source) == ["qpow(q, l2 + 2)", "qarith.qpow(q, (l2 + i2) // 2)"]
+
+
+def position_map_hazards(source: str) -> list:
+    """"function: statement" for each place that scatters through a
+    position map or locates one outside its cache:
+
+    - an assignment or augmented assignment to a subscript whose index
+      calls ``_target`` or ``_source``, as in ``sums[op._target(d) + 1] += w``;
+    - a call of ``<module>.add.at`` outside ``block_stack``, whose stacked
+      SVD is the one place that adds duplicate entries;
+    - a ``.shifted(...)`` call outside ``positions``, the one cached lookup.
+    """
+    found = []
+
+    def subscript_targets(node):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [t for target in targets for t in ast.walk(target) if isinstance(t, ast.Subscript)]
+
+    def calls(node, names):
+        return any(isinstance(n, ast.Call) and getattr(n.func, "attr", getattr(n.func, "id", None))
+                   in names for n in ast.walk(node))
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        hazard = False
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            hazard = any(calls(t.slice, ("_target", "_source")) for t in subscript_targets(node))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr == "at":
+                hazard = (isinstance(node.func.value, ast.Attribute)
+                          and node.func.value.attr == "add" and function != "block_stack")
+            elif node.func.attr == "shifted":
+                hazard = function != "positions"
+        if hazard:
+            found.append(f"{function}: {ast.unparse(node)}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_position_maps_are_read_by_gathers():
+    assert position_map_hazards((SRC / "peterweyl.py").read_text()) == []
+
+
+def test_scan_flags_position_map_hazards():
+    source = ("def f(op, sums, w, d):\n"
+              "    sums[op._target(d) + 1] += w\n"
+              "    diag[self._source(d)] = c\n"
+              "    a[0], b[_target(d)] = 1, 2\n"
+              "    x: float = y[op._source(d)]\n"
+              "    z[op._target(d)][0] = 1\n"
+              "    t = w.take(op._source(d))\n"
+              "    u = left[other._target(e)]\n"
+              "    v[i] = op._target(d)\n"
+              "    np.add.at(s, op._target(d), w)\n"
+              "    numpy.add.at(s, i, w)\n"
+              "    np.add(s, w)\n"
+              "    space.shifted(source, shift)\n"
+              "def block_stack(stack):\n    np.add.at(stack, i, v)\n"
+              "class S:\n    def positions(self, source, shift):\n"
+              "        return self.shifted(source, shift)\n"
+              "    def shifted(self, source, shift):\n        return self.locate(source)\n")
+    assert position_map_hazards(source) == [
+        "f: sums[op._target(d) + 1] += w", "f: diag[self._source(d)] = c",
+        "f: a[0], b[_target(d)] = (1, 2)", "f: z[op._target(d)][0] = 1",
+        "f: np.add.at(s, op._target(d), w)", "f: numpy.add.at(s, i, w)",
+        "f: space.shifted(source, shift)"]
 
 
 def _scipy_modules(node) -> list:

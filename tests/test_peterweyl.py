@@ -1,6 +1,10 @@
 """Regular representation tables, banded operators, Haar state."""
 
+import collections
+import copy
+import gc
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -65,6 +69,96 @@ def test_shifted_positions_are_the_located_ones():
             dl2, di2, dj2 = shift
             want = target.locate(source.l2 + dl2, source.i2 + di2, source.j2 + dj2)
             assert (target.shifted(source, shift) == want).all(), (target, source, shift)
+
+
+def looped_basis(space):
+    """The twice arrays (l2, i2, j2) of a space, built one spin level at a
+    time: within a level by i2, and on a full space by j2 within i2."""
+    l_parts, i_parts, j_parts = [], [], []
+    for l2 in space.levels2:
+        i2 = np.arange(-l2, l2 + 1, 2)
+        li, lj = ((np.repeat(i2, l2 + 1), np.tile(i2, l2 + 1)) if space.full
+                  else (i2, np.full(l2 + 1, space.k)))
+        l_parts.append(np.full(li.size, l2))
+        i_parts.append(li)
+        j_parts.append(lj)
+    return tuple(np.concatenate(parts).astype(np.int64) for parts in (l_parts, i_parts, j_parts))
+
+
+@pytest.mark.parametrize("space", [TruncatedSpace(H(l2), full=True) for l2 in (0, 1, 60, 80)]
+                         + [TruncatedSpace(H(l2), k=k) for k in (1, -2, 3, 0) for l2 in (3, 60)
+                            if l2 >= abs(k)], ids=repr)
+def test_spaces_build_the_basis_of_the_level_loop(space):
+    for got, want in zip((space.l2, space.i2, space.j2), looped_basis(space)):
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+    sizes = np.bincount(np.searchsorted(space.levels2, space.l2), minlength=space.levels2.size)
+    assert space.level_base.dtype == np.int64
+    assert np.array_equal(space.level_base, np.concatenate(([0], np.cumsum(sizes))))
+
+
+def test_a_full_space_needs_a_cutoff_of_at_least_zero():
+    with pytest.raises(ValueError, match="bottom spin 0 of the full space"):
+        TruncatedSpace(-1, full=True)
+
+
+def test_operators_on_one_space_pair_share_their_maps():
+    space = full_space(10)
+    a = generator_op("alpha", 0.5, space)
+    b = generator_op("alpha", -0.9, space)
+    # one map per (space pair, shift), whoever asks for it
+    assert a._target(1) is b._target(1)
+    assert (a @ a)._target(0) is (b @ b)._target(0)
+    # on one space, a source is the target of the opposite shift
+    assert a._source(1) is generator_op("alpha*", 0.5, space)._target(-1)
+    assert a.adjoint()._target(-1) is a._source(1)
+    with pytest.raises(ValueError):
+        a._target(1)[0] = 0  # shared, so read only
+    key = (space._key, (1, -1, -1))
+    assert space._positions[key] is a._target(1)
+    # the cache holds a map only while an operator does
+    del a, b
+    gc.collect()
+    assert key not in space._positions
+
+
+def test_spaces_and_operators_still_pickle():
+    space = full_space(6)
+    op = generator_op("gamma", 0.5, space)
+    op._target(1)
+    for copied in (pickle.loads(pickle.dumps(op)), copy.deepcopy(op)):
+        assert copied.domain == space and len(copied.domain._positions) == 0
+        assert np.array_equal(csr(copied).toarray(), csr(op).toarray())
+
+
+def test_podles_locates_each_map_once_while_an_operator_holds_it(monkeypatch):
+    located = collections.Counter()
+    shifted = TruncatedSpace.shifted
+
+    def counting(self, source, shift):
+        located[self, source, tuple(shift)] += 1
+        return shifted(self, source, shift)
+
+    monkeypatch.setattr(TruncatedSpace, "shifted", counting)
+    run_suite(SuiteConfig(suite="podles", q=0.9, lmax=H(24)))
+    # with a map per operator, a podles job located 50 maps, 23 of them distinct
+    assert len(located) == 23
+    # the two five-band sphere-relation residuals are temporaries: each
+    # locates the (+-4, 0, 0) maps that only its own norm reads
+    space = full_space(24)
+    assert {key: n for key, n in located.items() if n > 1} == {
+        (space, space, (4, 0, 0)): 2, (space, space, (-4, 0, 0)): 2}
+
+
+@pytest.mark.parametrize("suite, q, spaces", (
+    ("podles", 0.9, lambda: [full_space(40), full_space(2)]),
+    ("relations", -0.5, lambda: [full_space(40)]),
+    ("fredholm", -0.5, lambda: [bundle_space(k, 40) for k in (-2, -1, 0, 1)])))
+def test_no_position_map_outlives_a_suite(suite, q, spaces):
+    # a batch process keeps no index memory from one job to the next
+    run_suite(SuiteConfig(suite=suite, q=q, lmax=H(40)))
+    gc.collect()
+    for space in spaces():
+        assert len(space._positions) == 0, space
 
 
 def test_operator_suites_find_every_target_on_the_grid(monkeypatch):

@@ -285,3 +285,21 @@ def test_sphere_table_assembly_memory(lmax):
     finally:
         tracemalloc.stop()
     assert peak <= 17.2 * 8 * space.dim
+
+
+def test_podles_suite_memory():
+    from suq2kit.suites import SuiteConfig, run_suite
+
+    # the peak of one podles run at lmax 20 stays below that of the
+    # operators that located their own maps and scattered through them:
+    # 38.18 diagonal-sized float arrays (7.28 MB at dim 23,821); shared maps
+    # and gathers take it to 37.35
+    cfg = SuiteConfig(suite="podles", q=0.9, lmax=H(40))
+    run_suite(cfg)                        # caches the spaces' position grids
+    tracemalloc.start()
+    try:
+        run_suite(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 38.1 * 8 * full_space(40).dim
