@@ -21,8 +21,8 @@ operation reads them by gathers and none scatters through one.
 Every norm, of one operator or of a grid of them read as one block
 operator, is decided by :func:`block_norm`: it reads the zero case and the
 rounding-level bound off the diagonals and hands only an open norm to
-:func:`operator_norm`, the exact stacked SVD over the weight sectors.  The
-package runs on numpy alone and exports no scipy matrix.
+:func:`operator_norm`, the exact stacked SVD over the weight sectors that
+can hold it.  The package runs on numpy alone and exports no scipy matrix.
 
 Index bookkeeping is done in "twice" units (integers 2l, 2i, 2j) so every
 exponent appearing in a coefficient formula is an exact integer.
@@ -563,17 +563,21 @@ def block_norm(grid, cols=None) -> float:
     in :func:`block_entries`, of the columns of the domain vectors in the
     mask ``cols`` when given (of every column of every block when None).
 
-    This is where every norm is decided.  When the rigorous upper bound
-    sqrt(norm_1 * norm_inf) of :func:`_norm_bound` is below 1e-13, that
-    bound is returned in place of the norm: it is exactly 0 for a grid with
-    no nonzero entry, and otherwise at rounding level, where it certifies
-    any realistic threshold of a ``max`` check.  A NaN entry anywhere in
-    the grid, in a kept column or not, makes that bound NaN, and NaN is
-    returned before any SVD.  All of this is read off the diagonals and
-    holds for any grid; only a norm left open goes to the stacked SVD of
+    This is where every norm is decided, in three steps.  First, when the
+    rigorous upper bound sqrt(norm_1 * norm_inf) of :func:`_norm_bound` is
+    below 1e-13, that bound is returned in place of the norm: it is exactly
+    0 for a grid with no nonzero entry, and otherwise at rounding level,
+    where it certifies any realistic threshold of a ``max`` check.  A NaN
+    entry anywhere in the grid, in a kept column or not, makes that bound
+    NaN, and NaN is returned before any SVD.  All of this is read off the
+    diagonals and holds for any grid.  A norm left open goes to
     :func:`operator_norm`, on the entries of the grid with their weight
     sectors as blocks, which :func:`block_entries` gives for a grid of one
-    weight shift.
+    weight shift.  There, second, each sector block's largest singular
+    value is enclosed from its entries, and the blocks that cannot hold
+    the maximum are dropped; third, the kept blocks go through one stacked
+    SVD at the padding of the stack of all blocks, which gives the float
+    the SVD of every block gives.
     """
     upper = _norm_bound(grid, cols)
     if upper < 1e-13 or np.isnan(upper):
@@ -650,7 +654,7 @@ def block_entries(grid, cols=None):
     return pair, np.concatenate(sectors)
 
 
-def block_stack(pair, blocks):
+def block_stack(pair, blocks, pad=(0, 0)):
     """The blocks of a matrix, zero padded into one stack.
 
     ``pair`` is the COO pair (values, (rows, cols)) of the matrix and
@@ -658,9 +662,9 @@ def block_stack(pair, blocks):
     must lie in one block.  Stored zeros are skipped, and a row or column
     with no nonzero entry belongs to no block.  A wide block is stored
     transposed, so every block in the stack is tall.  Returns the stack, of
-    shape (blocks, rows, cols) with rows >= cols, and the (rows, cols) shape
-    of each block in the matrix.  The singular values of the matrix are
-    those of the stacked blocks together with zeros.
+    shape (blocks, rows, cols) with rows >= cols, at least ``pad``, and the
+    (rows, cols) shape of each block in the matrix.  The singular values of
+    the matrix are those of the stacked blocks together with zeros.
     """
     vals, (rows, cols) = pair
     vals, rows, cols, blocks = map(np.asarray, (vals, rows, cols, blocks))
@@ -686,11 +690,67 @@ def block_stack(pair, blocks):
     row_pos, height = local_positions(rows)
     col_pos, width = local_positions(cols)
     wide = (width > height)[block]
-    tall = (np.maximum(height, width).max(initial=0), np.minimum(height, width).max(initial=0))
+    tall = np.maximum(_padded_shape(height, width), pad)
     stack = np.zeros((n_blocks, *tall), dtype=vals.dtype)
     np.add.at(stack, (block, np.where(wide, col_pos, row_pos), np.where(wide, row_pos, col_pos)),
               vals)
     return stack, np.column_stack((height, width))
+
+
+def _padded_shape(height, width) -> tuple:
+    """The (rows, cols) of a stack that holds every block of these heights
+    and widths tall: the longest long side and the longest short side."""
+    return (int(np.maximum(height, width).max(initial=0)),
+            int(np.minimum(height, width).max(initial=0)))
+
+
+# a block is dropped when its upper bound clears the largest lower bound by
+# this relative margin; see operator_norm
+_PRUNE_MARGIN = 1e-9
+
+# entries of magnitude in [1e-100, 1e100]: their squares, sums and the
+# products of two sums are normal floats, neither subnormal nor infinite
+_BOUND_RANGE = (1e-100, 1e100)
+
+
+def _block_bounds(mags, rows, cols, blocks):
+    """Each block's shape and an enclosure of its largest singular value.
+
+    The entries are a COO triple of the magnitudes of nonzero values,
+    labelled with their blocks as in :func:`block_stack`.  Returns the
+    (rows, cols) shape of each block in the matrix, ordered by label as
+    :func:`block_stack` orders them, for each block a lower bound, its
+    largest column 2-norm, and an upper bound, sqrt(norm_1 * norm_inf), and
+    the block of each entry.  Every sum is an ``np.bincount`` over row or
+    column indices, and the only sort is over the distinct columns: none
+    runs over the entries.  A row or column that lies in two blocks raises
+    ValueError, as in :func:`block_stack`.
+    """
+    n_cols = int(cols.max()) + 1
+    col_label = np.zeros(n_cols, dtype=blocks.dtype)
+    col_label[cols] = blocks
+    col_ids = np.flatnonzero(np.bincount(cols, minlength=n_cols))
+    _, col_block = np.unique(col_label[col_ids], return_inverse=True)
+    n_blocks = int(col_block.max()) + 1
+    node_block = np.zeros(n_cols, dtype=np.intp)
+    node_block[col_ids] = col_block
+    block = node_block[cols]
+    row_block = np.zeros(int(rows.max()) + 1, dtype=np.intp)
+    row_block[rows] = block
+    if (col_label[cols] != blocks).any() or (row_block[rows] != block).any():
+        raise ValueError("a row or column lies in two blocks")
+    row_ids = np.flatnonzero(np.bincount(rows))
+    row_block = row_block[row_ids]
+    shapes = np.column_stack((np.bincount(row_block, minlength=n_blocks),
+                              np.bincount(col_block, minlength=n_blocks)))
+    lower, norm_1, norm_inf = np.zeros(n_blocks), np.zeros(n_blocks), np.zeros(n_blocks)
+    # a NaN or an overflow is quiet here: operator_norm prunes by these
+    # bounds only when every magnitude lies in _BOUND_RANGE
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.maximum.at(lower, col_block, np.bincount(cols, mags * mags)[col_ids])
+        np.maximum.at(norm_1, col_block, np.bincount(cols, mags)[col_ids])
+        np.maximum.at(norm_inf, row_block, np.bincount(rows, mags)[row_ids])
+        return shapes, np.sqrt(lower), np.sqrt(norm_1 * norm_inf), block
 
 
 def operator_norm(mat, exact_dim: int = 1200, blocks=None) -> float:
@@ -698,30 +758,62 @@ def operator_norm(mat, exact_dim: int = 1200, blocks=None) -> float:
     matrix with no nonzero entry.
 
     ``mat`` is a COO pair (values, (rows, cols)) of numpy arrays, or any
-    matrix with a ``tocoo`` method.  The norm of a direct sum is the largest
-    norm of its blocks, and zero padding adds only zero singular values, so
-    one stacked dense SVD of the blocks of :func:`block_stack` gives the
-    norm exactly.  ``blocks`` labels each entry of a pair with its block:
-    every operator here is homogeneous for the torus weights, and
-    :func:`block_norm` passes the weight sector of each entry's column.
-    Without labels the whole matrix is one block, a dense SVD.
-    ``exact_dim`` caps the blocks that SVD runs on: a block whose smaller
-    side exceeds it raises ValueError naming its shape.
+    matrix with a ``tocoo`` method.  ``blocks`` labels each entry of a pair
+    with its block: every operator here is homogeneous for the torus
+    weights, and :func:`block_norm` passes the weight sector of each
+    entry's column.  Without labels the whole matrix is one block, a dense
+    SVD.  ``exact_dim`` caps the blocks: a block whose smaller side exceeds
+    it raises ValueError naming its shape, whether it is pruned or not.
+
+    The norm of a direct sum is the largest norm of its blocks, and zero
+    padding adds only zero singular values, so the largest first singular
+    value of a stack of the blocks is the norm.  Most blocks cannot hold
+    it.  Each block's largest singular value s_b lies in [l_b, u_b], its
+    largest column 2-norm and sqrt(norm_1 * norm_inf) from
+    :func:`_block_bounds`, and a block with u_b (1 + d) < L (1 - d), L the
+    largest l_b and d = ``_PRUNE_MARGIN`` = 1e-9, is dropped before any
+    SVD.  The kept blocks go through one dense SVD, stacked at the padded
+    shape (m, n) of all blocks: LAPACK returns the same floats for a block
+    at the same padding, while a smaller padding can move its s_b by an
+    ULP.  The result is then the float the SVD of the whole stack gives,
+    as long as no dropped block's computed s_b exceeds the kept maximum.
+
+    d covers that.  With eps the machine epsilon, each computed bound is
+    within (m + 2) eps of the exact one, relative: a sum of at most m
+    nonnegative terms, a product and a square root.  LAPACK's computed s_b
+    is within p(m, n) eps s_b of s_b, p a modestly growing polynomial,
+    allowed m n here.  Let block a give L.  For a dropped b, computed s_b
+    <= u_b (1 + m n eps) < L (1 - d)/(1 + d) (1 + (m + 2) eps)(1 + m n
+    eps) <= s_a (1 - d)/(1 + d) (1 + (m + 2) eps)^2 (1 + m n eps), which
+    is below computed s_a >= s_a (1 - m n eps) when (m n + m + 2) eps <= d,
+    to first order; the code asks for d / 2.  So a is kept, and no dropped
+    block beats it.  Pruning runs only when that holds, as it does for
+    every stack up to m = n = 1200, and only when every entry has a
+    magnitude in [1e-100, 1e100], so that no square, sum or product in a
+    bound underflows or overflows; a NaN entry keeps every block.
     """
     if not isinstance(mat, tuple):
         mat = mat.tocoo(copy=True)  # a copy: the caller's matrix is left as it is
         mat.sum_duplicates()
         mat = (mat.data, (mat.row, mat.col))
     vals, (rows, cols) = mat
-    pair = (np.asarray(vals), (np.asarray(rows), np.asarray(cols)))
-    if not pair[0].any():
+    vals, rows, cols = np.asarray(vals), np.asarray(rows), np.asarray(cols)
+    if not vals.any():
         return 0.0
-    if blocks is None:
-        blocks = np.zeros(pair[0].size, dtype=np.intp)
-    stack, shapes = block_stack(pair, blocks)
+    blocks = np.zeros(vals.size, dtype=np.intp) if blocks is None else np.asarray(blocks)
+    nonzero = vals != 0
+    vals, rows, cols, blocks = vals[nonzero], rows[nonzero], cols[nonzero], blocks[nonzero]
+    mags = np.abs(vals)
+    shapes, lower, upper, block = _block_bounds(mags, rows, cols, blocks)
     big = shapes.min(axis=1) > exact_dim
     if big.any():
         raise ValueError(f"a {tuple(shapes[big][0].tolist())} block exceeds exact_dim={exact_dim}")
+    pad = _padded_shape(shapes[:, 0], shapes[:, 1])
+    if ((pad[0] * pad[1] + pad[0] + 2) * np.finfo(float).eps <= _PRUNE_MARGIN / 2
+            and _BOUND_RANGE[0] <= mags.min() and mags.max() <= _BOUND_RANGE[1]):
+        keep = ~(upper * (1 + _PRUNE_MARGIN) < lower.max() * (1 - _PRUNE_MARGIN))[block]
+        vals, rows, cols, block = vals[keep], rows[keep], cols[keep], block[keep]
+    stack, _ = block_stack((vals, (rows, cols)), block, pad)
     return float(np.linalg.svd(stack, compute_uv=False)[:, 0].max())
 
 

@@ -186,8 +186,15 @@ class Lattice:
     """
 
     def __init__(self, q: float, l2, i2, j2):
-        # every coordinate, l2 too, takes the shape of the three together
-        self.l2 = l2 = np.broadcast_to(l2, np.broadcast(l2, i2, j2).shape)
+        # every coordinate, l2 too, takes the shape of the three together.
+        # l2 is a writable array, the caller's when it can be: np.take reads
+        # a read-only index, such as the view np.broadcast_to returns,
+        # several times slower
+        l2 = np.asarray(l2)
+        shape = np.broadcast(l2, i2, j2).shape
+        if l2.shape != shape or not l2.flags.writeable:
+            l2 = np.broadcast_to(l2, shape).copy()
+        self.l2 = l2
         self.ll = 2 * l2
         self.lpi, self.lmi = l2 + i2, l2 - i2
         self.lpj, self.lmj = l2 + j2, l2 - j2

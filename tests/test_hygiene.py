@@ -3,8 +3,9 @@ no named function takes a parameter its body never reads, no lambda only
 forwards its parameters to one call, no power of q has an exponent array,
 no table reads a power of q past the lattice reader, nothing under src/
 imports scipy, the operator layer reads its position maps by gathers and
-locates them in one place, and every exported name has a caller outside
-the tests."""
+locates them in one place, no operator module runs an SVD outside
+``operator_norm``, and every exported name has a caller outside the
+tests."""
 
 import ast
 import re
@@ -231,6 +232,44 @@ def test_scan_flags_position_map_hazards():
         "f: a[0], b[_target(d)] = (1, 2)", "f: z[op._target(d)][0] = 1",
         "f: np.add.at(s, op._target(d), w)", "f: numpy.add.at(s, i, w)",
         "f: space.shifted(source, shift)"]
+
+
+def svd_reads(source: str) -> list:
+    """"function: name" for each read of an SVD routine outside
+    ``operator_norm``: an attribute ``svd``, as in ``np.linalg.svd``, or the
+    bare name ``svd``.  ``operator_norm`` bounds each sector block before
+    its stacked SVD and drops those that cannot hold the norm, so a call
+    anywhere else would run the SVD on every block."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if function != "operator_norm" and (
+                isinstance(node, ast.Attribute) and node.attr == "svd"
+                or isinstance(node, ast.Name) and node.id == "svd"):
+            found.append(f"{function}: {ast.unparse(node)}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+@pytest.mark.parametrize("name", ["peterweyl.py", "podles.py", "homotopy.py", "suites.py"])
+def test_svd_runs_only_inside_operator_norm(name):
+    assert svd_reads((SRC / name).read_text()) == []
+
+
+def test_scan_flags_svd_outside_operator_norm():
+    source = ("s = np.linalg.svd(m)\n"
+              "def f(m):\n    return numpy.linalg.svd(m, compute_uv=False)[0]\n"
+              "def g(m):\n    from numpy.linalg import svd\n    return svd(m)\n"
+              "h = linalg.svd\n"
+              "def operator_norm(stack):\n    return np.linalg.svd(stack)\n"
+              "def k(m):\n    return np.linalg.norm(m, 2), m.svds, np.linalg.eigvalsh(m)\n")
+    assert svd_reads(source) == ["<module>: np.linalg.svd", "f: numpy.linalg.svd", "g: svd",
+                                 "<module>: linalg.svd"]
 
 
 def _scipy_modules(node) -> list:
