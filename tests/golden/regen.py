@@ -32,7 +32,8 @@ def _jobs() -> list:
     at six q, and the t-grid suites at grid sizes other than the default 11,
     among them 17, which is more than one block of the grid walk, and the
     jobs whose norms lean hardest on the stacked SVD: fredholm at q = +-0.9
-    and rotation at q = -0.9, lmax 40."""
+    and rotation at q = -0.9, lmax 40 and 80, where most sector blocks are
+    pruned before it."""
     jobs = [{"suite": s, "q": -0.5, "lmax": str(l)}
             for l in (10, 20, 30) for s in ("relations", "podles", "fredholm", "rotation")]
     jobs += [{"suite": s, "q": 0.9, "lmax": str(l)}
@@ -45,8 +46,9 @@ def _jobs() -> list:
     jobs += [{"suite": s, "q": q, "lmax": "12", "t_grid": g}
              for s in ("lemma1", "lemma2") for q in (-0.5, 0.9) for g in (2, 17)]
     jobs += [{"suite": "rotation", "q": -0.5, "lmax": "12", "t_grid": 3}]
-    jobs += [{"suite": "fredholm", "q": q, "lmax": "40"} for q in (0.9, -0.9)]
-    jobs += [{"suite": "rotation", "q": -0.9, "lmax": "40"}]
+    for lmax in ("40", "80"):
+        jobs += [{"suite": "fredholm", "q": q, "lmax": lmax} for q in (0.9, -0.9)]
+        jobs += [{"suite": "rotation", "q": -0.9, "lmax": lmax}]
     return jobs
 
 
