@@ -19,10 +19,11 @@ operator holds them, so operators on the same spaces share them.  Every
 operation reads them by gathers and none scatters through one.
 
 Every norm, of one operator or of a grid of them read as one block
-operator, is decided by :func:`block_norm`: it reads the zero case and the
-rounding-level bound off the diagonals and hands only an open norm to
-:func:`operator_norm`, the exact stacked SVD over the weight sectors that
-can hold it.  The package runs on numpy alone and exports no scipy matrix.
+operator, is decided by :func:`block_norm`: it reads the zero case, the
+rounding-level bound and the weight sectors that can hold an open norm off
+the sums of the diagonals, and hands only those sectors' entries to
+:func:`operator_norm`, the exact stacked SVD.  The package runs on numpy
+alone and exports no scipy matrix.
 
 Index bookkeeping is done in "twice" units (integers 2l, 2i, 2j) so every
 exponent appearing in a coefficient formula is an exact integer.
@@ -30,6 +31,7 @@ exponent appearing in a coefficient formula is an exact integer.
 
 from __future__ import annotations
 
+import math
 import operator
 import weakref
 from functools import cached_property, lru_cache
@@ -162,9 +164,10 @@ class TruncatedSpace:
         return grid
 
     @cached_property
-    def _sectors(self) -> np.ndarray:
-        """The weight sector (i2, j2) of each basis vector, packed."""
-        return self.i2 * _SECTOR_BASE + self.j2
+    def _sectors(self) -> tuple:
+        """The distinct weight sectors (i2, j2), packed and sorted, and the
+        index among them of each basis vector's sector."""
+        return np.unique(self.i2 * _SECTOR_BASE + self.j2, return_inverse=True)
 
     def shifted(self, source: "TruncatedSpace", shift) -> np.ndarray:
         """Positions in this space of the basis of ``source`` shifted by
@@ -531,9 +534,9 @@ class BandedOperator:
         """The nonzero entries of the columns of the domain vectors in the mask
         ``cols`` (of every column when None), in ascending dl2: a COO pair
         (values, (rows, columns)) with the columns numbered among those
-        kept, and the weight sector (i2, j2) of each entry's column, packed
-        into one integer.  The sectors are the blocks of the operator's
-        direct sum."""
+        kept, and the index of the weight sector (i2, j2) of each entry's
+        column among the domain's sectors.  The sectors are the blocks of the
+        operator's direct sum."""
         src = np.arange(self.domain.dim) if cols is None else np.nonzero(cols)[0]
         empty = np.zeros(0, dtype=np.intp)
         rows, kept, vals = [empty], [empty], [np.zeros(0)]
@@ -545,7 +548,7 @@ class BandedOperator:
             vals.append(coeff[keep])
         kept = np.concatenate(kept)
         return ((np.concatenate(vals), (np.concatenate(rows), kept)),
-                self.domain._sectors[src[kept]])
+                self.domain._sectors[1][src[kept]])
 
     def norm(self, cols=None) -> float:
         """Operator norm, of the columns of the domain vectors in the mask
@@ -562,53 +565,77 @@ def block_norm(grid, cols=None) -> float:
     """Operator norm of a grid of operators read as one block operator, as
     in :func:`block_entries`, of the columns of the domain vectors in the
     mask ``cols`` when given (of every column of every block when None).
+    The grid has one domain, over which ``cols`` is one mask; a grid on
+    several domains raises ValueError.
 
-    This is where every norm is decided, in three steps.  First, when the
-    rigorous upper bound sqrt(norm_1 * norm_inf) of :func:`_norm_bound` is
-    below 1e-13, that bound is returned in place of the norm: it is exactly
-    0 for a grid with no nonzero entry, and otherwise at rounding level,
-    where it certifies any realistic threshold of a ``max`` check.  A NaN
-    entry anywhere in the grid, in a kept column or not, makes that bound
-    NaN, and NaN is returned before any SVD.  All of this is read off the
-    diagonals and holds for any grid.  A norm left open goes to
-    :func:`operator_norm`, on the entries of the grid with their weight
-    sectors as blocks, which :func:`block_entries` gives for a grid of one
-    weight shift.  There, second, each sector block's largest singular
-    value is enclosed from its entries, and the blocks that cannot hold
-    the maximum are dropped; third, the kept blocks go through one stacked
-    SVD at the padding of the stack of all blocks, which gives the float
-    the SVD of every block gives.
+    This is where every norm is decided, in three steps, from the |entry|
+    sums of every column and row that :func:`_norm_bound` takes on the
+    diagonals.  First, when the rigorous upper bound sqrt(norm_1 *
+    norm_inf) is below 1e-13, that bound is returned in place of the norm:
+    it is exactly 0 for a grid with no nonzero entry, and otherwise at
+    rounding level, where it certifies any realistic threshold of a
+    ``max`` check.  A NaN entry anywhere in the grid, in a kept column or
+    not, makes that bound NaN, and NaN is returned before any SVD.
+
+    Second, :func:`_kept_columns` groups the sums by weight sector, the
+    blocks of the direct sum.  A sector block's largest singular value s_b
+    lies in [l_b, u_b]: l_b is its largest column 2-norm, from the column
+    sums of squares, and u_b its own sqrt(norm_1 * norm_inf).  A sector
+    with u_b (1 + d) < L (1 - d), L the largest l_b and d =
+    ``_PRUNE_MARGIN`` = 1e-9, is dropped.  Third, the entries of the kept
+    sectors' columns go to :func:`operator_norm`, one stacked SVD at the
+    padded shape (m, n) of all sectors: LAPACK returns the same floats for
+    a block at the same padding, while a smaller one can move s_b by an
+    ULP.  The result is the float the SVD of every sector gives, as long
+    as no dropped sector's computed s_b exceeds the kept maximum.
+
+    d covers that.  With eps the machine epsilon, each computed bound is
+    within (m + 2) eps of the exact one, relative: a sum of at most m
+    nonnegative terms, a product and a square root.  The sums run in
+    diagonal order (a column in ascending dl2, a row in descending dl2),
+    and that bound holds in any order.  LAPACK's computed s_b is within
+    p(m, n) eps s_b of s_b, p a modestly growing polynomial, allowed m n
+    here.  Let sector a give L.  For a dropped b, computed s_b <= u_b (1 +
+    m n eps) < L (1 - d)/(1 + d) (1 + (m + 2) eps)(1 + m n eps) <= s_a (1 -
+    d)/(1 + d) (1 + (m + 2) eps)^2 (1 + m n eps), which is below computed
+    s_a >= s_a (1 - m n eps) when (m n + m + 2) eps <= d, to first order;
+    the code asks for d / 2.  So a is kept, and no dropped sector beats
+    it.  The prune runs only when that holds, as it does for every stack
+    up to m = n = 1200, and only when every nonzero entry in the columns
+    of ``cols`` has a magnitude in [1e-100, 1e100], so that no square, sum
+    or product in a bound underflows or overflows.
     """
-    upper = _norm_bound(grid, cols)
+    if len({op.domain for row in grid for op in row}) != 1:
+        raise ValueError("the operators of a block grid must share one domain, "
+                         "over which the column mask is one mask")
+    upper, sums = _norm_bound(grid, cols)
     if upper < 1e-13 or np.isnan(upper):
         return upper
-    pair, sectors = block_entries(grid, cols)
-    return operator_norm(pair, blocks=sectors)
+    kept, pad = _kept_columns(grid, cols, *sums)
+    pair, sectors = block_entries(grid, kept)
+    return operator_norm(pair, blocks=sectors, pad=pad)
 
 
-def _norm_bound(grid, cols=None) -> float:
+def _norm_bound(grid, cols=None):
     """sqrt(norm_1 * norm_inf) of the grid of :func:`block_norm`, an upper
-    bound of its norm.
-
-    A column sums in ascending dl2 and a row in descending dl2 within a
-    block, then on across the blocks of its grid column or grid row.  A row
-    gathers each diagonal at its sources, and a row with no entry on a
-    diagonal reads the trailing 0.0, which leaves a sum of nonnegative
-    weights started at +0.0 as it is.  np.max keeps a NaN weight, so the
-    bound is NaN when an entry is.
+    bound of its norm, and the sums it reads: the :func:`_weights` of every
+    diagonal, the :func:`_column_sums` of each grid column and the row sums
+    of each grid row.  A row sums from +0.0 in descending dl2 within a
+    block, then on across its grid row, gathering each diagonal at its
+    sources; a row with no entry on a diagonal reads the trailing 0.0.
+    np.max keeps a NaN weight, so the bound is NaN when an entry is.
     """
     weights = [[[_weights(c, cols) for c in op.diags.values()] for op in row] for row in grid]
-    # np.max, not .max(): a column of operators with no diagonal sums to 0
-    norm_1 = np.max([np.max(sum(w for block in column for w in block))
-                     for column in zip(*weights)])
-    row_maxima = []
-    for row, row_weights in zip(grid, weights):
-        sums = np.zeros(row[0].codomain.dim)
+    columns = _column_sums(grid, weights)
+    rows = [np.zeros(row[0].codomain.dim) for row in grid]
+    for row, sums, row_weights in zip(grid, rows, weights):
         for op, block in zip(row, row_weights):
             for d, w in zip(reversed(op.diags), reversed(block)):
                 sums += w[op._source(d)]
-        row_maxima.append(sums.max())
-    return float(np.sqrt(norm_1 * np.max(row_maxima)))
+    norm_1, norm_inf = np.max([s.max() for s in columns]), np.max([s.max() for s in rows])
+    # in Python floats an overflow leaves the bound inf, still an upper
+    # bound, and the norm open, with no warning
+    return math.sqrt(float(norm_1) * float(norm_inf)), (weights, columns, rows)
 
 
 def _weights(c, cols):
@@ -619,6 +646,59 @@ def _weights(c, cols):
     if cols is not None:
         w[:-1] *= cols
     return w
+
+
+def _column_sums(grid, weights, squares=False) -> list:
+    """For each grid column, the sum of each column of the ``weights`` of
+    :func:`_weights`, or of their squares: from +0.0 in ascending dl2
+    within a block, then on down the grid column, with the trailing 0.0."""
+    columns = [np.zeros(op.domain.dim + 1) for op in grid[0]]
+    for row_weights in weights:
+        for sums, block in zip(columns, row_weights):
+            for w in block:
+                sums += w * w if squares else w
+    return columns
+
+
+# a sector is dropped when its upper bound clears the largest lower bound
+# by this relative margin; see block_norm
+_PRUNE_MARGIN = 1e-9
+
+# entries of magnitude in [1e-100, 1e100]: their squares, sums and the
+# products of two sums are normal floats, neither subnormal nor infinite
+_BOUND_RANGE = (1e-100, 1e100)
+
+
+def _kept_columns(grid, cols, weights, columns, rows):
+    """The mask of the domain vectors in ``cols`` whose weight sector can
+    hold the norm of the grid of :func:`block_norm`, and the padded shape
+    of the stack of all sectors, from the sums of :func:`_norm_bound`.
+    A column lies in the sector of its domain vector, a row in the sector
+    of the columns that reach it: its codomain weight less the weight
+    shift.  A row that none reaches sums to 0.0 and counts in no sector.
+    A sector's shape counts its lines with a nonzero sum, as
+    :func:`block_stack` counts them."""
+    (di2, dj2), (labels, sector) = grid[0][0].shift, grid[0][0].domain._sectors
+    col_sums, col_sector = np.concatenate([s[:-1] for s in columns]), np.tile(sector, len(columns))
+    row_sums = np.concatenate(rows)
+    row_sector = np.minimum(np.concatenate([
+        np.searchsorted(labels, codomain_labels - (di2 * _SECTOR_BASE + dj2))[index]
+        for codomain_labels, index in (row[0].codomain._sectors for row in grid)]), labels.size - 1)
+    pad = _padded_shape(np.bincount(row_sector[row_sums > 0], minlength=labels.size),
+                        np.bincount(col_sector[col_sums > 0], minlength=labels.size))
+    mags = [w for row in weights for block in row for w in block]
+    if ((pad[0] * pad[1] + pad[0] + 2) * np.finfo(float).eps > _PRUNE_MARGIN / 2
+            or min(np.min(w, where=w > 0, initial=np.inf) for w in mags) < _BOUND_RANGE[0]
+            or max(w.max() for w in mags) > _BOUND_RANGE[1]):
+        return cols, pad
+    squares = np.concatenate([s[:-1] for s in _column_sums(grid, weights, squares=True)])
+    norm_1, norm_inf, lower = (np.zeros(labels.size) for _ in range(3))
+    np.maximum.at(norm_1, col_sector, col_sums)
+    np.maximum.at(norm_inf, row_sector, row_sums)
+    np.maximum.at(lower, col_sector, squares)
+    kept = ~(np.sqrt(norm_1 * norm_inf) * (1 + _PRUNE_MARGIN)
+             < np.sqrt(lower.max()) * (1 - _PRUNE_MARGIN))[sector]
+    return kept if cols is None else kept & cols, pad
 
 
 def _gather(values, positions):
@@ -704,116 +784,34 @@ def _padded_shape(height, width) -> tuple:
             int(np.minimum(height, width).max(initial=0)))
 
 
-# a block is dropped when its upper bound clears the largest lower bound by
-# this relative margin; see operator_norm
-_PRUNE_MARGIN = 1e-9
-
-# entries of magnitude in [1e-100, 1e100]: their squares, sums and the
-# products of two sums are normal floats, neither subnormal nor infinite
-_BOUND_RANGE = (1e-100, 1e100)
-
-
-def _block_bounds(mags, rows, cols, blocks):
-    """Each block's shape and an enclosure of its largest singular value.
-
-    The entries are a COO triple of the magnitudes of nonzero values,
-    labelled with their blocks as in :func:`block_stack`.  Returns the
-    (rows, cols) shape of each block in the matrix, ordered by label as
-    :func:`block_stack` orders them, for each block a lower bound, its
-    largest column 2-norm, and an upper bound, sqrt(norm_1 * norm_inf), and
-    the block of each entry.  Every sum is an ``np.bincount`` over row or
-    column indices, and the only sort is over the distinct columns: none
-    runs over the entries.  A row or column that lies in two blocks raises
-    ValueError, as in :func:`block_stack`.
-    """
-    n_cols = int(cols.max()) + 1
-    col_label = np.zeros(n_cols, dtype=blocks.dtype)
-    col_label[cols] = blocks
-    col_ids = np.flatnonzero(np.bincount(cols, minlength=n_cols))
-    _, col_block = np.unique(col_label[col_ids], return_inverse=True)
-    n_blocks = int(col_block.max()) + 1
-    node_block = np.zeros(n_cols, dtype=np.intp)
-    node_block[col_ids] = col_block
-    block = node_block[cols]
-    row_block = np.zeros(int(rows.max()) + 1, dtype=np.intp)
-    row_block[rows] = block
-    if (col_label[cols] != blocks).any() or (row_block[rows] != block).any():
-        raise ValueError("a row or column lies in two blocks")
-    row_ids = np.flatnonzero(np.bincount(rows))
-    row_block = row_block[row_ids]
-    shapes = np.column_stack((np.bincount(row_block, minlength=n_blocks),
-                              np.bincount(col_block, minlength=n_blocks)))
-    lower, norm_1, norm_inf = np.zeros(n_blocks), np.zeros(n_blocks), np.zeros(n_blocks)
-    # a NaN or an overflow is quiet here: operator_norm prunes by these
-    # bounds only when every magnitude lies in _BOUND_RANGE
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.maximum.at(lower, col_block, np.bincount(cols, mags * mags)[col_ids])
-        np.maximum.at(norm_1, col_block, np.bincount(cols, mags)[col_ids])
-        np.maximum.at(norm_inf, row_block, np.bincount(rows, mags)[row_ids])
-        return shapes, np.sqrt(lower), np.sqrt(norm_1 * norm_inf), block
-
-
-def operator_norm(mat, exact_dim: int = 1200, blocks=None) -> float:
-    """Largest singular value of a matrix, exact, from its blocks; 0 for a
-    matrix with no nonzero entry.
+def operator_norm(mat, exact_dim: int = 1200, blocks=None, pad=(0, 0)) -> float:
+    """Largest singular value of a matrix, exact, from one stacked SVD of
+    its blocks; 0 for a matrix with no nonzero entry.
 
     ``mat`` is a COO pair (values, (rows, cols)) of numpy arrays, or any
     matrix with a ``tocoo`` method.  ``blocks`` labels each entry of a pair
     with its block: every operator here is homogeneous for the torus
     weights, and :func:`block_norm` passes the weight sector of each
     entry's column.  Without labels the whole matrix is one block, a dense
-    SVD.  ``exact_dim`` caps the blocks: a block whose smaller side exceeds
-    it raises ValueError naming its shape, whether it is pruned or not.
-
-    The norm of a direct sum is the largest norm of its blocks, and zero
-    padding adds only zero singular values, so the largest first singular
-    value of a stack of the blocks is the norm.  Most blocks cannot hold
-    it.  Each block's largest singular value s_b lies in [l_b, u_b], its
-    largest column 2-norm and sqrt(norm_1 * norm_inf) from
-    :func:`_block_bounds`, and a block with u_b (1 + d) < L (1 - d), L the
-    largest l_b and d = ``_PRUNE_MARGIN`` = 1e-9, is dropped before any
-    SVD.  The kept blocks go through one dense SVD, stacked at the padded
-    shape (m, n) of all blocks: LAPACK returns the same floats for a block
-    at the same padding, while a smaller padding can move its s_b by an
-    ULP.  The result is then the float the SVD of the whole stack gives,
-    as long as no dropped block's computed s_b exceeds the kept maximum.
-
-    d covers that.  With eps the machine epsilon, each computed bound is
-    within (m + 2) eps of the exact one, relative: a sum of at most m
-    nonnegative terms, a product and a square root.  LAPACK's computed s_b
-    is within p(m, n) eps s_b of s_b, p a modestly growing polynomial,
-    allowed m n here.  Let block a give L.  For a dropped b, computed s_b
-    <= u_b (1 + m n eps) < L (1 - d)/(1 + d) (1 + (m + 2) eps)(1 + m n
-    eps) <= s_a (1 - d)/(1 + d) (1 + (m + 2) eps)^2 (1 + m n eps), which
-    is below computed s_a >= s_a (1 - m n eps) when (m n + m + 2) eps <= d,
-    to first order; the code asks for d / 2.  So a is kept, and no dropped
-    block beats it.  Pruning runs only when that holds, as it does for
-    every stack up to m = n = 1200, and only when every entry has a
-    magnitude in [1e-100, 1e100], so that no square, sum or product in a
-    bound underflows or overflows; a NaN entry keeps every block.
+    SVD.  The norm of a direct sum is the largest norm of its blocks, and
+    zero padding adds only zero singular values, so the largest first
+    singular value of the stack of :func:`block_stack` is the norm.  The
+    stack is padded at least to ``pad``, as :func:`block_norm` passes the
+    sectors that can hold the norm at the padded shape of all its sectors.
+    A padded shape whose smaller side exceeds ``exact_dim``, so that some
+    block's does, passed or pruned, raises ValueError naming the shape.
     """
     if not isinstance(mat, tuple):
         mat = mat.tocoo(copy=True)  # a copy: the caller's matrix is left as it is
         mat.sum_duplicates()
         mat = (mat.data, (mat.row, mat.col))
-    vals, (rows, cols) = mat
-    vals, rows, cols = np.asarray(vals), np.asarray(rows), np.asarray(cols)
+    vals = np.asarray(mat[0])
     if not vals.any():
         return 0.0
-    blocks = np.zeros(vals.size, dtype=np.intp) if blocks is None else np.asarray(blocks)
-    nonzero = vals != 0
-    vals, rows, cols, blocks = vals[nonzero], rows[nonzero], cols[nonzero], blocks[nonzero]
-    mags = np.abs(vals)
-    shapes, lower, upper, block = _block_bounds(mags, rows, cols, blocks)
-    big = shapes.min(axis=1) > exact_dim
-    if big.any():
-        raise ValueError(f"a {tuple(shapes[big][0].tolist())} block exceeds exact_dim={exact_dim}")
-    pad = _padded_shape(shapes[:, 0], shapes[:, 1])
-    if ((pad[0] * pad[1] + pad[0] + 2) * np.finfo(float).eps <= _PRUNE_MARGIN / 2
-            and _BOUND_RANGE[0] <= mags.min() and mags.max() <= _BOUND_RANGE[1]):
-        keep = ~(upper * (1 + _PRUNE_MARGIN) < lower.max() * (1 - _PRUNE_MARGIN))[block]
-        vals, rows, cols, block = vals[keep], rows[keep], cols[keep], block[keep]
-    stack, _ = block_stack((vals, (rows, cols)), block, pad)
+    blocks = np.zeros(vals.size, dtype=np.intp) if blocks is None else blocks
+    stack, _ = block_stack(mat, blocks, pad)
+    if stack.shape[2] > exact_dim:
+        raise ValueError(f"a stack padded to {stack.shape[1:]} exceeds exact_dim={exact_dim}")
     return float(np.linalg.svd(stack, compute_uv=False)[:, 0].max())
 
 

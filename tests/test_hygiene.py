@@ -4,8 +4,8 @@ forwards its parameters to one call, no power of q has an exponent array,
 no table reads a power of q past the lattice reader, nothing under src/
 imports scipy, the operator layer reads its position maps by gathers and
 locates them in one place, no operator module runs an SVD outside
-``operator_norm``, and every exported name has a caller outside the
-tests."""
+``operator_norm``, only ``block_norm`` builds the COO entries of a norm,
+and every exported name has a caller outside the tests."""
 
 import ast
 import re
@@ -270,6 +270,46 @@ def test_scan_flags_svd_outside_operator_norm():
               "def k(m):\n    return np.linalg.norm(m, 2), m.svds, np.linalg.eigvalsh(m)\n")
     assert svd_reads(source) == ["<module>: np.linalg.svd", "f: numpy.linalg.svd", "g: svd",
                                  "<module>: linalg.svd"]
+
+
+def entry_builds(source: str) -> list:
+    """"function: call" for each call of ``block_entries``, bare or as an
+    attribute, or of an ``entries`` method outside ``block_norm`` and
+    ``block_entries``.  ``block_norm`` prunes the weight sectors on the
+    sums of its diagonals and builds the COO entries of the kept sectors'
+    columns alone, so a call anywhere else would build the entries of
+    every sector again."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.Call) and function not in ("block_norm", "block_entries")
+                and (getattr(node.func, "id", None) == "block_entries"
+                     or getattr(node.func, "attr", None) in ("block_entries", "entries"))):
+            found.append(f"{function}: {ast.unparse(node)}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_block_norm_builds_the_entries_of_a_norm(path):
+    assert entry_builds(path.read_text()) == []
+
+
+def test_scan_flags_entry_builds_outside_block_norm():
+    source = ("pair = block_entries(grid)\n"
+              "def f(op, cols):\n    return op.entries(cols)\n"
+              "def g(grid):\n    return pw.block_entries(grid, None)[0]\n"
+              "class K:\n    def norm(self):\n        return self.entries()\n"
+              "def block_norm(grid, kept):\n    return block_entries(grid, kept)\n"
+              "def block_entries(grid):\n    return [op.entries() for op in grid]\n"
+              "def h(op):\n    return op.entries, entries_of(op), op.block_entries_count()\n")
+    assert entry_builds(source) == ["<module>: block_entries(grid)", "f: op.entries(cols)",
+                                    "g: pw.block_entries(grid, None)", "norm: self.entries()"]
 
 
 def _scipy_modules(node) -> list:

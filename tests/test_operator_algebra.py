@@ -249,9 +249,9 @@ def test_norm_hands_only_the_svd_path_to_operator_norm(monkeypatch):
 
     handed = []
 
-    def recording(mat, exact_dim=1200, blocks=None):
-        handed.append(mat)
-        return operator_norm(mat, exact_dim, blocks)
+    def recording(mat, exact_dim=1200, blocks=None, pad=(0, 0)):
+        handed.append((mat, blocks, pad))
+        return operator_norm(mat, exact_dim, blocks, pad)
 
     monkeypatch.setattr(pw, "operator_norm", recording)
     space = full_space(6)
@@ -260,14 +260,24 @@ def test_norm_hands_only_the_svd_path_to_operator_norm(monkeypatch):
     assert (one - one).norm() == 0.0
     assert (al.adjoint() @ al - al.adjoint() @ al).norm() == 0.0
     assert handed == []
+    tail = space.tail_mask(2)
     assert al.norm() > 0.5
-    assert al.norm(space.tail_mask(2)) > 0.5
-    # the two pairs handed over are the whole matrix and its tail columns
+    assert al.norm(tail) > 0.5
+    # the two pairs handed over are the columns of the whole matrix and of
+    # its tail that lie in the kept sectors, labelled by sector and padded
+    # to the stack of every sector
     assert len(handed) == 2
-    for (vals, (rows, cols)), mat in zip(handed, (csr(al), csr(al, space.tail_mask(2)))):
+    for ((vals, (rows, cols)), blocks, pad), mask in zip(handed, (None, tail)):
+        kept = np.isin(space._sectors[1], blocks)
+        if mask is not None:
+            kept &= mask
+        mat = csr(al, kept)
         dense = np.zeros(mat.shape)
         dense[rows, cols] = vals
         assert (dense == mat.toarray()).all()
+        pair, sectors = al.entries(mask)
+        assert 0 < np.unique(blocks).size < np.unique(sectors).size
+        assert pad == block_stack(pair, sectors)[0].shape[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -408,13 +408,21 @@ def test_operator_norm_rejects_a_block_above_exact_dim():
     block = sp.csr_matrix(np.arange(1.0, 10.0).reshape(3, 3))
     mat = sp.block_diag([block, sp.identity(2)]).tocoo()
     pair, labels = (mat.data, (mat.row, mat.col)), (mat.row >= 3).astype(int)
-    with pytest.raises(ValueError, match=r"\(3, 3\)"):
+    with pytest.raises(ValueError, match=r"padded to \(3, 3\) exceeds exact_dim=2"):
         operator_norm(pair, exact_dim=2, blocks=labels)
     assert operator_norm(pair, exact_dim=3, blocks=labels) == pytest.approx(_dense_norm(mat),
                                                                             rel=1e-14)
     # without labels the whole matrix is one block
     with pytest.raises(ValueError, match=r"\(5, 5\)"):
         operator_norm(mat, exact_dim=4)
+    # the padding of a block left out counts: the identity block alone,
+    # padded as the 3 x 3 block would pad it, still exceeds exact_dim=2
+    kept = mat.row >= 3
+    small = (mat.data[kept], (mat.row[kept], mat.col[kept]))
+    assert operator_norm(small, exact_dim=2, blocks=labels[kept]) == 1.0
+    with pytest.raises(ValueError, match=r"padded to \(3, 3\) exceeds exact_dim=2"):
+        operator_norm(small, exact_dim=2, blocks=labels[kept], pad=(3, 3))
+    assert operator_norm(small, exact_dim=3, blocks=labels[kept], pad=(3, 3)) == 1.0
 
 
 # ---------------------------------------------------------------------------

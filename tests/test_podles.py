@@ -150,27 +150,27 @@ def test_fit_geometric_needs_points():
 
 def test_commutator_tail_past_the_old_dense_limit_is_the_dense_norm(monkeypatch):
     # at lmax 40 the bundles have dimension 1640, which used to go to ARPACK;
-    # BandedOperator.norm hands its SVD path to peterweyl's operator_norm
+    # BandedOperator.norm hands its SVD path, the columns of the sectors
+    # that can hold the norm, to peterweyl's operator_norm
     import suq2kit.peterweyl as pw
 
     seen = []
 
-    def recording_norm(mat, exact_dim=1200, blocks=None):
-        value = operator_norm(mat, exact_dim, blocks)
-        vals, (rows, cols) = mat
-        dense = np.zeros((rows.max() + 1, cols.max() + 1))
-        dense[rows, cols] = vals
-        seen.append((dense, value))
-        return value
+    def recording_norm(mat, exact_dim=1200, blocks=None, pad=(0, 0)):
+        seen.append(mat[0].size)
+        return operator_norm(mat, exact_dim, blocks, pad)
 
     monkeypatch.setattr(pw, "operator_norm", recording_norm)
     mod = FredholmModule.standard(-0.5, 40)
     assert mod.plus_space.dim == 1640
     for x in ("A", "B"):
-        commutator_tail(mod, x, 15)
-    assert len(seen) == 2
-    for dense, value in seen:
+        value = commutator_tail(mod, x, 15)
+        diff = (mod.F @ podles_op(x, mod.q, mod.plus_space)
+                - podles_op(x, mod.q, mod.minus_space) @ mod.F)
+        dense = csr(diff, mod.plus_space.tail_mask(15)).toarray()
+        assert seen[-1] < np.count_nonzero(dense)
         assert value == pytest.approx(np.linalg.norm(dense, 2), rel=1e-14, abs=0)
+    assert len(seen) == 2
 
 
 def test_podles_suite_builds_each_table_once(monkeypatch):
