@@ -27,8 +27,9 @@ _IDENTITY3 = [[[float(i == j), 0.0] for j in range(3)] for i in range(3)]
 
 def _jobs() -> list:
     """The benchmark's 41 jobs at seed 0, widened: the Koszul resolution over
-    n in {2, 3, 8, 20} and D in {1, 25, 80, 120}, the parameter-matrix suite
-    at three seeds and with a supplied matrix, every suite through ``all``
+    n in {2, 3, 8, 20} and D in {1, 25, 80, 120} and at n in {2, 20} with
+    D = 400, the parameter-matrix suite at three seeds and with a supplied
+    matrix, every suite through ``all``
     at six q, and the t-grid suites at grid sizes other than the default 11,
     among them 17, which is more than one block of the grid walk, and the
     jobs whose norms lean hardest on the stacked SVD: fredholm at q = +-0.9
@@ -40,6 +41,7 @@ def _jobs() -> list:
              for l in (20, 30, 40)
              for s in ("relations", "podles", "lemma1", "lemma2", "lemma3", "degenerate")]
     jobs += [{"suite": "koszul", "n": n, "D": d} for n in (2, 3, 8, 20) for d in (1, 25, 80, 120)]
+    jobs += [{"suite": "koszul", "n": n, "D": 400} for n in (2, 20)]
     jobs += [{"suite": "fusion"}] + [{"suite": "foq", "seed": s} for s in (0, 1, 2)]
     jobs += [{"suite": "foq", "qmatrix": _IDENTITY3}]
     jobs += [{"suite": "all", "q": q, "lmax": "12"} for q in (0.1, -0.1, 0.5, -0.5, 0.9, -0.9)]

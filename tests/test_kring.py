@@ -491,32 +491,87 @@ def test_k_groups_follow_a_surviving_augmentation(monkeypatch):
         assert not k_check.passed
 
 
-def test_a_non_unimodular_transform_fails_the_certificate(monkeypatch):
+def _certified_form(matrix):
+    """The elimination record of ``matrix``, its replayed U A, dense, and
+    det U."""
     import suq2kit.kring as kr
+
+    rows = [{j: x for j, x in enumerate(row) if x} for row in matrix]
+    record = kr._unit_pivot_elimination(rows)
+    form, det_u = kr._replay(rows, *record)
+    return record, [[row.get(j, 0) for j in range(len(matrix[0]))] for row in form], det_u
+
+
+@pytest.mark.parametrize("n", (2, 3, 8, 20))
+@pytest.mark.parametrize("d", (1, 2, 25, 80))
+def test_the_certified_form_is_the_smith_form(n, d):
+    mat = koszul_matrix(n, d)
+    (ops, _, _), form, det_u = _certified_form(mat)
+    # D additions, each joining two distinct rows
+    assert len(ops) == d and all(dst != src for dst, src, _ in ops)
+    assert form == smith_normal_form(mat)[1]
+    assert abs(det_u) == 1
+
+
+def _koszul_fails():
     from suq2kit.suites import SuiteConfig, run_suite
 
-    exact = kr.smith_normal_form
-    for doubled in ("lead entry", "last row"):
-        def corrupted(matrix, doubled=doubled):
-            u, d, v = exact(matrix)
-            # U keeps its row-rotated shape; the last row leads at column 0
-            if doubled == "lead entry":
-                u[-1][0] *= 2
-            else:
-                # the last row of D is 0, so U A V = D still holds and only
-                # the determinant tells this U is not unimodular
-                u[-1] = [2 * x for x in u[-1]]
-                assert _matmul(_matmul(u, matrix), v) == d
-            assert abs(kr.int_det(u)) == 2 == abs(_bareiss_det(u))
-            return u, d, v
+    cert = koszul_verify(3, 25)
+    assert not cert["snf_certified"] and not cert["pass"]
+    rep = run_suite(SuiteConfig(suite="koszul", n=3, d_trunc=25))
+    assert not rep.overall
+    snf_check = next(c for c in rep.checks if c.name.startswith("Smith form certificate"))
+    assert not snf_check.passed
 
-        monkeypatch.setattr(kr, "smith_normal_form", corrupted)
-        cert = koszul_verify(3, 25)
-        assert not cert["snf_certified"] and not cert["pass"]
-        rep = run_suite(SuiteConfig(suite="koszul", n=3, d_trunc=25))
-        assert not rep.overall
-        snf_check = next(c for c in rep.checks if c.name.startswith("Smith form certificate"))
-        assert not snf_check.passed
+
+def test_a_non_unimodular_transform_fails_the_certificate(monkeypatch):
+    import suq2kit.kring as kr
+
+    exact = kr._unit_pivot_elimination
+    for doubled in ("by an addition with src == dst", "by its sign"):
+        def corrupted(rows, doubled=doubled):
+            ops, perm, signs = exact(rows)
+            # row 0 ends as 0, so scaling it by 2 keeps U A = [I_D; 0] and
+            # only the determinant tells this U is not unimodular
+            if doubled == "by its sign":
+                return ops, perm, signs[:-1] + [2]
+            return ops + [(0, 0, 1)], perm, signs
+
+        monkeypatch.setattr(kr, "_unit_pivot_elimination", corrupted)
+        _, form, det_u = _certified_form(koszul_matrix(3, 25))
+        assert form == smith_normal_form(koszul_matrix(3, 25))[1]
+        assert det_u in (2, -2)
+        _koszul_fails()
+
+
+@pytest.mark.parametrize("mutant", ("doubled multiple", "negated signs", "subdiagonal -2"))
+def test_a_corrupt_elimination_fails_the_certificate(mutant, monkeypatch):
+    import suq2kit.kring as kr
+
+    if mutant != "subdiagonal -2":
+        exact = kr._unit_pivot_elimination
+
+        def corrupted(rows):
+            ops, perm, signs = exact(rows)
+            if mutant == "doubled multiple":
+                (dst, src, mult), *rest = ops
+                return [(dst, src, 2 * mult)] + rest, perm, signs
+            # still unimodular and diagonal, but -I_D is not a Smith form
+            return ops, perm, [-s for s in signs]
+
+        monkeypatch.setattr(kr, "_unit_pivot_elimination", corrupted)
+    else:
+        exact = kr.koszul_matrix
+
+        def corrupted(n, d):
+            # no pivot of the elimination is a unit
+            mat = exact(n, d)
+            for k in range(d):
+                mat[k + 1][k] = -2
+            return mat
+
+        monkeypatch.setattr(kr, "koszul_matrix", corrupted)
+    _koszul_fails()
 
 
 # ---------------------------------------------------------------------------
@@ -545,8 +600,9 @@ def test_koszul_suite_computes_one_certificate(monkeypatch):
                          ("koszul_verify", "smith_normal_form", "int_det", "_matmul"))
     rep = run_suite(SuiteConfig(suite="koszul", n=3, d_trunc=25))
     assert rep.overall
-    # twice each when the K-groups came from a second certificate
-    assert calls == {"koszul_verify": 1, "smith_normal_form": 1, "int_det": 2, "_matmul": 2}
+    # the certificate is the resolution's own elimination: no dense Smith
+    # form, determinant or product runs
+    assert calls == {"koszul_verify": 1, "smith_normal_form": 0, "int_det": 0, "_matmul": 0}
 
 
 def test_fusion_suite_fuses_each_pair_once(monkeypatch):

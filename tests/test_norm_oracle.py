@@ -142,6 +142,19 @@ def test_pruning_runs_only_where_the_margin_covers_the_rounding(case, stacked, m
     assert stacked == [(1 if case == "in range" else total, total)]
 
 
+def test_a_sector_within_the_margin_of_the_maximum_is_kept():
+    # two one-column sectors, i2 = -1 and 1, holding 1 and 1 - 5e-10: the
+    # second's upper bound u_b lies below L = 1 by less than the margin
+    # d = 1e-9, so u_b (1 + d) >= L (1 - d) keeps it, while u_b (1 - d)
+    # < L (1 - d) would drop it
+    space = bundle_space(1, 1)
+    assert np.unique(space._sectors[1]).size == space.dim == 2
+    op = BandedOperator(space, space, (0, 0), {0: np.array([1.0, 1 - 5e-10])}, 0)
+    _, sums = pw._norm_bound([[op]])
+    kept, _ = pw._kept_columns([[op]], None, *sums)
+    assert kept.tolist() == [True, True]
+
+
 def test_a_pruned_block_above_exact_dim_still_raises(stacked, monkeypatch):
     # the dominant sector i2 = 14 has two columns; the three sectors of
     # eight columns, i2 = -2, 0, 2, are pruned, and they set the padding
